@@ -79,21 +79,15 @@ from .operators import (
 from .semigroups import (
     ConstantFlow,
     EllipticFlow,
-    HalfLineVector,
     OperatorSemigroupSample,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
     conjugate_semigroup,
     conjugated_comparison_defect,
-    elliptic_flow,
     embed_isometric_composition,
-    outer_flow,
-    product_flow,
     sample_elliptic_flow,
     sample_multiplication_flow,
-    shift_semigroup_apply,
-    singular_inner_flow,
     wold_comparison_defect,
 )
 from .decisions import (

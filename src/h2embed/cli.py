@@ -213,9 +213,9 @@ def cmd_semigroup(args) -> int:
     outdir = Path(args.out or "h2embed-semigroup-out")
     outdir.mkdir(parents=True, exist_ok=True)
     matrix_files = []
-    for i, op in enumerate(sample.operators):
+    for i, t in enumerate(sample.times):
         name = f"matrix_{i:02d}.csv"
-        dump_matrix_csv(outdir / name, op)
+        dump_matrix_csv(outdir / name, sample.apply(t))
         matrix_files.append(name)
     records = _sample_records(sample, flow, args)
     trajectory_file = None
@@ -247,6 +247,7 @@ def cmd_semigroup(args) -> int:
     (outdir / "verification.json").write_text(
         json_dumps([record_document(r) for r in records])
     )
+    args.out = None  # --out named the sample directory; the document goes to stdout
     _emit(meta, args)
     return 0
 

@@ -521,7 +521,6 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
         )
 
     finite_fixed = [v for v, _ in poly_roots(fp).roots] if fp.degree >= 1 else []
-    has_infinity = fp.degree < 2  # degree drop: one fixed point escaped to infinity
 
     if m.is_disk_automorphism(tol=max(tol, 1e-9)):
         interior = [v for v in finite_fixed if abs(v) < 1.0 - tol]
@@ -553,7 +552,7 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
     alpha = interior[0]
     multiplier = complex(m.derivative(alpha))
     others = [v for v in finite_fixed if abs(v - alpha) > 1e-9]
-    beta = others[0] if others else (None if has_infinity else None)
+    beta = others[0] if others else None  # None: the other fixed point is at infinity
 
     spiral = spiral_length(multiplier)
     inv_beta = 0.0 if beta is None else 1.0 / beta

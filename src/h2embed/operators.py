@@ -207,17 +207,19 @@ def _wandering_basis(comp: np.ndarray, rank_tol: float) -> np.ndarray:
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     col = u[:, :rank]
     proj = np.eye(n, dtype=complex) - col @ col.conj().T
-    basis = []
+    q = np.zeros((n, n - rank), dtype=complex)
+    k = 0
     for idx in range(n):
+        if k == n - rank:
+            break
         v = proj[:, idx].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
+        for _ in range(2):  # one classical Gram-Schmidt pass loses orthogonality
+            v -= q[:, :k] @ (q[:, :k].conj().T @ v)
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-7:
-            basis.append(v / nrm)
-        if len(basis) == n - rank:
-            break
-    return np.column_stack(basis) if basis else np.zeros((n, 0), dtype=complex)
+            q[:, k] = v / nrm
+            k += 1
+    return q[:, :k]
 
 
 def wold_decompose(
@@ -292,7 +294,7 @@ def wold_decompose(
             if nrm < retention:
                 continue
             u = u / nrm
-            new_loss = loss + max(0.0, 1.0 - nrm)
+            new_loss = 1.0 - (1.0 - loss) * min(1.0, nrm)
             cols.append(u)
             ids.append(i)
             losses.append(new_loss)

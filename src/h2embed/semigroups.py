@@ -49,18 +49,12 @@ from .symbols import (
 )
 
 __all__ = [
-    "HalfLineVector",
     "OperatorSemigroupSample",
     "ConstantFlow",
     "SingularInnerFlow",
     "OuterFlow",
     "EllipticFlow",
     "ProductFlow",
-    "elliptic_flow",
-    "singular_inner_flow",
-    "outer_flow",
-    "product_flow",
-    "shift_semigroup_apply",
     "sample_multiplication_flow",
     "sample_elliptic_flow",
     "embed_isometric_composition",
@@ -211,117 +205,6 @@ class ProductFlow:
         return ProductSymbol([p.at(t) for p in self.parts])
 
 
-def elliptic_flow(alpha, theta: float, t: float) -> MobiusMap:
-    return EllipticFlow(alpha, theta).at(t)
-
-
-def singular_inner_flow(measure: SingularMeasure, t: float) -> SingularInner:
-    return SingularInnerFlow(measure).at(t)
-
-
-def outer_flow(outer: RationalOuter, t: float, n: int = 64) -> PowerSeries:
-    return OuterFlow(outer, n).at(t)
-
-
-def product_flow(parts) -> ProductFlow:
-    return ProductFlow(parts)
-
-
-# --------------------------------------------------------------------------
-# discretised half line
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class HalfLineVector:
-    """Cell-discretised element of L^2 of the half line with vector fibers.
-
-    ``cells[c]`` holds the fiber value on [c h, (c+1) h); the squared norm
-    is h times the sum of squared fiber norms.
-    """
-
-    grid_step: float
-    cells: np.ndarray
-    approximate: bool = False
-
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=complex)
-        if cells.ndim == 1:
-            cells = cells.reshape(-1, 1)
-        if cells.ndim != 2:
-            raise ValueError("cells must be a (horizon, fiber) array")
-        self.cells = cells
-        if self.grid_step <= 0:
-            raise ValueError("grid step must be positive")
-
-    @property
-    def horizon(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.cells.shape[1]
-
-    def norm(self) -> float:
-        return math.sqrt(self.grid_step * float(np.sum(np.abs(self.cells) ** 2)))
-
-
-def shift_semigroup_apply(
-    v: HalfLineVector,
-    t: float,
-    *,
-    allow_fractional: bool = False,
-    mass_tol: float = 1e-13,
-) -> HalfLineVector:
-    """Right translation by t with zero fill.
-
-    For t an integer multiple of the grid step the shift is exact and norm
-    preserving; mass that would leave the horizon raises
-    :class:`HorizonOverflow`.  Other times need ``allow_fractional`` and
-    use linear cell interpolation, flagged approximate in the result.
-    """
-    if t < 0:
-        raise DomainError("shift times are nonnegative")
-    h = v.grid_step
-    ratio = t / h
-    k = int(round(ratio))
-    out = np.zeros_like(v.cells)
-    if abs(ratio - k) < 1e-12:
-        if k == 0:
-            return HalfLineVector(h, v.cells.copy(), v.approximate)
-        if k >= v.horizon:
-            if float(np.max(np.abs(v.cells))) > mass_tol:
-                raise HorizonOverflow("shift pushes all mass past the horizon")
-            return HalfLineVector(h, out, v.approximate)
-        tail = v.cells[v.horizon - k :]
-        if float(np.max(np.abs(tail))) > mass_tol:
-            raise HorizonOverflow(
-                "shifted mass would exceed the horizon; enlarge the horizon"
-            )
-        out[k:] = v.cells[: v.horizon - k]
-        return HalfLineVector(h, out, v.approximate)
-    if not allow_fractional:
-        raise FractionalTime(
-            f"t = {t} is not a multiple of the grid step {h}; "
-            "pass allow_fractional=True for interpolated shifts"
-        )
-    k0 = int(math.floor(ratio))
-    frac = ratio - k0
-    tail_start = max(0, v.horizon - k0 - 1)
-    if k0 + 1 >= v.horizon or float(np.max(np.abs(v.cells[tail_start:]))) > mass_tol:
-        raise HorizonOverflow(
-            "fractional shift would push mass past the horizon; enlarge the horizon"
-        )
-    for c in range(v.horizon - 1, -1, -1):
-        acc = np.zeros(v.fiber_dim, dtype=complex)
-        if 0 <= c - k0 < v.horizon:
-            acc += (1.0 - frac) * v.cells[c - k0]
-        if 0 <= c - k0 - 1 < v.horizon:
-            acc += frac * v.cells[c - k0 - 1]
-        out[c] = acc
-    return HalfLineVector(h, out, True)
-
-
 # --------------------------------------------------------------------------
 # operator samples
 # --------------------------------------------------------------------------
@@ -329,7 +212,14 @@ def shift_semigroup_apply(
 
 @dataclass
 class OperatorSemigroupSample:
-    """A semigroup sampled at finitely many times as matrices.
+    """A semigroup sampled at finitely many times.
+
+    Each entry of ``operators`` is a numpy array, one of two kinds.  Flow
+    samples, and samples read back from CSV, hold the dense ``dim x dim``
+    matrix of V_t.  Wold/shift samples hold V_t as the partial permutation
+    it is: a 1-D integer array ``src`` of length ``dim`` with row i of
+    V_t x equal to row ``src[i]`` of x, and 0 where ``src[i] < 0``.
+    Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
     H^2_N into the sample's own space; ``resolved_basis`` lists the same
@@ -345,6 +235,17 @@ class OperatorSemigroupSample:
     embedding: np.ndarray | None = None
     resolved_basis: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    def apply(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
+        """V_t x, or the ``dim x dim`` matrix of V_t when x is None."""
+        op = self.operator_at(t)
+        if op.ndim == 2:
+            return op if x is None else op @ x
+        x = np.eye(self.dim, dtype=complex) if x is None else np.asarray(x)
+        out = np.zeros(x.shape, dtype=np.result_type(x, complex))
+        keep = op >= 0
+        out[keep] = x[op[keep]]
+        return out
 
     def operator_at(self, t: float) -> np.ndarray:
         for tt, op in zip(self.times, self.operators):
@@ -456,14 +357,6 @@ def sample_spiral_flow(
     )
 
 
-def _cell_shift(horizon: int, k: int) -> np.ndarray:
-    s = np.zeros((horizon, horizon), dtype=complex)
-    if k < horizon:
-        idx = np.arange(horizon - k)
-        s[idx + k, idx] = 1.0
-    return s
-
-
 def embed_isometric_composition(
     psi,
     times,
@@ -484,10 +377,12 @@ def embed_isometric_composition(
     operator acts as the identity (the canonical phase, since C_psi fixes
     1), and the k-th image of a wandering vector rides as the indicator of
     the k-th unit block of cells.  Times must be multiples of the grid
-    step h; the operators then are exact cell translations, so the
-    semigroup law and isometry hold to rounding, and the time-k operator
+    step h; the operators then are exact cell translations, stored as
+    row-gather indices (see :class:`OperatorSemigroupSample`), so the
+    semigroup law and isometry hold exactly, and the time-k operator
     reproduces the k-th power of the composition matrix on the resolved
-    subspace.  ``rank_tol`` is passed to :func:`wold_decompose`.
+    subspace.  No ``dim x dim`` array is built.  ``rank_tol`` is passed to
+    :func:`wold_decompose`.
     """
     comp = comp or composition_matrix(psi, n, radius)
     wold = wold or wold_decompose(
@@ -535,13 +430,14 @@ def embed_isometric_composition(
         for c in range(lv * m, (lv + 1) * m):
             embedding[1 + c * d + i, cidx] = root_h
 
+    # Row 1 + c d + i reads row 1 + (c - k) d + i; the first k cells fill
+    # with zeros and the constants stay put.
     ops = []
-    eye_d = np.eye(d, dtype=complex)
     for k in ks:
-        v = np.zeros((dim, dim), dtype=complex)
-        v[0, 0] = 1.0
-        v[1:, 1:] = np.kron(_cell_shift(horizon, k), eye_d)
-        ops.append(v)
+        src = np.arange(dim) - k * d
+        src[1 : 1 + k * d] = -1
+        src[0] = 0
+        ops.append(src)
 
     chain_loss = {}
     for lv, (ids, losses) in enumerate(zip(wold.chain_ids, wold.chain_losses)):
@@ -653,7 +549,7 @@ def wold_comparison_defect(
     e = sample.embedding
     p = sample.resolved_basis
     valid, ck = _comparison_columns(sample, comp, k, chain_loss_budget, zero_tol)
-    lhs = e.conj().T @ sample.operator_at(float(k)) @ e
+    lhs = e.conj().T @ sample.apply(float(k), e)
     rhs = p.conj().T @ ck @ p
     diff = (lhs - rhs)[:, valid]
     return float(np.linalg.norm(diff, 2))
@@ -673,6 +569,6 @@ def conjugated_comparison_defect(
     e = sample.embedding
     b = sample.resolved_basis
     valid, ck = _comparison_columns(sample, comp_phi, k, chain_loss_budget, zero_tol)
-    mk = e.conj().T @ sample.operator_at(float(k)) @ e
+    mk = e.conj().T @ sample.apply(float(k), e)
     diff = (ck @ b - b @ mk)[:, valid]
     return float(np.linalg.norm(diff, 2))

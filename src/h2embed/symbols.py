@@ -353,18 +353,6 @@ class MobiusMap:
         return Polynomial([-self.b, self.d - self.a, self.c])
 
 
-def mobius_apply(m: MobiusMap, z):
-    return m(z)
-
-
-def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    return m1.compose(m2)
-
-
-def mobius_inverse(m: MobiusMap) -> MobiusMap:
-    return m.inverse()
-
-
 @dataclass
 class PowerSeries:
     """Truncated Taylor series used as an analytic symbol."""

@@ -27,6 +27,7 @@ from h2embed.symbols import (
 
 SQUARE = BlaschkeProduct(origin_order=2)
 PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
+DEG3 = BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)])
 
 
 class TestCompositionMatrix:
@@ -267,6 +268,27 @@ class TestWold:
         assert 1 + sum(w.level_dims) + w.residual_dim == 16
         q = w.collected_basis()
         assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) < 1e-8
+
+    @pytest.mark.parametrize("psi", [PSI, DEG3], ids=["psi", "deg3"])
+    def test_orthonormal_at_n64(self, psi):
+        # One classical Gram-Schmidt pass over the projector columns left
+        # the wandering basis 3.5e-2 (psi) and 1.4e-2 (deg3) from orthonormal.
+        w = wold_decompose(psi, 64)
+        q = w.collected_basis()
+        assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-12
+        assert w.orthonormality_defect <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_chain_losses_are_fractions_of_the_norm(self, n):
+        # The cumulative loss compounds the retained norm, so it stays below
+        # 1 and never decreases along a chain (the old sum reached 1.29).
+        w = wold_decompose(PSI, n)
+        seen = {}
+        for ids, losses in zip(w.chain_ids, w.chain_losses):
+            for i, loss in zip(ids, losses):
+                assert 0.0 <= loss < 1.0
+                assert loss >= seen.get(i, 0.0)
+                seen[i] = loss
 
     def test_unresolved_wandering_subspace_is_numeric_failure(self):
         # rank_tol = 0 accepts no direction short of exactly wandering; that
