@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -215,7 +216,7 @@ def cmd_semigroup(args) -> int:
     matrix_files = []
     for i, t in enumerate(sample.times):
         name = f"matrix_{i:02d}.csv"
-        dump_matrix_csv(outdir / name, sample.apply(t))
+        dump_matrix_csv(outdir / name, sample.operator_at(t))
         matrix_files.append(name)
     records = _sample_records(sample, flow, args)
     trajectory_file = None
@@ -317,15 +318,33 @@ def cmd_wold(args) -> int:
 
 
 def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
-    import json
-
-    meta = json.loads((path / "meta.json").read_text())
-    ops = [load_matrix_csv(path / name) for name in meta["matrices"]]
+    meta_path = path / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+        dim = int(meta["dim"])
+        times = [float(t) for t in meta["times"]]
+        names = [str(name) for name in meta["matrices"]]
+    except OSError as exc:
+        raise SymbolFileError(f"{meta_path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SymbolFileError(
+            f"{meta_path}, line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SymbolFileError(f"{meta_path}: needs dim, times and matrices ({exc!r})") from exc
+    if len(names) != len(times):
+        raise SymbolFileError(f"{meta_path}: {len(names)} matrices for {len(times)} times")
+    ops = []
+    for name in names:
+        op = load_matrix_csv(path / name)
+        if op.shape != (dim,) * op.ndim:
+            raise SymbolFileError(f"{path / name}: shape {op.shape} does not match dim {dim}")
+        ops.append(op)
     return OperatorSemigroupSample(
-        times=[float(t) for t in meta["times"]],
+        times=times,
         operators=ops,
         construction=meta.get("construction", "loaded"),
-        dim=int(meta["dim"]),
+        dim=dim,
         isometric=bool(meta.get("isometric", False)),
         meta={"loaded_from": str(path)},
     )

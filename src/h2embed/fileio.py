@@ -20,13 +20,21 @@ selects the analysis route:
 
     {"kind": "mobius", "mobius": {"a": {...}, "b": {...}, "c": {...}, "d": {...}}}
 
-Matrix dumps are CSV files with the header row ``re_ij,im_ij`` and the
-entries flattened row-major, one entry per line, plus a sidecar metadata
-document (truncation order, symbol hash, tolerance).
+Operator files come in two formats, told apart by their header line, and
+sit next to a sidecar metadata document (dimension, times, symbol hash,
+tolerance).  Lines end in ``\r\n``.
+
+    re_ij,im_ij         a dense dim x dim matrix: dim**2 lines ``re,im``,
+    0.5,0.0             the entries row-major, each part written as the
+    ...                 ``repr`` of its float so that it reads back bit-exactly
+
+    src                 a row-gather operator (the shifts of a Wold/shift
+    0                   sample): dim integer lines; row i of V x is row
+    -1                  ``src[i]`` of x, and 0 where ``src[i]`` is -1
+    ...
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -55,7 +63,8 @@ __all__ = [
     "json_dumps",
 ]
 
-MATRIX_HEADER = ["re_ij", "im_ij"]
+MATRIX_HEADER = "re_ij,im_ij"
+INDEX_HEADER = "src"
 
 
 class SymbolFileError(ValueError):
@@ -199,21 +208,69 @@ def symbol_hash(raw_text: str) -> str:
 
 
 def dump_matrix_csv(path, matrix: np.ndarray):
-    matrix = np.asarray(matrix, dtype=complex)
+    """Write an operator file: an index file for a 1-D row-gather array,
+    a dense ``re_ij,im_ij`` file for a matrix."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 1:
+        lines = [INDEX_HEADER, *map(str, matrix.tolist())]
+    else:
+        flat = np.asarray(matrix, dtype=complex).ravel(order="C")
+        lines = [MATRIX_HEADER]
+        lines += [f"{re!r},{im!r}" for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATRIX_HEADER)
-        for value in matrix.ravel(order="C"):
-            writer.writerow([repr(float(value.real)), repr(float(value.imag))])
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _bad_line(path, body, parse) -> SymbolFileError:
+    """The error for the first body line that ``parse`` rejects."""
+    for lineno, line in enumerate(body, start=2):
+        try:
+            parse(line)
+        except (ValueError, OverflowError) as exc:
+            return SymbolFileError(f"{path}, line {lineno}: {exc}")
+    return SymbolFileError(f"{path}: unreadable entries")
+
+
+def _two_floats(line: str):
+    fields = line.split(",")
+    if len(fields) != 2:
+        raise ValueError(f"expected 2 fields 're,im', found {len(fields)}")
+    for v in fields:
+        float(v)
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != MATRIX_HEADER:
-        raise SymbolFileError(f"{path}: missing the '{','.join(MATRIX_HEADER)}' header")
-    flat = np.array([complex(float(r), float(i)) for r, i in rows[1:]])
-    n = int(round(math.isqrt(flat.size)))
+    """Read an operator file: the complex ``dim x dim`` matrix of a dense
+    file, or the ``np.intp`` array ``src`` of an index file."""
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise SymbolFileError(f"{path}: {exc.strerror or exc}") from exc
+    header, body = (lines[0], lines[1:]) if lines else (None, [])
+    if header == INDEX_HEADER:
+        try:
+            src = np.array(body, dtype=np.intp)
+        except (ValueError, OverflowError):
+            raise _bad_line(path, body, lambda v: np.intp(int(v))) from None
+        outside = np.flatnonzero((src < -1) | (src >= src.size))
+        if outside.size:
+            k = int(outside[0])
+            raise SymbolFileError(
+                f"{path}, line {k + 2}: src entry {src[k]} is outside [-1, {src.size})"
+            )
+        return src
+    if header != MATRIX_HEADER:
+        raise SymbolFileError(
+            f"{path}: missing the '{MATRIX_HEADER}' or '{INDEX_HEADER}' header"
+        )
+    if any(line.count(",") != 1 for line in body):
+        raise _bad_line(path, body, _two_floats)
+    try:
+        flat = np.array(",".join(body).split(",") if body else [], dtype=float).view(complex)
+    except ValueError:
+        raise _bad_line(path, body, _two_floats) from None
+    n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise SymbolFileError(f"{path}: {flat.size} entries do not form a square matrix")
     return flat.reshape(n, n)

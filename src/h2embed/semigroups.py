@@ -215,10 +215,11 @@ class OperatorSemigroupSample:
     """A semigroup sampled at finitely many times.
 
     Each entry of ``operators`` is a numpy array, one of two kinds.  Flow
-    samples, and samples read back from CSV, hold the dense ``dim x dim``
-    matrix of V_t.  Wold/shift samples hold V_t as the partial permutation
-    it is: a 1-D integer array ``src`` of length ``dim`` with row i of
-    V_t x equal to row ``src[i]`` of x, and 0 where ``src[i] < 0``.
+    samples, and dense operator files read back, hold the ``dim x dim``
+    matrix of V_t.  Wold/shift samples, and index files read back, hold
+    V_t as the partial permutation it is: a 1-D integer array ``src`` of
+    length ``dim`` with row i of V_t x equal to row ``src[i]`` of x, and 0
+    where ``src[i] < 0``.
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
