@@ -84,7 +84,6 @@ from .semigroups import (
     ProductFlow,
     SingularInnerFlow,
     conjugate_semigroup,
-    conjugated_comparison_defect,
     embed_isometric_composition,
     sample_elliptic_flow,
     sample_multiplication_flow,

@@ -277,6 +277,8 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def _jsonable(value):
+    if value is None or isinstance(value, (int, str)):  # bool is an int
+        return value
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, (np.complexfloating,)):

@@ -143,15 +143,10 @@ def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:
         raise ValueError("sample count must be a power of two, at least 1024")
     zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
     vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
-    powers = [np.ones_like(vals)]
-    for _ in range(d):
-        powers.append(powers[-1] * vals)
-    g = np.empty((d + 1, d + 1), dtype=complex)
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            g[i, j] = np.mean(powers[i] * np.conj(powers[j]))
-            g[j, i] = np.conj(g[i, j])
-    return g
+    powers = np.ones((d + 1, samples), dtype=complex)
+    powers[1:] = vals
+    powers = np.cumprod(powers, axis=0)
+    return powers @ powers.conj().T / samples
 
 
 def image_orthocomplement_dim(op: TruncatedOperator, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -251,6 +246,19 @@ def wold_decompose(
     the largest (which is 1) span the resolved wandering directions.  No
     such direction means the truncation cannot resolve W to this
     tolerance, and :class:`IllConditioned` is raised.
+
+    The levels are built one at a time into a preallocated n x n basis Q
+    that holds the constant, the wandering basis and every accepted
+    column.  The images c V of the previous level are taken in one
+    product and orthogonalised against Q by two passes of block classical
+    Gram-Schmidt; each image is then orthogonalised (twice) against the
+    columns this level has already accepted, and kept if its remaining
+    norm is at least ``retention``.  One classical pass loses
+    orthogonality in proportion to the norm the projection removes; a
+    second pass restores it to rounding unless nearly all of the norm is
+    removed (Giraud-Langou-Rozloznik, Comput. Math. Appl. 50, 2005).  A
+    kept column keeps at least ``retention`` of a norm at most 1, so two
+    passes are enough for every column that enters Q.
     """
     g = boundary_gram(psi, gram_degree, gram_samples)
     defect = float(np.max(np.abs(g - np.eye(gram_degree + 1))))
@@ -273,51 +281,50 @@ def wold_decompose(
             "subspace; raise the truncation order or rank_tol"
         )
 
-    e0 = np.zeros((n, 1), dtype=complex)
-    e0[0, 0] = 1.0
-    collected = [e0[:, 0]]
-    collected.extend(w[:, i] for i in range(w.shape[1]))
-
-    levels = [w]
-    chain_ids = [list(range(w.shape[1]))]
-    chain_losses = [[0.0] * w.shape[1]]
-    current = [(i, w[:, i], 0.0) for i in range(w.shape[1])]
-    while current and len(levels) < n:
-        nxt = []
-        cols, ids, losses = [], [], []
-        for i, v, loss in current:
-            u = c @ v
-            for _ in range(2):  # re-orthogonalise for stability
-                for b in collected:
-                    u = u - b * (b.conj() @ u)
-            nrm = float(np.linalg.norm(u))
+    # q holds, in order, the constant, the wandering basis and every
+    # accepted column; level l is the block q[:, starts[l]:starts[l + 1]].
+    d = w.shape[1]
+    q = np.zeros((n, n), dtype=complex)
+    q[0, 0] = 1.0
+    q[:, 1 : 1 + d] = w
+    k = 1 + d
+    starts = [1]
+    chain_ids = [list(range(d))]
+    chain_losses = [[0.0] * d]
+    while len(starts) < n:
+        u = c @ q[:, starts[-1] : k]
+        for _ in range(2):  # two block passes: orthogonal to rounding
+            u -= q[:, :k] @ (q[:, :k].conj().T @ u)
+        start = k
+        ids, losses = [], []
+        for j, (i, loss) in enumerate(zip(chain_ids[-1], chain_losses[-1])):
+            v = u[:, j]
+            for _ in range(2):
+                v = v - q[:, start:k] @ (q[:, start:k].conj().T @ v)
+            nrm = float(np.linalg.norm(v))
             if nrm < retention:
                 continue
-            u = u / nrm
-            new_loss = 1.0 - (1.0 - loss) * min(1.0, nrm)
-            cols.append(u)
+            q[:, k] = v / nrm
+            k += 1
             ids.append(i)
-            losses.append(new_loss)
-            nxt.append((i, u, new_loss))
-            collected.append(u)
-        if not cols:
+            losses.append(1.0 - (1.0 - loss) * min(1.0, nrm))
+        if not ids:
             break
-        levels.append(np.column_stack(cols))
+        starts.append(start)
         chain_ids.append(ids)
         chain_losses.append(losses)
-        current = nxt
 
-    total = sum(lv.shape[1] for lv in levels)
-    q = np.column_stack(collected)
-    ortho_defect = float(np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))))
+    levels = [q[:, a:b] for a, b in zip(starts, starts[1:] + [k])]
+    q = q[:, :k]
+    ortho_defect = float(np.max(np.abs(q.conj().T @ q - np.eye(k))))
     return WoldDecomposition(
         n=n,
-        unitary_basis=e0,
+        unitary_basis=q[:, :1],
         wandering_basis=w,
         levels=levels,
         chain_ids=chain_ids,
         chain_losses=chain_losses,
-        residual_dim=n - 1 - total,
+        residual_dim=n - k,
         orthonormality_defect=ortho_defect,
         meta={"gram_defect": defect, "rank_tol": rank_tol, "retention": retention},
     )

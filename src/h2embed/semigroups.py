@@ -60,7 +60,6 @@ __all__ = [
     "embed_isometric_composition",
     "conjugate_semigroup",
     "wold_comparison_defect",
-    "conjugated_comparison_defect",
 ]
 
 
@@ -517,8 +516,7 @@ def _comparison_columns(sample, comp, k: int, chain_loss_budget: float, zero_tol
     n_levels = meta["n_levels"]
     ck = np.linalg.matrix_power(comp.matrix, k) if k else np.eye(comp.n, dtype=complex)
     valid = [0]
-    basis = meta.get("orig_resolved", None)
-    p = sample.resolved_basis if basis is None else basis
+    p = sample.resolved_basis
     for cidx, tag in enumerate(meta["col_meta"]):
         if tag is None:
             continue
@@ -555,21 +553,3 @@ def wold_comparison_defect(
     diff = (lhs - rhs)[:, valid]
     return float(np.linalg.norm(diff, 2))
 
-
-def conjugated_comparison_defect(
-    sample: OperatorSemigroupSample,
-    comp_phi: TruncatedOperator,
-    k: int,
-    *,
-    chain_loss_budget: float = 1e-8,
-    zero_tol: float = 1e-9,
-) -> float:
-    """For a conjugated Wold sample: gap of C_phi^k B - B M_k on valid
-    columns, with B the conjugated resolved vectors and M_k the sampled
-    operator compressed to resolved coordinates."""
-    e = sample.embedding
-    b = sample.resolved_basis
-    valid, ck = _comparison_columns(sample, comp_phi, k, chain_loss_budget, zero_tol)
-    mk = e.conj().T @ sample.apply(float(k), e)
-    diff = (ck @ b - b @ mk)[:, valid]
-    return float(np.linalg.norm(diff, 2))

@@ -22,12 +22,51 @@ from h2embed.symbols import (
     RationalOuter,
     SingularInner,
     SingularMeasure,
+    circle_eval,
     taylor_coefficients,
 )
 
 SQUARE = BlaschkeProduct(origin_order=2)
 PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
 DEG3 = BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)])
+
+
+def sequential_levels(c, w, retention=0.5):
+    """Reference Wold level loop: each image c v is re-orthogonalised
+    vector by vector, twice, against every vector collected so far."""
+    n = c.shape[0]
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    collected = [e0] + [w[:, i] for i in range(w.shape[1])]
+    levels = [w]
+    chain_ids = [list(range(w.shape[1]))]
+    chain_losses = [[0.0] * w.shape[1]]
+    current = [(i, w[:, i], 0.0) for i in range(w.shape[1])]
+    while current and len(levels) < n:
+        nxt, cols, ids, losses = [], [], [], []
+        for i, v, loss in current:
+            u = c @ v
+            for _ in range(2):
+                for b in collected:
+                    u = u - b * (b.conj() @ u)
+            nrm = float(np.linalg.norm(u))
+            if nrm < retention:
+                continue
+            u = u / nrm
+            new_loss = 1.0 - (1.0 - loss) * min(1.0, nrm)
+            cols.append(u)
+            ids.append(i)
+            losses.append(new_loss)
+            nxt.append((i, u, new_loss))
+            collected.append(u)
+        if not cols:
+            break
+        levels.append(np.column_stack(cols))
+        chain_ids.append(ids)
+        chain_losses.append(losses)
+        current = nxt
+    residual = n - 1 - sum(lv.shape[1] for lv in levels)
+    return levels, chain_ids, chain_losses, residual
 
 
 class TestCompositionMatrix:
@@ -208,6 +247,24 @@ class TestBoundaryGram:
         assert np.max(np.abs(g1 - np.eye(5))) < 1e-8
         assert np.max(np.abs(g1 - g2)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "phi",
+        [DEG3, SingularInner(SingularMeasure([(1.0, 1.0)]))],
+        ids=["deg3", "atom"],
+    )
+    def test_gram_product_matches_pairwise_means(self, phi):
+        samples = 2048
+        zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
+        vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
+        powers = [np.ones_like(vals)]
+        for _ in range(4):
+            powers.append(powers[-1] * vals)
+        want = np.array([[np.mean(p * np.conj(q)) for q in powers] for p in powers])
+        # |phi| <= 1 on the circle, so either order of summing the 2048
+        # products is within samples * eps of the exact mean
+        tol = samples * np.finfo(float).eps
+        assert np.max(np.abs(boundary_gram(phi, 4, samples) - want)) <= tol
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             boundary_gram(SQUARE, 2, 1000)
@@ -289,6 +346,33 @@ class TestWold:
                 assert 0.0 <= loss < 1.0
                 assert loss >= seen.get(i, 0.0)
                 seen[i] = loss
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize(
+        "psi",
+        [SQUARE, BlaschkeProduct(origin_order=3), PSI, DEG3],
+        ids=["z^2", "z^3", "psi", "deg3"],
+    )
+    def test_block_levels_match_sequential_reference(self, psi, n):
+        w = wold_decompose(psi, n)
+        c = composition_matrix(psi, n).matrix
+        levels, chain_ids, chain_losses, residual = sequential_levels(c, w.wandering_basis)
+        assert w.level_dims == [lv.shape[1] for lv in levels]
+        assert w.chain_ids == chain_ids
+        assert w.residual_dim == residual
+        for got, want in zip(w.levels, levels):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        for got, want in zip(w.chain_losses, chain_losses):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    def test_square_dyadic_levels_at_n128(self):
+        w = wold_decompose(SQUARE, 128)
+        assert w.level_dims == [64, 32, 16, 8, 4, 2, 1]
+        assert w.residual_dim == 0
+
+    @pytest.mark.parametrize("psi", [PSI, DEG3], ids=["psi", "deg3"])
+    def test_orthonormal_at_n128(self, psi):
+        assert wold_decompose(psi, 128).orthonormality_defect <= 1e-12
 
     def test_unresolved_wandering_subspace_is_numeric_failure(self):
         # rank_tol = 0 accepts no direction short of exactly wandering; that
