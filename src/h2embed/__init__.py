@@ -94,13 +94,11 @@ from .decisions import (
     KoenigsFlow,
     SpiralData,
     Verdict,
-    build_weight,
     decide_composition,
     decide_lfm,
     decide_polynomial_toeplitz,
     decide_toeplitz,
     spiral_length,
-    verify_weighted_isometry,
 )
 from .verify import (
     VerificationRecord,

@@ -8,6 +8,12 @@ check, 2 malformed input, 3 verdict without a concrete construction,
 Reports are emitted as deterministic JSON (or key,value CSV with
 --format csv): identical input, configuration and seed give byte-identical
 output.
+
+``main`` is re-entrant: the process builds its argument parser once, at
+import, and every call parses with that one instance.  Parsing leaves the
+parser as it was (each call gets a fresh namespace, and the subcommand
+defaults live on the subparsers), so calls made in-process, one after
+another, behave like separate shell invocations.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .errors import H2EmbedError
 from .fileio import (
     SymbolFileError,
     dump_matrix_csv,
+    _jsonable,
     json_dumps,
     load_matrix_csv,
     load_symbol_file,
@@ -96,8 +103,6 @@ def _emit(doc: dict, args) -> None:
                     flatten(f"{prefix}[{i}]", v)
             else:
                 lines.append(f"{prefix},{val}")
-
-        from .fileio import _jsonable
 
         flatten("", _jsonable(doc))
         text = "\n".join(lines) + "\n"
@@ -431,9 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.n < 4:
         print("error: --n must be at least 4", file=sys.stderr)
         return EXIT_PARSE

@@ -42,9 +42,6 @@ attractive-elliptic-spiral-condition            a linear fractional self-map wit
                                                 inequality holds
 boundary-fixed-point-unscoped                   boundary attracting fixed points are
                                                 outside this library's decision scope
-weighted-isometry-embedding                     with weight an inner multiple of a unit
-                                                resolving weight, weighted composition
-                                                operators embed
 ==============================================  =========================================
 """
 from __future__ import annotations
@@ -65,7 +62,6 @@ from .errors import (
     DegenerateSymbol,
     DomainError,
     NotInner,
-    UnsupportedCase,
 )
 from .operators import (
     boundary_gram,
@@ -100,8 +96,6 @@ __all__ = [
     "decide_polynomial_toeplitz",
     "decide_composition",
     "decide_lfm",
-    "verify_weighted_isometry",
-    "build_weight",
     "KoenigsFlow",
 ]
 
@@ -580,48 +574,3 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
         notes=["spiral condition fails: not embeddable into a semiflow"],
         details=details,
     )
-
-
-# --------------------------------------------------------------------------
-# weighted composition
-# --------------------------------------------------------------------------
-
-
-def verify_weighted_isometry(w, phi, n_max: int, samples: int = 2048) -> dict:
-    """Circle-quadrature check of the weighted-isometry conditions:
-    unit weight norm and orthogonality of w to w phi^n for n = 1..n_max."""
-    from .symbols import circle_eval
-
-    zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
-    wv = np.asarray(circle_eval(w, zeta), dtype=complex)
-    pv = np.asarray(circle_eval(phi, zeta), dtype=complex)
-    w2 = np.abs(wv) ** 2
-    norm_defect = abs(math.sqrt(float(np.mean(w2))) - 1.0)
-    per_n = []
-    cur = np.ones_like(pv)
-    for _ in range(n_max):
-        cur = cur * pv
-        per_n.append(abs(complex(np.mean(w2 * np.conj(cur)))))
-    return {
-        "norm_defect": norm_defect,
-        "max_orthogonality_defect": max(per_n) if per_n else 0.0,
-        "per_n": per_n,
-    }
-
-
-def build_weight(b: BlaschkeProduct, phi, tol: float = 1e-9) -> BlaschkeProduct:
-    """Weight making the weighted composition operator an isometry with
-    infinite-codimension image, for symbols fixing the origin.
-
-    With phi(0) = 0 the unit resolving factor can be taken constant, so
-    the weight is the Blaschke product itself; each of its zeros
-    contributes a reproducing kernel orthogonal to the operator's image.
-    Symbols with phi(0) != 0 are unsupported (the general resolving factor
-    has no construction here).
-    """
-    f0 = complex(np.asarray(phi(np.zeros(1, dtype=complex)))[0])
-    if abs(f0) > tol:
-        raise UnsupportedCase(
-            "weight construction implemented only for symbols fixing the origin"
-        )
-    return b

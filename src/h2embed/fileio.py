@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DegenerateMap
 from .polynomials import Polynomial
 from .symbols import (
     BlaschkeProduct,
@@ -138,15 +139,41 @@ def _outer_from(obj, where: str) -> RationalOuter:
         raise SymbolFileError(f"{where}: {exc}") from exc
 
 
+def _check_self_map(m: MobiusMap, where: str) -> None:
+    """Raise unless z -> (az + b)/(cz + d) maps the disk into itself:
+    |b d̄ - a c̄| + |ad - bc| <= |d|^2 - |c|^2 (Cowen-MacCluer 1995).
+
+    Automorphisms meet the criterion with equality, so the test allows the
+    rounding of both sides.  With u = eps/2, P = (|a| + |b|)(|c| + |d|) and
+    Q = |c|^2 + |d|^2, to first order in u: reading each coefficient from
+    decimal moves the left side by at most 2uP and the right by 2uQ;
+    evaluating the left side costs sqrt(5)u per complex product
+    (Brent-Percival-Zimmermann 2007), u per difference, 2u per modulus and
+    u for the sum, at most 7uP; the right side's squares, difference and
+    the addition of the slack cost at most 4uQ.  Hence the slack 9u(P + Q).
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    lhs = abs(b * d.conjugate() - a * c.conjugate()) + abs(a * d - b * c)
+    d2 = d.real * d.real + d.imag * d.imag
+    c2 = c.real * c.real + c.imag * c.imag
+    rhs = d2 - c2
+    slack = 4.5 * np.finfo(float).eps * ((abs(a) + abs(b)) * (abs(c) + abs(d)) + c2 + d2)
+    if not lhs <= rhs + slack:  # NaN fails too
+        raise SymbolFileError(
+            f"{where}: not a self-map of the disk: |b conj(d) - a conj(c)| + |ad - bc| = "
+            f"{lhs!r} exceeds |d|^2 - |c|^2 = {rhs!r}"
+        )
+
+
 def _mobius_from(obj, where: str) -> MobiusMap:
     if not isinstance(obj, dict) or set(obj) != {"a", "b", "c", "d"}:
         raise SymbolFileError(f"{where}: expected an object with fields a, b, c, d")
-    from .errors import DegenerateMap
-
     try:
-        return MobiusMap(*(_complex_from(obj[k], f"{where}.{k}") for k in "abcd"))
+        m = MobiusMap(*(_complex_from(obj[k], f"{where}.{k}") for k in "abcd"))
     except DegenerateMap as exc:
         raise SymbolFileError(f"{where}: {exc}") from exc
+    _check_self_map(m, where)
+    return m
 
 
 def parse_symbol_document(doc: dict) -> dict:

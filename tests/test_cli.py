@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import shutil
@@ -5,8 +6,15 @@ import shutil
 import numpy as np
 import pytest
 
+from h2embed import cli
 from h2embed.cli import _load_sample_dir, main
-from h2embed.fileio import dump_matrix_csv, load_matrix_csv
+from h2embed.errors import IllConditioned
+from h2embed.fileio import (
+    SymbolFileError,
+    dump_matrix_csv,
+    load_matrix_csv,
+    parse_symbol_document,
+)
 
 PSI_DOC = {
     "kind": "composition",
@@ -106,10 +114,14 @@ def _write_sample(tmp_path, capsys, doc, n=16):
     return out, json.loads((out / "meta.json").read_text())
 
 
-def _verify_sample(out, capsys):
-    rc = main(["verify", "--sample", str(out)])
+def _run(argv, capsys):
+    rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _verify_sample(out, capsys):
+    return _run(["verify", "--sample", str(out)], capsys)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_SYMBOLS))
@@ -248,3 +260,181 @@ def test_malformed_sample_exits_2(tmp_path, capsys, defect):
     assert stderr.startswith("error: malformed input: ")
     for word in words:
         assert word.format(dim=meta["dim"]) in stderr
+
+
+# --------------------------------------------------------------------------
+# Möbius symbols must be self-maps of the disk
+# --------------------------------------------------------------------------
+
+
+def _mobius_doc(a, b, c, d, kind="mobius"):
+    return {"kind": kind, "mobius": {k: {"re": complex(v).real, "im": complex(v).imag}
+                                     for k, v in zip("abcd", (a, b, c, d))}}
+
+
+@pytest.mark.parametrize("kind", ["mobius", "composition"])
+@pytest.mark.parametrize("coeffs, sides", [((2.0, 0.0, 0.0, 1.0), ("2.0", "1.0")),
+                                           ((0.5, 0.9, 0.0, 1.0), ("1.4", "1.0"))],
+                         ids=["2z", "z/2+0.9"])
+def test_non_self_map_exits_2(tmp_path, capsys, kind, coeffs, sides):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(_mobius_doc(*coeffs, kind=kind)))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: malformed input: mobius: not a self-map of the disk")
+    lhs, rhs = sides
+    assert f"= {lhs} exceeds" in err and err.endswith(f"= {rhs}\n")
+
+
+def test_rounded_automorphisms_are_self_maps():
+    """Automorphisms meet the criterion with equality; after rounding, the
+    coefficients must still pass, while a map 1e-13 beyond must not."""
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        alpha = rng.uniform(0.0, 0.99) * cmath.exp(1j * rng.uniform(-4, 4))
+        scale = rng.uniform(0.01, 100.0) * cmath.exp(1j * rng.uniform(-4, 4))
+        rot = cmath.exp(1j * rng.uniform(-4, 4))
+        # scale * rot * (z - alpha)/(1 - conj(alpha) z), and tau_alpha . rotation . tau_alpha
+        parse_symbol_document(_mobius_doc(scale * rot, -scale * rot * alpha,
+                                          -scale * alpha.conjugate(), scale))
+        tau = np.array([[-1.0, alpha], [-alpha.conjugate(), 1.0]])
+        parse_symbol_document(_mobius_doc(*(tau @ np.diag([rot, 1.0]) @ tau).ravel()))
+    with pytest.raises(SymbolFileError, match="not a self-map"):
+        parse_symbol_document(_mobius_doc(1.0 + 1e-13, 0.0, 0.0, 1.0))
+
+
+# `analyze` documents as printed before the self-map check was added.
+ANALYZE_GOLDEN = {
+    "tau_0.4": (
+        _mobius_doc(-1.0, 0.4, -0.4, 1.0, kind="composition"),
+        {"config": {"input_hash": "da46e0ff5bfd0607", "n": 32, "seed": 1729, "tol": 1e-08},
+         "details": {"fixed_point": {"im": 0.0, "re": 0.20871215252207995},
+                     "multiplier": {"im": 0.0, "re": -1.0}, "theta": 3.141592653589793},
+         "governing_result": "elliptic-automorphism-semiflow",
+         "notes": ["semigroup of composition operators"], "semigroup": "elliptic-flow",
+         "verdict": "Embeddable"},
+    ),
+    "z/2+0.2": (
+        _mobius_doc(0.5, 0.2, 0.0, 1.0),
+        {"config": {"input_hash": "1cac72aca69e23ce", "n": 32, "seed": 1729, "tol": 1e-08},
+         "details": {"alpha": {"im": 0.0, "re": 0.4}, "beta": "infinity", "lhs": 0.4,
+                     "multiplier": {"im": 0.0, "re": 0.5}, "rhs": 0.5, "spiral_length": 1.0},
+         "governing_result": "attractive-elliptic-spiral-condition",
+         "notes": ["spiral condition holds"], "semigroup": "linear-fractional-spiral-flow",
+         "verdict": "Embeddable"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_self_maps_analyze_unchanged(tmp_path, capsys, name):
+    doc, expected = ANALYZE_GOLDEN[name]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+# --------------------------------------------------------------------------
+# the exit-code contract: 0 ok, 1 failed check, 2 malformed input,
+# 3 verdict without a construction, 4 numeric failure
+# --------------------------------------------------------------------------
+
+
+def test_exit_0_analyze(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["verdict"] == "Embeddable"
+
+
+def test_exit_1_sample_whose_law_fails(tmp_path, capsys):
+    out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
+    assert meta["times"] == [0.0, 0.5, 1.0]
+    last = out / meta["matrices"][2]
+    dump_matrix_csv(last, 2.0 * load_matrix_csv(last))
+    rc, stdout, stderr = _verify_sample(out, capsys)
+    assert (rc, stderr) == (1, "")
+    (law,) = [r for r in json.loads(stdout)["records"] if r["check"] == "semigroup-law"]
+    assert law["applicable"] and not law["passed"]
+
+
+@pytest.mark.parametrize("case", ["malformed JSON", "--n 3", "non-self-map"])
+def test_exit_2_malformed_input(tmp_path, capsys, case):
+    path = tmp_path / "sym.json"
+    argv = ["analyze", "--input", str(path)]
+    if case == "malformed JSON":
+        path.write_text('{"kind": "composition",')
+    elif case == "--n 3":
+        path.write_text(json.dumps(PSI_DOC))
+        argv += ["--n", "3"]
+    else:
+        path.write_text(json.dumps(_mobius_doc(2.0, 0.0, 0.0, 1.0)))
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "toeplitz", "blaschke": PSI_DOC["blaschke"]}))
+    rc, out, err = _run(["verify", "--input", str(path)], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "error: verdict carries no concrete construction (inner-toeplitz-dichotomy)\n"
+
+
+def test_exit_4_numeric_failure(tmp_path, capsys, monkeypatch):
+    def ill_conditioned(*args, **kwargs):
+        raise IllConditioned("no direction resolved")
+
+    monkeypatch.setattr(cli, "wold_decompose", ill_conditioned)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    rc, out, err = _run(["wold", "--input", str(path)], capsys)
+    assert (rc, out) == (4, "")
+    assert err == "error: IllConditioned: no direction resolved\n"
+
+
+# --------------------------------------------------------------------------
+# main parses with one parser per process; calls must not leak into each other
+# --------------------------------------------------------------------------
+
+
+def test_same_argv_twice_prints_the_same_bytes(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    argv = ["verify", "--input", str(path), "--n", "16", "--format", "csv"]
+    first = _run(argv, capsys)
+    assert first[0] == 0 and first[1]
+    assert _run(argv, capsys) == first
+
+
+@pytest.mark.parametrize("first", ["semigroup", "verify"])
+def test_semigroup_and_verify_interleaved(tmp_path, capsys, first):
+    """Their --times and --h defaults differ; neither call may see the other's."""
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    argv = {
+        "semigroup": ["semigroup", "--input", str(path), "--n", "16", "--out", str(tmp_path / "s")],
+        "verify": ["verify", "--input", str(path), "--n", "16"],
+    }
+    second = "verify" if first == "semigroup" else "semigroup"
+    runs = [(cmd, _run(argv[cmd], capsys)) for cmd in (first, second, first, second)]
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    outputs = {cmd: json.loads(result[1]) for cmd, result in runs[:2]}
+    assert outputs["semigroup"]["times"] == [0.0, 0.5, 1.0]
+    assert outputs["verify"]["records"] == VERIFY_RECORDS_N16
+
+
+def test_argparse_error_then_valid_call(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    argv = ["wold", "--input", str(path), "--n", "16"]
+    before = _run(argv, capsys)
+    with pytest.raises(SystemExit) as stop:
+        main(["wold", "--input", str(path), "--bogus", "1"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert _run(argv, capsys) == before
