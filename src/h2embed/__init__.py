@@ -5,7 +5,6 @@ verification on truncated operator matrices."""
 
 from .errors import (
     AutomorphismInput,
-    BadInverse,
     BoundaryZeroWarning,
     BranchFailure,
     DegenerateMap,
@@ -23,7 +22,6 @@ from .errors import (
     NotInner,
     PoleHit,
     ResidualFailure,
-    UnsupportedCase,
     ZeroPolynomial,
 )
 from .polynomials import (
@@ -70,10 +68,7 @@ from .operators import (
     WoldDecomposition,
     boundary_gram,
     composition_matrix,
-    image_orthocomplement_dim,
-    kernel_vector,
     toeplitz_matrix,
-    weighted_composition_matrix,
     wold_decompose,
 )
 from .semigroups import (
@@ -83,7 +78,6 @@ from .semigroups import (
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
-    conjugate_semigroup,
     embed_isometric_composition,
     sample_elliptic_flow,
     sample_multiplication_flow,

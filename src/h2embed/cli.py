@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .blaschke import frostman_transform, solve_blaschke_equation
+from .blaschke import conjugate_by_automorphism, frostman_transform, solve_blaschke_equation
 from .decisions import (
     KoenigsFlow,
     decide_composition,
@@ -43,16 +44,17 @@ from .fileio import (
     record_document,
     report_document,
 )
-from .operators import composition_matrix, wold_decompose
+from .operators import wold_decompose
 from .semigroups import (
     EllipticFlow,
     OperatorSemigroupSample,
+    _grid_cells,
     embed_isometric_composition,
     sample_elliptic_flow,
     sample_multiplication_flow,
     sample_spiral_flow,
 )
-from .symbols import BlaschkeProduct, MobiusMap, circle_eval
+from .symbols import BlaschkeProduct, ConjugatedSymbol, MobiusMap
 from .verify import (
     check_isometry,
     check_noncompactness_proxy,
@@ -87,7 +89,22 @@ def _parse_times(text: str):
         raise SymbolFileError(f"--times: {exc}") from exc
     if not times:
         raise SymbolFileError("--times: at least one time required")
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise SymbolFileError(f"--times: {t!r} is not a finite nonnegative time")
     return times
+
+
+def _check_flags(args) -> None:
+    """Reject a non-finite --tol, and an --h that the half-line grid of a
+    Wold/shift sample cannot use."""
+    if not math.isfinite(args.tol):
+        raise SymbolFileError(f"--tol: {args.tol!r} is not a finite number")
+    if getattr(args, "h", None) is not None:
+        try:
+            _grid_cells(args.h)
+        except ValueError as exc:
+            raise SymbolFileError(f"--h: {exc}") from exc
 
 
 def _emit(doc: dict, args) -> None:
@@ -134,7 +151,7 @@ def _analyze(parsed, args):
         return decide_polynomial_toeplitz(parsed["symbol"], tol=args.tol)
     if kind == "mobius":
         return decide_lfm(parsed["symbol"], tol=args.tol)
-    return decide_composition(parsed["symbol"], tol=args.tol, n=args.n, build=False)
+    return decide_composition(parsed["symbol"], tol=args.tol)
 
 
 def cmd_analyze(args) -> int:
@@ -159,17 +176,13 @@ def _build_sample(parsed, report, args, times):
             f = report.semigroup
             return sample_elliptic_flow(f.alpha, f.theta, times, n), f
         alpha = details["fixed_point"]
-        if isinstance(sym, BlaschkeProduct):
-            from .blaschke import conjugate_by_automorphism
-
-            psi = sym if abs(alpha) < 1e-12 else conjugate_by_automorphism(sym, alpha)
+        if abs(alpha) < 1e-12:
+            psi = sym
+        elif isinstance(sym, BlaschkeProduct):
+            psi = conjugate_by_automorphism(sym, alpha)
         else:
-            from .symbols import ConjugatedSymbol
-
-            psi = sym if abs(alpha) < 1e-12 else ConjugatedSymbol(sym, alpha)
-        h = args.h
-        sample = embed_isometric_composition(psi, times, n, h)
-        return sample, None
+            psi = ConjugatedSymbol(sym, alpha)
+        return embed_isometric_composition(psi, times, n, args.h), None
     flow = report.semigroup
     if flow is None:
         raise NoConstruction(report.governing_result)
@@ -448,6 +461,7 @@ def main(argv=None) -> int:
         print("error: verify needs --input or --sample", file=sys.stderr)
         return EXIT_PARSE
     try:
+        _check_flags(args)
         return args.handler(args)
     except SymbolFileError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)

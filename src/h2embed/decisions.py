@@ -5,7 +5,7 @@ verdict, a stable governing-result token naming the mathematical fact the
 verdict rests on, optional notes and numeric details, and — whenever the
 construction is concrete — a handle to the semigroup itself.
 
-Governing-result tokens (also listed in the README):
+Governing-result tokens:
 
 ==============================================  =========================================
 token                                           meaning
@@ -53,27 +53,18 @@ from enum import Enum
 
 import numpy as np
 
-from .blaschke import (
-    conjugate_by_automorphism,
-    fixed_points_in_disk,
-    interior_fixed_point,
-)
+from .blaschke import fixed_points_in_disk, interior_fixed_point
 from .errors import (
     DegenerateSymbol,
     DomainError,
     NotInner,
 )
-from .operators import (
-    boundary_gram,
-    composition_matrix,
-)
+from .operators import boundary_gram
 from .polynomials import Polynomial, poly_roots, roots_in_disk
 from .symbols import (
     BlaschkeProduct,
-    ConjugatedSymbol,
     FactoredSymbol,
     MobiusMap,
-    RationalOuter,
     SingularInner,
     factor_polynomial,
 )
@@ -83,8 +74,6 @@ from .semigroups import (
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
-    conjugate_semigroup,
-    embed_isometric_composition,
 )
 
 __all__ = [
@@ -352,15 +341,16 @@ def _automorphism_report(alpha, multiplier) -> EmbeddabilityReport:
     )
 
 
-def decide_composition(
-    phi,
-    tol: float = 1e-8,
-    *,
-    n: int = 16,
-    h: float = 0.5,
-    times=(0.0, 0.5, 1.0),
-    build: bool = True,
-) -> EmbeddabilityReport:
+def _shift_embedding_report(alpha, multiplier) -> EmbeddabilityReport:
+    return EmbeddabilityReport(
+        Verdict.EMBEDDABLE,
+        "similar-isometry-shift-embedding",
+        notes=["not a semigroup of composition operators", "symbol is not injective"],
+        details={"fixed_point": alpha, "multiplier": multiplier},
+    )
+
+
+def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
     """Embeddability of the composition operator of an inner symbol.
 
     The decidable class is the symbols similar to an isometry: inner with
@@ -369,6 +359,10 @@ def decide_composition(
     an interior fixed point embeds through the Wold/shift construction,
     which is never a semigroup of composition operators.  Inner symbols
     without an interior fixed point are out of the decided scope.
+
+    This function only decides: a shift-embedding report carries no
+    semigroup.  The construction is :func:`embed_isometric_composition`
+    of the symbol conjugated to fix the origin, which the CLI calls.
     """
     if isinstance(phi, MobiusMap):
         if not phi.is_disk_automorphism(tol=max(tol, 1e-9)):
@@ -390,8 +384,7 @@ def decide_composition(
         if phi.degree == 0:
             raise DegenerateSymbol("constant symbols have no embedding content")
         if phi.degree == 1:
-            a, b, c, d = _mobius_of_degree_one(phi)
-            return decide_composition(MobiusMap(a, b, c, d), tol, n=n, h=h, times=times, build=build)
+            return decide_composition(MobiusMap(*_mobius_of_degree_one(phi)), tol)
         fps = fixed_points_in_disk(phi)
         if not fps:
             return EmbeddabilityReport(
@@ -399,27 +392,7 @@ def decide_composition(
                 "boundary-fixed-point-unscoped",
                 notes=["no interior fixed point: not similar to an isometry"],
             )
-        alpha, mult = fps[0]
-        psi = phi if abs(alpha) < 1e-12 else conjugate_by_automorphism(phi, alpha)
-        report = EmbeddabilityReport(
-            Verdict.EMBEDDABLE,
-            "similar-isometry-shift-embedding",
-            notes=[
-                "not a semigroup of composition operators",
-                "symbol is not injective",
-            ],
-            details={"fixed_point": alpha, "multiplier": mult},
-        )
-        if build:
-            sample = embed_isometric_composition(psi, times, n, h)
-            if abs(alpha) >= 1e-12:
-                a_mat = composition_matrix(
-                    MobiusMap.disk_involution(alpha), n
-                ).matrix
-                sample = conjugate_semigroup(a_mat, np.linalg.inv(a_mat), sample)
-            report.semigroup = sample
-            report.semigroup_descriptor = sample.construction
-        return report
+        return _shift_embedding_report(*fps[0])
 
     if isinstance(phi, SingularInner):
         g = boundary_gram(phi, 3)
@@ -432,25 +405,7 @@ def decide_composition(
                 "boundary-fixed-point-unscoped",
                 notes=["no interior fixed point found: not similar to an isometry"],
             )
-        mult = complex(np.asarray(phi.derivative(alpha)))
-        psi = phi if abs(alpha) < 1e-12 else ConjugatedSymbol(phi, alpha)
-        report = EmbeddabilityReport(
-            Verdict.EMBEDDABLE,
-            "similar-isometry-shift-embedding",
-            notes=[
-                "not a semigroup of composition operators",
-                "symbol is not injective",
-            ],
-            details={"fixed_point": alpha, "multiplier": mult},
-        )
-        if build:
-            sample = embed_isometric_composition(psi, times, n, h)
-            if abs(alpha) >= 1e-12:
-                a_mat = composition_matrix(MobiusMap.disk_involution(alpha), n).matrix
-                sample = conjugate_semigroup(a_mat, np.linalg.inv(a_mat), sample)
-            report.semigroup = sample
-            report.semigroup_descriptor = sample.construction
-        return report
+        return _shift_embedding_report(alpha, complex(np.asarray(phi.derivative(alpha))))
 
     raise TypeError(
         "composition verdicts cover Blaschke products, Mobius automorphisms "

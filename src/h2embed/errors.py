@@ -67,20 +67,12 @@ class FractionalTime(H2EmbedError):
     """Shift time is not a grid multiple and interpolation was not requested."""
 
 
-class BadInverse(H2EmbedError):
-    """Conjugation pair does not multiply to the identity within tolerance."""
-
-
 class MissingTime(H2EmbedError):
     """A semigroup sample lacks an operator at a requested time."""
 
 
 class NotInner(H2EmbedError):
     """Symbol claimed inner but its boundary modulus/Gram test fails."""
-
-
-class UnsupportedCase(H2EmbedError):
-    """Construction exists in general but only a restricted case is implemented."""
 
 
 class BoundaryZeroWarning(UserWarning):

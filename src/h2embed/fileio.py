@@ -72,13 +72,24 @@ class SymbolFileError(ValueError):
     """Malformed symbol file; the message carries a field diagnostic."""
 
 
+def _finite(value, where: str) -> float:
+    """The number at ``where``; refuses the NaN and Infinity literals that
+    Python's json module accepts."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SymbolFileError(f"{where}: {exc}") from exc
+    if not math.isfinite(x):
+        raise SymbolFileError(f"{where}: {x!r} is not a finite number")
+    return x
+
+
 def _complex_from(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise SymbolFileError(f"{where}: complex numbers are {{'re': x, 'im': y}} objects")
-    try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise SymbolFileError(f"{where}: {exc}") from exc
+    return complex(
+        _finite(obj.get("re", 0.0), f"{where}.re"), _finite(obj.get("im", 0.0), f"{where}.im")
+    )
 
 
 def _blaschke_from(obj, where: str) -> BlaschkeProduct:
@@ -92,9 +103,10 @@ def _blaschke_from(obj, where: str) -> BlaschkeProduct:
             (_complex_from({"re": z.get("re", 0.0), "im": z.get("im", 0.0)},
                            f"{where}.zeros[{i}]"), int(z["mult"]))
         )
+    rotation = _finite(obj.get("rotation", 0.0), f"{where}.rotation")
     try:
         return BlaschkeProduct(
-            rotation=float(obj.get("rotation", 0.0)),
+            rotation=rotation,
             origin_order=int(obj.get("origin_order", 0)),
             zeros=zeros,
         )
@@ -112,7 +124,8 @@ def _singular_from(obj, where: str) -> SingularInner:
                 f"{where}.atoms[{i}]: atoms are given by angle and mass only "
                 "(locations must be on the unit circle bit-exactly)"
             )
-        pairs.append((float(atom["angle"]), float(atom["mass"])))
+        pairs.append((_finite(atom["angle"], f"{where}.atoms[{i}].angle"),
+                      _finite(atom["mass"], f"{where}.atoms[{i}].mass")))
     try:
         return SingularInner(SingularMeasure.from_angles(pairs))
     except ValueError as exc:
@@ -122,18 +135,18 @@ def _singular_from(obj, where: str) -> SingularInner:
 def _outer_from(obj, where: str) -> RationalOuter:
     if not isinstance(obj, dict):
         raise SymbolFileError(f"{where}: expected an object")
+    constant = _complex_from(obj.get("constant", {"re": 1.0, "im": 0.0}), f"{where}.constant")
+    conjugate_factors = [
+        _complex_from(c, f"{where}.conjugate_factors[{i}]")
+        for i, c in enumerate(obj.get("conjugate_factors", []))
+    ]
+    exterior_zeros = [
+        _complex_from(c, f"{where}.exterior_zeros[{i}]")
+        for i, c in enumerate(obj.get("exterior_zeros", []))
+    ]
     try:
         return RationalOuter(
-            constant=_complex_from(obj.get("constant", {"re": 1.0, "im": 0.0}),
-                                   f"{where}.constant"),
-            conjugate_factors=[
-                _complex_from(c, f"{where}.conjugate_factors[{i}]")
-                for i, c in enumerate(obj.get("conjugate_factors", []))
-            ],
-            exterior_zeros=[
-                _complex_from(c, f"{where}.exterior_zeros[{i}]")
-                for i, c in enumerate(obj.get("exterior_zeros", []))
-            ],
+            constant=constant, conjugate_factors=conjugate_factors, exterior_zeros=exterior_zeros
         )
     except ValueError as exc:
         raise SymbolFileError(f"{where}: {exc}") from exc

@@ -16,8 +16,8 @@ import scipy.linalg
 from .errors import AutomorphismInput, IllConditioned, IsometryDefect
 from .symbols import (
     BlaschkeProduct,
-    MobiusMap,
-    _grid_size,
+    _circle_points,
+    _coefficients_from_samples,
     _sample,
     circle_eval,
     taylor_coefficients,
@@ -28,10 +28,7 @@ __all__ = [
     "WoldDecomposition",
     "composition_matrix",
     "toeplitz_matrix",
-    "weighted_composition_matrix",
-    "kernel_vector",
     "boundary_gram",
-    "image_orthocomplement_dim",
     "wold_decompose",
 ]
 
@@ -51,47 +48,24 @@ class TruncatedOperator:
         if self.matrix.shape != (self.n, self.n):
             raise ValueError("matrix shape does not match the truncation order")
 
-    def apply(self, vec):
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            return TruncatedOperator(self.n, self.matrix @ other.matrix)
-        return self.matrix @ other
-
-
-def _amplification_guard(radius: float, n: int, scale: float, budget: float = 1e-8):
-    eps = float(np.finfo(float).eps)
-    if radius ** (-(n - 1)) * eps * max(1.0, scale) > budget:
-        raise IllConditioned(
-            "coefficient extraction amplification exceeds the error budget; "
-            "raise the radius or lower the truncation order"
-        )
-
-
-def _coeff_grid(n: int, radius: float):
-    m = _grid_size(n, radius)
-    pts = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    powers = radius ** (-np.arange(n, dtype=float))
-    return m, pts, powers
-
-
-def _coeffs_from_samples(samples: np.ndarray, n: int, powers: np.ndarray):
-    return (np.fft.fft(samples)[:n] / samples.size) * powers
-
 
 def composition_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> TruncatedOperator:
     """Compressed composition operator: column j holds the Taylor
-    coefficients (below degree n) of phi**j."""
-    m, pts, powers = _coeff_grid(n, radius)
-    vals = _sample(phi, pts)
-    _amplification_guard(radius, n, float(np.max(np.abs(vals))))
+    coefficients (below degree n) of phi**j.
+
+    The powers phi**j (j >= 1) are sampled on one circle grid, each as the
+    previous row times the samples of phi, and extracted by one batched
+    FFT; the amplification guard is scaled by max |phi| on that circle.
+    """
+    vals = _sample(phi, _circle_points(n, radius))
+    pw = np.empty((n, vals.size), dtype=complex)
+    pw[0] = 1.0
+    for j in range(1, n):
+        pw[j] = pw[j - 1] * vals
+    coeffs = _coefficients_from_samples(pw[1:], n, radius, float(np.max(np.abs(vals))))
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
-    cur = np.ones_like(vals)
-    for j in range(1, n):
-        cur = cur * vals
-        out[:, j] = _coeffs_from_samples(cur, n, powers)
+    out[:, 1:] = coeffs.T
     return TruncatedOperator(n, out)
 
 
@@ -102,33 +76,6 @@ def toeplitz_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> TruncatedOpe
     first_row = np.zeros(n, dtype=complex)
     first_row[0] = c[0]
     return TruncatedOperator(n, scipy.linalg.toeplitz(c, first_row))
-
-
-def weighted_composition_matrix(
-    w, phi, n: int, radius: float = DEFAULT_RADIUS
-) -> TruncatedOperator:
-    """Column j holds the Taylor coefficients of w * phi**j."""
-    m, pts, powers = _coeff_grid(n, radius)
-    wv = _sample(w, pts)
-    pv = _sample(phi, pts)
-    _amplification_guard(radius, n, float(np.max(np.abs(wv))) * max(1.0, float(np.max(np.abs(pv)))))
-    out = np.zeros((n, n), dtype=complex)
-    cur = wv.copy()
-    out[:, 0] = _coeffs_from_samples(cur, n, powers)
-    for j in range(1, n):
-        cur = cur * pv
-        out[:, j] = _coeffs_from_samples(cur, n, powers)
-    return TruncatedOperator(n, out)
-
-
-def kernel_vector(lam, n: int) -> np.ndarray:
-    """Coefficient vector of the reproducing kernel at lam: (1, conj(lam), ...)."""
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
-        from .errors import DomainError
-
-        raise DomainError("kernel points must lie in the open disk")
-    return np.conj(lam) ** np.arange(n)
 
 
 def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:
@@ -147,14 +94,6 @@ def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:
     powers[1:] = vals
     powers = np.cumprod(powers, axis=0)
     return powers @ powers.conj().T / samples
-
-
-def image_orthocomplement_dim(op: TruncatedOperator, tol: float = DEFAULT_RANK_TOL) -> int:
-    """n minus the numerical rank (singular values below tol * sigma_max dropped)."""
-    s = scipy.linalg.svdvals(op.matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return op.n
-    return int(op.n - np.count_nonzero(s > tol * s[0]))
 
 
 @dataclass

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadInverse,
     BranchFailure,
     DomainError,
     FractionalTime,
@@ -58,7 +57,6 @@ __all__ = [
     "sample_multiplication_flow",
     "sample_elliptic_flow",
     "embed_isometric_composition",
-    "conjugate_semigroup",
     "wold_comparison_defect",
 ]
 
@@ -357,6 +355,14 @@ def sample_spiral_flow(
     )
 
 
+def _grid_cells(h: float) -> int:
+    """The positive integer m with h = 1/m; ValueError for any other h."""
+    m = round(1.0 / h) if h > 0.0 and math.isfinite(1.0 / h) else 0
+    if m < 1 or abs(m * h - 1.0) > 1e-12:
+        raise ValueError(f"grid step {h!r} is not 1/m for a positive integer m")
+    return m
+
+
 def embed_isometric_composition(
     psi,
     times,
@@ -389,9 +395,7 @@ def embed_isometric_composition(
         psi, n, rank_tol=rank_tol, radius=radius, comp=comp
     )
     d = wold.wandering_dim
-    m = int(round(1.0 / h))
-    if abs(m * h - 1.0) > 1e-12 or m < 1:
-        raise ValueError("grid step must be 1/m for a positive integer m")
+    m = _grid_cells(h)
     ks = []
     for t in times:
         if t < 0:
@@ -462,47 +466,6 @@ def embed_isometric_composition(
             "chain_loss": chain_loss,
             "n_levels": n_levels,
         },
-    )
-
-
-def conjugate_semigroup(a, a_inv, sample: OperatorSemigroupSample, tol: float = 1e-8):
-    """Conjugate a sampled semigroup by the pair (a, a_inv).
-
-    ``a @ a_inv`` must be the identity within ``tol`` (spectral norm) or
-    :class:`BadInverse` is raised.  Flow samples get their operators
-    sandwiched; embedded (Wold) samples keep their operators and have
-    their resolved H^2_N vectors moved through ``a`` instead, which is how
-    conjugation acts on the comparison data.
-    """
-    a = a.matrix if isinstance(a, TruncatedOperator) else np.asarray(a, dtype=complex)
-    a_inv = (
-        a_inv.matrix if isinstance(a_inv, TruncatedOperator) else np.asarray(a_inv, dtype=complex)
-    )
-    gap = float(np.linalg.norm(a @ a_inv - np.eye(a.shape[0]), 2))
-    if gap > tol:
-        raise BadInverse(f"a @ a_inv deviates from the identity by {gap:.3e}")
-    if sample.embedding is None:
-        ops = []
-        for t, op in zip(sample.times, sample.operators):
-            ops.append(op.copy() if t == 0 else a @ op @ a_inv)
-        return OperatorSemigroupSample(
-            times=list(sample.times),
-            operators=ops,
-            construction=sample.construction + "+conjugated",
-            dim=sample.dim,
-            isometric=False,
-            meta=dict(sample.meta, conjugated=True),
-        )
-    meta = dict(sample.meta, conjugated=True)
-    return OperatorSemigroupSample(
-        times=list(sample.times),
-        operators=[op.copy() for op in sample.operators],
-        construction=sample.construction + "+conjugated",
-        dim=sample.dim,
-        isometric=sample.isometric,
-        embedding=sample.embedding.copy(),
-        resolved_basis=a @ sample.resolved_basis,
-        meta=meta,
     )
 
 

@@ -167,10 +167,6 @@ class SingularMeasure:
     def from_angles(cls, angle_mass_pairs):
         return cls([(cmath.exp(1j * a), m) for a, m in angle_mass_pairs])
 
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
-
     def scaled(self, t: float) -> "SingularMeasure":
         if t < 0:
             raise ValueError("measures scale by nonnegative factors")
@@ -510,6 +506,36 @@ def _sample(f, pts: np.ndarray) -> np.ndarray:
     return np.array([complex(f(z)) for z in pts], dtype=complex)
 
 
+def _circle_points(n: int, radius: float) -> np.ndarray:
+    """The :func:`_grid_size` points radius * exp(2 pi i j / m), j < m."""
+    m = _grid_size(n, radius)
+    return radius * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def _coefficients_from_samples(
+    samples: np.ndarray, n: int, radius: float, scale: float, error_budget: float = 1e-8
+) -> np.ndarray:
+    """First ``n`` Taylor coefficients of each function sampled along the
+    last axis of ``samples`` at the points of :func:`_circle_points`.
+
+    Grid rule: the m samples come from :func:`_grid_size`, so aliasing
+    stays below the eps-relative rounding of the FFT.  Coefficient k is
+    the k-th FFT term over m, rescaled by radius**(-k), which amplifies
+    that rounding as well.  Guard: raises :class:`IllConditioned` when
+    radius**(-(n-1)) * eps * max(1, scale) exceeds ``error_budget``.
+    ``scale`` is the caller's bound on the sampled function; for powers
+    phi**j it stays max |phi| on the circle.
+    """
+    eps = float(np.finfo(float).eps)
+    if radius ** (-(n - 1)) * eps * max(1.0, scale) > error_budget:
+        raise IllConditioned(
+            f"radius**-(n-1) amplification exceeds the error budget {error_budget}; "
+            "raise the radius or lower n"
+        )
+    powers = radius ** (-np.arange(n, dtype=float))
+    return (np.fft.fft(samples)[..., :n] / samples.shape[-1]) * powers
+
+
 def taylor_coefficients(
     f,
     n: int,
@@ -520,34 +546,27 @@ def taylor_coefficients(
 ):
     """First ``n`` Taylor coefficients of a disk-analytic symbol.
 
-    Samples ``f`` uniformly on the circle of the given radius (at
-    :func:`_grid_size` points, enough to push aliasing below rounding),
-    inverts by FFT and rescales by radius**(-k).
+    Samples ``f`` on the circle of the given radius and extracts the
+    coefficients with :func:`_coefficients_from_samples`, which raises
+    :class:`IllConditioned` when the radius**(-(n-1)) amplification alone
+    exceeds the budget.
     With ``return_errors`` a per-coefficient error estimate is returned:
     an aliasing bound from Cauchy estimates on a slightly larger sampling
-    circle plus an FFT roundoff term.  Raises :class:`IllConditioned`
-    when the radius**(-(n-1)) amplification alone exceeds the budget.
+    circle plus an FFT roundoff term.
     """
     if n < 1:
         raise ValueError("need at least one coefficient")
-    m = _grid_size(n, radius)
-    pts = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = _sample(f, pts)
+    vals = _sample(f, _circle_points(n, radius))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    eps = float(np.finfo(float).eps)
-    if radius ** (-(n - 1)) * eps * scale > error_budget:
-        raise IllConditioned(
-            f"radius**-(n-1) amplification exceeds the error budget {error_budget}; "
-            "raise the radius or lower n"
-        )
-    powers = radius ** (-np.arange(n, dtype=float))
-    coeffs = (np.fft.fft(vals)[:n] / m) * powers
+    coeffs = _coefficients_from_samples(vals, n, radius, scale, error_budget)
     if not return_errors:
         return coeffs
+    m = vals.size
+    eps = float(np.finfo(float).eps)
     r1 = 0.5 * (1.0 + radius)
     vals1 = _sample(f, r1 * np.exp(2j * np.pi * np.arange(m) / m))
     m1 = float(np.max(np.abs(vals1)))
     q = (radius / r1) ** m
     alias = m1 * (q / (1.0 - q)) * r1 ** (-np.arange(n, dtype=float))
-    rounding = m * eps * scale * powers
+    rounding = m * eps * scale * radius ** (-np.arange(n, dtype=float))
     return coeffs, alias + rounding

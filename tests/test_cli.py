@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -375,6 +376,50 @@ def test_exit_2_malformed_input(tmp_path, capsys, case):
     rc, out, err = _run(argv, capsys)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "polynomial", "polynomial": {"coeffs": [{"re": math.nan}, {"re": 1.0}]}},
+         "polynomial.coeffs[0].re"),
+        ({"kind": "toeplitz", "outer": {"constant": {"re": math.inf}}}, "outer.constant.re"),
+        ({"kind": "composition", "singular": {"atoms": [{"angle": 0.0, "mass": math.nan}]}},
+         "singular.atoms[0].mass"),
+    ],
+    ids=["polynomial NaN", "outer Infinity", "atom mass NaN"],
+)
+def test_exit_2_non_finite_symbol_number(tmp_path, capsys, doc, field):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN and Infinity literals
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: {field}: ")
+
+
+Z2_DOC = {"kind": "composition", "blaschke": {"origin_order": 2}}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--h", "0.3"), ("--h", "inf"), ("--times", "0,-0.25"), ("--times", "0,nan"),
+     ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_exit_2_invalid_numeric_flag(tmp_path, capsys, flag, value):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    rc, out, err = _run(["verify", "--input", str(path), "--n", "16", flag, value], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: {flag}: ")
+
+
+def test_exit_4_fractional_time(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    argv = ["verify", "--input", str(path), "--n", "16", "--times", "0,0.3,1", "--h", "0.25"]
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: FractionalTime: ")
 
 
 def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):

@@ -2,17 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import svdvals, toeplitz
 from scipy.special import eval_laguerre
 
-from h2embed.errors import AutomorphismInput, DomainError, IllConditioned, IsometryDefect
+from h2embed.decisions import KoenigsFlow, decide_lfm
+from h2embed.errors import AutomorphismInput, IllConditioned, IsometryDefect
 from h2embed.operators import (
+    TruncatedOperator,
     boundary_gram,
     composition_matrix,
-    image_orthocomplement_dim,
-    kernel_vector,
     toeplitz_matrix,
-    weighted_composition_matrix,
     wold_decompose,
 )
 from h2embed.symbols import (
@@ -22,6 +21,7 @@ from h2embed.symbols import (
     RationalOuter,
     SingularInner,
     SingularMeasure,
+    _grid_size,
     circle_eval,
     taylor_coefficients,
 )
@@ -29,6 +29,33 @@ from h2embed.symbols import (
 SQUARE = BlaschkeProduct(origin_order=2)
 PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
 DEG3 = BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)])
+ATOM = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+
+
+def column_loop(phi, n, radius=0.9):
+    """Reference composition matrix: one FFT per power phi**j, column by
+    column, each power the previous one times the samples of phi."""
+    m = _grid_size(n, radius)
+    vals = np.asarray(phi(radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
+    powers = radius ** (-np.arange(n, dtype=float))
+    out = np.zeros((n, n), dtype=complex)
+    out[0, 0] = 1.0
+    cur = np.ones_like(vals)
+    for j in range(1, n):
+        cur = cur * vals
+        out[:, j] = (np.fft.fft(cur)[:n] / m) * powers
+    return out
+
+
+def koenigs_conjugator():
+    """The Koenigs conjugator (z - alpha)/(1 - z/beta) of a linear
+    fractional self-map with fixed points alpha = 0.1, beta = 3 and
+    multiplier 0.6; it is not a self-map (|.| reaches 8/7 on |z| = 0.9)."""
+    alpha, beta, lam = 0.1, 3.0, 0.6
+    m = np.array([[1.0, -alpha], [1.0, -beta]])
+    report = decide_lfm(MobiusMap(*(np.linalg.inv(m) @ np.diag([lam, 1.0]) @ m).ravel()))
+    assert isinstance(report.semigroup, KoenigsFlow)
+    return report.semigroup._m
 
 
 def sequential_levels(c, w, retention=0.5):
@@ -114,6 +141,25 @@ class TestCompositionMatrix:
         assert np.all(np.abs(c @ c - both + a @ b) <= bound)
         assert np.all(np.abs(c_big[:n, :n] - c) <= 2 * e_c)
 
+    @pytest.mark.parametrize("n", [4, 16, 17, 64, 128])
+    @pytest.mark.parametrize(
+        "phi",
+        [SQUARE, PSI, DEG3, MobiusMap.disk_involution(0.2087), ATOM, MobiusMap(0.5, 0.2, 0.0, 1.0)],
+        ids=["z^2", "psi", "deg3", "tau0.2087", "atom", "z/2+0.2"],
+    )
+    def test_batched_fft_matches_column_loop(self, phi, n):
+        assert np.array_equal(composition_matrix(phi, n).matrix, column_loop(phi, n))
+
+    def test_guard_scales_by_the_symbol_not_its_powers(self):
+        # max |phi| on the circle keeps 0.9**-127 eps max(1, 8/7) under the
+        # 1e-8 budget; scaled by the powers, which reach (8/7)**127, it is 3e-3.
+        phi = koenigs_conjugator()
+        assert np.array_equal(composition_matrix(phi, 128).matrix, column_loop(phi, 128))
+
+    @pytest.mark.parametrize("phi", [SQUARE, PSI, ATOM], ids=["z^2", "psi", "atom"])
+    def test_column_one_is_the_taylor_series(self, phi):
+        assert np.array_equal(composition_matrix(phi, 32).matrix[:, 1], taylor_coefficients(phi, 32))
+
     def test_exact_series_of_blaschke_powers(self):
         # psi = z (1/2 - z)/(1 - z/2): column j holds the series of psi^j,
         # which has a zero of order j, so the matrix is lower triangular.
@@ -181,53 +227,14 @@ class TestToeplitzMatrix:
         assert np.all(np.abs(t - toeplitz(exact, lower)) <= toeplitz(err, lower))
 
 
-class TestWeightedComposition:
-    def test_trivial_weight_matches_composition(self):
-        w = PowerSeries([1.0])
-        a = weighted_composition_matrix(w, SQUARE, 6).matrix
-        b = composition_matrix(SQUARE, 6).matrix
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_shift_weight(self):
-        w = BlaschkeProduct(origin_order=1)
-        m = weighted_composition_matrix(w, SQUARE, 4).matrix
-        expect = np.zeros((4, 4), dtype=complex)
-        expect[1, 0] = 1  # w * 1 = z
-        expect[3, 1] = 1  # w * phi = z^3
-        assert np.max(np.abs(m - expect)) < 1e-12
-
-    def test_blaschke_weight_column_zero_two_radius(self):
-        w = BlaschkeProduct(zeros=[(0.5, 1)])
-        m1 = weighted_composition_matrix(w, SQUARE, 12, radius=0.9).matrix
-        m2 = weighted_composition_matrix(w, SQUARE, 12, radius=0.8).matrix
-        assert np.max(np.abs(m1 - m2)) < 1e-9
-        assert np.max(np.abs(m1[:, 0] - taylor_coefficients(w, 12))) < 1e-11
-
-
 class TestKernelVector:
-    def test_origin(self):
-        assert np.allclose(kernel_vector(0.0, 4), [1, 0, 0, 0])
-
-    def test_half(self):
-        assert np.allclose(kernel_vector(0.5, 3), [1, 0.5, 0.25])
-
-    def test_reproducing_property(self):
-        lam = 0.3 - 0.4j
-        k = kernel_vector(lam, 8)
-        rng = np.random.default_rng(0)
-        p = rng.normal(size=8) + 1j * rng.normal(size=8)
-        value = np.polynomial.polynomial.polyval(lam, p)
-        assert complex(p @ np.conj(k)) == pytest.approx(complex(value))
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            kernel_vector(1.0, 4)
-
     def test_kernel_difference_orthogonal_to_image(self):
         # two points identified by the symbol give a kernel difference
-        # orthogonal to every column of the composition matrix
+        # orthogonal to every column of the composition matrix; the
+        # reproducing kernel at lam has coefficients conj(lam)**k
         c = composition_matrix(SQUARE, 16).matrix
-        f = kernel_vector(0.5, 16) - kernel_vector(-0.5, 16)
+        k = np.arange(16)
+        f = 0.5**k - (-0.5) ** k
         assert np.max(np.abs(c.conj().T @ f)) < 1e-8
 
 
@@ -270,25 +277,26 @@ class TestBoundaryGram:
             boundary_gram(SQUARE, 2, 1000)
 
 
+def _codim(op: TruncatedOperator, tol: float = 1e-8) -> int:
+    """n minus the numerical rank (singular values below tol * sigma_max dropped)."""
+    s = svdvals(op.matrix)
+    return int(op.n - np.count_nonzero(s > tol * s[0]))
+
+
 class TestCodim:
     def test_square_composition(self):
-        op = composition_matrix(SQUARE, 8)
-        assert image_orthocomplement_dim(op) == 4
+        assert _codim(composition_matrix(SQUARE, 8)) == 4
 
     def test_identity(self):
-        from h2embed.operators import TruncatedOperator
-
-        assert image_orthocomplement_dim(TruncatedOperator(6, np.eye(6))) == 0
+        assert _codim(TruncatedOperator(6, np.eye(6))) == 0
 
     def test_square_toeplitz(self):
-        op = toeplitz_matrix(SQUARE, 8)
-        assert image_orthocomplement_dim(op) == 2
+        assert _codim(toeplitz_matrix(SQUARE, 8)) == 2
 
     def test_shift_powers(self):
         for k in range(1, 6):
             for n in (8, 16):
-                op = toeplitz_matrix(BlaschkeProduct(origin_order=k), n)
-                assert image_orthocomplement_dim(op) == k
+                assert _codim(toeplitz_matrix(BlaschkeProduct(origin_order=k), n)) == k
 
 
 class TestWold:
