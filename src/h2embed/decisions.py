@@ -183,7 +183,6 @@ def decide_toeplitz(
     sym: FactoredSymbol,
     *,
     declared_infinite_blaschke: bool = False,
-    flow_order: int = 64,
 ) -> EmbeddabilityReport:
     """Embeddability of the analytic Toeplitz operator of a factored symbol.
 
@@ -250,14 +249,14 @@ def decide_toeplitz(
         )
 
     if b is None and s is None:
-        flow = _flow_with_phase([OuterFlow(f, flow_order)], phase)
+        flow = _flow_with_phase([OuterFlow(f)], phase)
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE, "outer-symbol-flow", semigroup=flow
         )
 
     if b is None:
         flow = _flow_with_phase(
-            [SingularInnerFlow(s.measure), OuterFlow(f, flow_order)], phase
+            [SingularInnerFlow(s.measure), OuterFlow(f)], phase
         )
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE,
@@ -284,9 +283,7 @@ def decide_toeplitz(
     )
 
 
-def decide_polynomial_toeplitz(
-    p, tol: float = 1e-9, flow_order: int = 64
-) -> EmbeddabilityReport:
+def decide_polynomial_toeplitz(p, tol: float = 1e-9) -> EmbeddabilityReport:
     """Embeddability of a polynomial Toeplitz operator: yes iff no zero
     lies strictly inside the disk.  Boundary-band zeros count as outside
     (they belong to the outer factor) but are flagged for caution."""
@@ -319,7 +316,7 @@ def decide_polynomial_toeplitz(
     return EmbeddabilityReport(
         Verdict.EMBEDDABLE,
         "polynomial-zero-criterion",
-        semigroup=OuterFlow(outer, flow_order),
+        semigroup=OuterFlow(outer),
         notes=notes,
         details=details,
     )

@@ -84,6 +84,15 @@ def _finite(value, where: str) -> float:
     return x
 
 
+def _count(value, where: str) -> int:
+    """The non-negative integer at ``where``; a fractional value is refused,
+    not truncated."""
+    x = _finite(value, where)
+    if x < 0 or not x.is_integer():
+        raise SymbolFileError(f"{where}: {value!r} is not a non-negative integer")
+    return int(x)
+
+
 def _complex_from(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise SymbolFileError(f"{where}: complex numbers are {{'re': x, 'im': y}} objects")
@@ -99,17 +108,13 @@ def _blaschke_from(obj, where: str) -> BlaschkeProduct:
     for i, z in enumerate(obj.get("zeros", [])):
         if not isinstance(z, dict) or "mult" not in z:
             raise SymbolFileError(f"{where}.zeros[{i}]: expected re/im/mult fields")
-        zeros.append(
-            (_complex_from({"re": z.get("re", 0.0), "im": z.get("im", 0.0)},
-                           f"{where}.zeros[{i}]"), int(z["mult"]))
-        )
+        at = f"{where}.zeros[{i}]"
+        alpha = _complex_from({"re": z.get("re", 0.0), "im": z.get("im", 0.0)}, at)
+        zeros.append((alpha, _count(z["mult"], f"{at}.mult")))
     rotation = _finite(obj.get("rotation", 0.0), f"{where}.rotation")
+    origin_order = _count(obj.get("origin_order", 0), f"{where}.origin_order")
     try:
-        return BlaschkeProduct(
-            rotation=rotation,
-            origin_order=int(obj.get("origin_order", 0)),
-            zeros=zeros,
-        )
+        return BlaschkeProduct(rotation=rotation, origin_order=origin_order, zeros=zeros)
     except ValueError as exc:
         raise SymbolFileError(f"{where}: {exc}") from exc
 

@@ -28,6 +28,7 @@ __all__ = [
     "WoldDecomposition",
     "composition_matrix",
     "toeplitz_matrix",
+    "lower_toeplitz",
     "boundary_gram",
     "wold_decompose",
 ]
@@ -69,13 +70,20 @@ def composition_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> Truncated
     return TruncatedOperator(n, out)
 
 
+def lower_toeplitz(c) -> TruncatedOperator:
+    """The lower-triangular Toeplitz matrix with first column ``c``: the
+    compressed multiplication by the power series with those coefficients."""
+    c = np.asarray(c, dtype=complex)
+    first_row = np.zeros(c.size, dtype=complex)
+    first_row[0] = c[0]
+    return TruncatedOperator(c.size, scipy.linalg.toeplitz(c, first_row))
+
+
 def toeplitz_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> TruncatedOperator:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with
-    first column the Taylor coefficients of phi."""
-    c = taylor_coefficients(phi, n, radius)
-    first_row = np.zeros(n, dtype=complex)
-    first_row[0] = c[0]
-    return TruncatedOperator(n, scipy.linalg.toeplitz(c, first_row))
+    first column the Taylor coefficients of phi, extracted by
+    :func:`taylor_coefficients`."""
+    return lower_toeplitz(taylor_coefficients(phi, n, radius))
 
 
 def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:

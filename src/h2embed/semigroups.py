@@ -1,11 +1,24 @@
 """Explicit one-parameter semigroups and their truncated operator samples.
 
-Symbol-level flows come in two families: multiplication flows (singular
-inner, rational outer via exp(t log F), unimodular constants, and products
-of these), whose operators are lower-triangular Toeplitz matrices and obey
-the semigroup law exactly at truncation; and composition flows (elliptic
-automorphism flows), realised as similarity orbits of exact diagonal
-rotations so the operator law again holds to rounding.
+Symbol-level flows come in two families.  Multiplication flows (singular
+inner, rational outer, unimodular constants, and products of these) give
+each time-t symbol's first n Taylor coefficients in closed form through
+``coefficients(t, n)``:
+
+* constant c: c**t e_0, with the principal logarithm of c;
+* singular inner, atoms (zeta, m): per atom exp(-x) L_k^(-1)(2x)
+  conj(zeta)**k with x = t m (associated Laguerre polynomials), the atoms
+  combined by truncated convolution;
+* rational outer F: exp(t Log F(0)) times the binomial series of
+  (1 - conj(a) z)**t and (1 - z/beta)**t, each equal to 1 at 0, with Log
+  the principal logarithm of the constant coefficient of F;
+* products: the truncated convolution of the parts.
+
+Their operators are the lower-triangular Toeplitz matrices of those
+coefficients and obey the semigroup law to rounding at every truncation
+order.  Composition flows (elliptic automorphism flows) are realised as
+similarity orbits of exact diagonal rotations so the operator law again
+holds to rounding.
 
 An isometric composition operator with symbol fixing 0 embeds through its
 Wold decomposition: constants stay put, and the wandering levels ride a
@@ -35,7 +48,7 @@ from .operators import (
     DEFAULT_RANK_TOL,
     TruncatedOperator,
     composition_matrix,
-    toeplitz_matrix,
+    lower_toeplitz,
     wold_decompose,
 )
 from .symbols import (
@@ -66,35 +79,39 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _series_log(f: np.ndarray, n: int) -> np.ndarray:
-    """Taylor series of log f from the series of f, principal branch at 0."""
-    f = np.asarray(f, dtype=complex)
-    if abs(f[0]) < 1e-14:
-        raise BranchFailure("cannot anchor log: series constant term vanishes")
-    g = np.zeros(n, dtype=complex)
-    g[0] = cmath.log(f[0])
-    fpad = np.zeros(n, dtype=complex)
-    fpad[: min(n, f.size)] = f[:n]
-    for k in range(1, n):
-        acc = k * fpad[k]
-        for j in range(1, k):
-            acc -= j * g[j] * fpad[k - j]
-        g[k] = acc / (k * fpad[0])
-    return g
+def _binomial_series(w: complex, t: float, n: int) -> np.ndarray:
+    """First n Taylor coefficients of (1 - w z)**t, the branch equal to 1
+    at z = 0: coefficient k is binom(t, k) (-w)**k."""
+    k = np.arange(n - 1)
+    out = np.empty(n, dtype=complex)
+    out[0] = 1.0
+    out[1:] = np.cumprod((t - k) * (-w) / (k + 1))
+    return out
 
 
-def _series_exp(g: np.ndarray, n: int) -> np.ndarray:
-    """Taylor series of exp g from the series of g."""
-    g = np.asarray(g, dtype=complex)
-    h = np.zeros(n, dtype=complex)
-    h[0] = cmath.exp(g[0])
-    for k in range(1, n):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            if j < g.size:
-                acc += j * g[j] * h[k - j]
-        h[k] = acc / k
-    return h
+def _laguerre_atom_series(zeta: complex, x: float, n: int) -> np.ndarray:
+    """First n Taylor coefficients of exp(-x (zeta + z)/(zeta - z)):
+    exp(-x) L_k^(-1)(2x) conj(zeta)**k, with the associated Laguerre
+    polynomials from their three-term recurrence
+    (k + 1) L_{k+1} = (2k - 2x) L_k - (k - 1) L_{k-1}.  Started at exp(-x),
+    every term is a coefficient of an inner function, of modulus at most 1,
+    so nothing overflows for large x."""
+    lag = np.zeros(n)
+    lag[0] = math.exp(-x)
+    if n > 1:
+        lag[1] = -2.0 * x * lag[0]
+    for k in range(1, n - 1):
+        lag[k + 1] = ((2 * k - 2.0 * x) * lag[k] - (k - 1) * lag[k - 1]) / (k + 1)
+    return lag * zeta.conjugate() ** np.arange(n)
+
+
+def _truncated_product(series, n: int) -> np.ndarray:
+    """First n Taylor coefficients of the product of power series."""
+    out = np.zeros(n, dtype=complex)
+    out[0] = 1.0
+    for c in series:
+        out = np.convolve(out, c)[:n]
+    return out
 
 
 class ConstantFlow:
@@ -113,9 +130,20 @@ class ConstantFlow:
     def at(self, t: float) -> PowerSeries:
         return PowerSeries([cmath.exp(t * self.log_value)])
 
+    def coefficients(self, t: float, n: int) -> np.ndarray:
+        """c**t e_0: the first n Taylor coefficients of the time-t symbol."""
+        out = np.zeros(n, dtype=complex)
+        out[0] = cmath.exp(t * self.log_value)
+        return out
+
 
 class SingularInnerFlow:
-    """t -> the singular inner function of the measure scaled by t."""
+    """t -> the singular inner function of the measure scaled by t.
+
+    Its time-t symbol is the product over atoms (zeta, m) of
+    exp(-x (zeta + z)/(zeta - z)) with x = t m, whose Taylor coefficients
+    are exp(-x) L_k^(-1)(2x) conj(zeta)**k in closed form.
+    """
 
     multiplicative = True
     isometric = True
@@ -129,31 +157,67 @@ class SingularInnerFlow:
             raise DomainError("flow times are nonnegative")
         return SingularInner(self.measure.scaled(t))
 
+    def coefficients(self, t: float, n: int) -> np.ndarray:
+        """First n Taylor coefficients of the time-t symbol, in closed form."""
+        if t < 0:
+            raise DomainError("flow times are nonnegative")
+        return _truncated_product(
+            (_laguerre_atom_series(zeta, t * m, n) for zeta, m in self.measure.atoms), n
+        )
+
+
+@dataclass
+class OuterPower:
+    """exp(t Log F(0)) prod (1 - w z)**t over the factors w of a rational
+    outer F, each power on the branch equal to 1 at z = 0."""
+
+    log_scale: complex
+    factors: list
+    t: float
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        log = np.full_like(z, self.log_scale)
+        for w in self.factors:
+            log = log + self.t * np.log(1.0 - w * z)
+        return np.exp(log)
+
 
 class OuterFlow:
-    """t -> exp(t log F) for a rational outer F, as a truncated power series.
+    """t -> F**t for a rational outer F = c prod (1 - conj(a) z) prod (z - beta).
 
-    The branch is anchored by the principal logarithm of F(0); the series
-    recurrences for log and exp make the time-1 member reproduce F exactly
-    in its first n coefficients.
+    In closed form, F**t = exp(t Log F(0)) prod (1 - conj(a) z)**t
+    prod (1 - z/beta)**t.  Log is the principal logarithm of F(0), taken as
+    the constant coefficient of ``outer.as_polynomial()`` (so a negative
+    F(0) whose product carries a +0 imaginary part, as for 2(z - 2), takes
+    +i pi).  Each factor (1 - w z)**t is the binomial series equal to 1 at
+    0; it is analytic on the disk because |w| <= 1.
     """
 
     multiplicative = True
     isometric = False
     descriptor = "outer-flow"
 
-    def __init__(self, outer: RationalOuter, n: int = 64):
+    def __init__(self, outer: RationalOuter):
         self.outer = outer
-        self.n = n
-        f = np.zeros(n, dtype=complex)
-        p = outer.as_polynomial().coeffs
-        f[: min(n, p.size)] = p[:n]
-        self._log = _series_log(f, n)
+        self.log_f0 = cmath.log(complex(outer.as_polynomial().coeffs[0]))
+        self.factors = [a.conjugate() for a in outer.conjugate_factors] + [
+            1.0 / b for b in outer.exterior_zeros
+        ]
 
-    def at(self, t: float) -> PowerSeries:
+    def at(self, t: float) -> OuterPower:
         if t < 0:
             raise DomainError("flow times are nonnegative")
-        return PowerSeries(_series_exp(t * self._log, self.n))
+        return OuterPower(t * self.log_f0, self.factors, t)
+
+    def coefficients(self, t: float, n: int) -> np.ndarray:
+        """First n Taylor coefficients of F**t: the binomial series of the
+        factors, combined by truncated convolution and scaled by
+        exp(t Log F(0))."""
+        if t < 0:
+            raise DomainError("flow times are nonnegative")
+        out = _truncated_product((_binomial_series(w, t, n) for w in self.factors), n)
+        return cmath.exp(t * self.log_f0) * out
 
 
 class EllipticFlow:
@@ -200,6 +264,10 @@ class ProductFlow:
         if len(self.parts) == 1:
             return self.parts[0].at(t)
         return ProductSymbol([p.at(t) for p in self.parts])
+
+    def coefficients(self, t: float, n: int) -> np.ndarray:
+        """Truncated convolution of the parts' coefficients."""
+        return _truncated_product((p.coefficients(t, n) for p in self.parts), n)
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +334,14 @@ class OperatorSemigroupSample:
         return cols
 
 
-def sample_multiplication_flow(
-    flow, times, n: int, radius: float = DEFAULT_RADIUS
-) -> OperatorSemigroupSample:
-    """Toeplitz matrices of a multiplication flow at the given times."""
+def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
+    """Toeplitz matrices of a multiplication flow at the given times.
+
+    V_t is the lower-triangular Toeplitz matrix of ``flow.coefficients(t,
+    n)``, the first n Taylor coefficients of the time-t symbol in closed
+    form; no symbol is sampled.  Truncation commutes with multiplication by
+    analytic symbols, so V_t V_s = V_{t+s} holds to rounding at every n.
+    """
     if not getattr(flow, "multiplicative", False):
         raise NonCommuting("expected a multiplication-type flow")
     ops = []
@@ -277,7 +349,7 @@ def sample_multiplication_flow(
         if t == 0:
             ops.append(np.eye(n, dtype=complex))
         else:
-            ops.append(toeplitz_matrix(flow.at(t), n, radius).matrix)
+            ops.append(lower_toeplitz(flow.coefficients(t, n)).matrix)
     return OperatorSemigroupSample(
         times=list(times),
         operators=ops,

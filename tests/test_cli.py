@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,12 +98,12 @@ SAMPLE_SYMBOLS = {
     "outer": OUTER_DOC,
 }
 # sha256 of the dense CSV files `semigroup --n 16` writes for OUTER_DOC at
-# the default times 0, 0.5, 1, as written by the per-row csv.writer that
-# the bulk writer replaced.
+# the default times 0, 0.5, 1: the lower-triangular Toeplitz matrices of the
+# closed-form binomial series 1.5**t (1 - 0.3 z)**t.
 OUTER_CSV_SHA256 = [
     "f690b2e74b9b12af529e788d46839c5dabb005cebc183745fbc967c710856631",
-    "ea2e2be5fdc0d6be164afb2000388ea2f346600630e9cb0af7e09a5a68af05b8",
-    "66dc0e2e85512fd5b8709f3148abf26cbed1d60dbab1857206bb53afa2787adf",
+    "52f70c8f86ac3bfb02d4260ec72627f69c4be7dacb47068e747dd3769bf7336c",
+    "2e36eaa29ca127cbf0e7075bfefe984370a6bc6899421bf35c301765be55439f",
 ]
 
 
@@ -155,6 +156,21 @@ def test_flow_sample_csv_bytes_unchanged(tmp_path, capsys):
     out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
     digests = [hashlib.sha256((out / m).read_bytes()).hexdigest() for m in meta["matrices"]]
     assert digests == OUTER_CSV_SHA256
+    # Entry k of the first column is 1.5**t binom(t, k) (-0.3)**k.  Its k
+    # cumulative products take three roundings each and exp(t log 1.5) and
+    # the final scaling a few more, so it is within (3k + 4) eps of the
+    # 50-digit value, relative; the CSV holds every double exactly.
+    eps = np.finfo(float).eps
+    for t, matrix_file in zip(meta["times"], meta["matrices"]):
+        got = load_matrix_csv(out / matrix_file)
+        with mpmath.workdps(50):
+            want = [mpmath.mpf(1.5) ** t * mpmath.binomial(t, k) * mpmath.mpf(-0.3) ** k
+                    for k in range(16)]
+        for i in range(16):
+            for j in range(16):
+                exact = want[i - j] if i >= j else mpmath.mpf(0)
+                bound = (3 * abs(i - j) + 4) * eps * abs(exact)
+                assert abs(mpmath.mpc(got[i, j]) - exact) <= bound, (t, i, j)
 
 
 @pytest.mark.parametrize("name", ["z^2", "psi"])
@@ -261,6 +277,49 @@ def test_malformed_sample_exits_2(tmp_path, capsys, defect):
     assert stderr.startswith("error: malformed input: ")
     for word in words:
         assert word.format(dim=meta["dim"]) in stderr
+
+
+# --------------------------------------------------------------------------
+# multiplication flows at high truncation orders
+# --------------------------------------------------------------------------
+
+Z_MINUS_105 = {"kind": "toeplitz", "outer": {"exterior_zeros": [{"re": 1.05, "im": 0.0}]}}
+HIGH_ORDER_FLOWS = {
+    "z-1.05": Z_MINUS_105,
+    "outer": {"kind": "toeplitz", "outer": {"constant": {"re": 1.5, "im": -0.7},
+                                            "conjugate_factors": [{"re": 0.3, "im": 0.4}],
+                                            "exterior_zeros": [{"re": 1.2, "im": -0.9}]}},
+    "polynomial": {"kind": "polynomial",
+                   "polynomial": {"coeffs": [{"re": 3.0}, {"re": 1.0}, {"re": 0.5}]}},
+    "inner-outer": {"kind": "toeplitz", "singular": {"atoms": [{"angle": 0.4, "mass": 0.4}]},
+                    "outer": {"constant": {"re": -0.5}, "exterior_zeros": [{"re": 2.1, "im": 0.3}]}},
+}
+
+
+@pytest.mark.parametrize(
+    "name, n", [("z-1.05", 128), ("outer", 256), ("polynomial", 256), ("inner-outer", 256)]
+)
+def test_verify_multiplication_flow_at_high_order(tmp_path, capsys, name, n):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(HIGH_ORDER_FLOWS[name]))
+    rc, out, _ = _run(["verify", "--input", str(path), "--n", str(n)], capsys)
+    assert rc == 0
+    (law,) = [r for r in json.loads(out)["records"] if r["check"] == "semigroup-law"]
+    assert law["max_defect"] <= 1e-13
+
+
+def test_semigroup_n128_matches_the_binomial_series(tmp_path, capsys):
+    out, meta = _write_sample(tmp_path, capsys, Z_MINUS_105, n=128)
+    assert meta["dim"] == 128
+    for t, matrix_file in zip(meta["times"][1:], meta["matrices"][1:]):
+        # z - 1.05 = -1.05 (1 - z/1.05); Log(-1.05) = log 1.05 + i pi.
+        with mpmath.workdps(30):
+            scale = mpmath.exp(t * mpmath.log(mpmath.mpf(-1.05)))
+            column = np.array([complex(scale * mpmath.binomial(t, k) * (-1 / mpmath.mpf(1.05)) ** k)
+                               for k in range(128)])
+        i, j = np.indices((128, 128))
+        want = np.where(i >= j, column[i - j], 0)
+        assert np.max(np.abs(load_matrix_csv(out / matrix_file) - want)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -397,7 +456,44 @@ def test_exit_2_non_finite_symbol_number(tmp_path, capsys, doc, field):
     assert err.startswith(f"error: malformed input: {field}: ")
 
 
-Z2_DOC = {"kind": "composition", "blaschke": {"origin_order": 2}}
+def _blaschke_doc(mult=1, origin_order=1):
+    zero = {"re": 0.5, "im": 0.0, "mult": mult}
+    return {"kind": "composition", "blaschke": {"origin_order": origin_order, "zeros": [zero]}}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_blaschke_doc(mult=math.nan), "blaschke.zeros[0].mult"),
+        (_blaschke_doc(mult="x"), "blaschke.zeros[0].mult"),
+        (_blaschke_doc(mult=1.7), "blaschke.zeros[0].mult"),
+        (_blaschke_doc(origin_order=1.7), "blaschke.origin_order"),
+        (_blaschke_doc(origin_order=-1), "blaschke.origin_order"),
+    ],
+    ids=["mult NaN", "mult string", "mult fractional", "origin_order fractional",
+         "origin_order negative"],
+)
+def test_exit_2_blaschke_count_not_a_non_negative_integer(tmp_path, capsys, doc, field):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: {field}: ")
+
+
+def test_blaschke_counts_written_as_integral_floats_are_read(tmp_path, capsys):
+    docs = []
+    for doc in (_blaschke_doc(), _blaschke_doc(mult=1.0, origin_order=1.0)):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(doc))
+        rc, out, _ = _run(["analyze", "--input", str(path)], capsys)
+        assert rc == 0
+        docs.append(json.loads(out))
+        del docs[-1]["config"]["input_hash"]  # hashes the file text, which differs
+    assert docs[0] == docs[1]
+
+
+Z2_DOC ={"kind": "composition", "blaschke": {"origin_order": 2}}
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,19 @@
+import functools
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
-from h2embed.semigroups import embed_isometric_composition, sample_elliptic_flow
-from h2embed.symbols import BlaschkeProduct
+from h2embed.semigroups import (
+    OuterFlow,
+    ProductFlow,
+    SingularInnerFlow,
+    embed_isometric_composition,
+    sample_elliptic_flow,
+    sample_multiplication_flow,
+)
+from h2embed.symbols import BlaschkeProduct, RationalOuter, SingularMeasure, taylor_coefficients
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 H = 0.25
@@ -51,3 +62,141 @@ def test_wold_sample_holds_no_square_matrix():
     sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 32, H)
     assert all(op.ndim == 1 for op in sample.operators)
     assert sum(op.nbytes for op in sample.operators) <= 8 * sample.dim * len(TIMES)
+
+
+# --------------------------------------------------------------------------
+# closed-form Taylor coefficients of multiplication flows, against mpmath
+# --------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+FLOW_TIMES = (0.25, 0.5, 1.0)
+FLOW_NS = (16, 128, 256)
+GENERIC_OUTER = RationalOuter(1.5 - 0.7j, [0.3 + 0.4j], [1.2 - 0.9j])
+TWO_ATOMS = SingularMeasure.from_angles([(0.3, 0.7), (2.0, 1.3)])
+FLOWS = {
+    "outer": OuterFlow(GENERIC_OUTER),
+    "2(z-2)": OuterFlow(RationalOuter(2.0, [], [2.0])),
+    "z-1.05": OuterFlow(RationalOuter(1.0, [], [1.05])),
+    "two-atom": SingularInnerFlow(TWO_ATOMS),
+    "inner-outer": ProductFlow(
+        [SingularInnerFlow(SingularMeasure.from_angles([(-1.0, 0.4)])), OuterFlow(GENERIC_OUTER)]
+    ),
+}
+
+
+def _mp_convolve(a, b):
+    return [mpmath.fdot(a[: k + 1], b[k::-1]) for k in range(len(a))]
+
+
+def _mp_factors(flow, t, n):
+    """(scale, [(series, majorant)]): the flow's time-t symbol as scale
+    times the product of the series, each from an independent formula in
+    30-digit arithmetic (the caller's precision), with the majorant its rounding is relative to.
+
+    Outer factors use mpmath's gamma-function binomial; a binomial series
+    is summed term by term from k cumulative products, so its majorant is
+    its own absolute value.  Each atom's series comes from the exponential
+    recurrence for exp(-x - 2x sum_k (z/zeta)^k), not from the Laguerre
+    recurrence the program uses.  That three-term recurrence is run in its
+    oscillatory range, where a rounding error made at step j travels on at
+    the size of the terms it meets, so its majorant is the running maximum
+    of the absolute values (at most 1: S**t is inner)."""
+    t = mpmath.mpf(t)
+    if isinstance(flow, ProductFlow):
+        scale, factors = mpmath.mpf(1), []
+        for part in flow.parts:
+            s, f = _mp_factors(part, t, n)
+            scale, factors = scale * s, factors + f
+        return scale, factors
+    if isinstance(flow, OuterFlow):
+        outer = flow.outer
+        f0 = mpmath.mpc(outer.constant)
+        for b in outer.exterior_zeros:
+            f0 *= -mpmath.mpc(b)
+        ws = [mpmath.conj(mpmath.mpc(a)) for a in outer.conjugate_factors]
+        ws += [1 / mpmath.mpc(b) for b in outer.exterior_zeros]
+        factors = []
+        for w in ws:
+            series = [mpmath.binomial(t, k) * (-w) ** k for k in range(n)]
+            factors.append((series, [abs(c) for c in series]))
+        # mpmath's log is principal, arg in (-pi, pi]: F(0) = -4 takes +i pi.
+        return mpmath.exp(t * mpmath.log(f0)), factors
+    factors = []
+    for zeta, mass in flow.measure.atoms:
+        x = t * mpmath.mpf(mass)
+        g = [-x] + [-2 * x * mpmath.conj(mpmath.mpc(zeta)) ** j for j in range(1, n)]
+        h = [mpmath.exp(g[0])]
+        jg = [j * g[j] for j in range(n)]
+        for k in range(1, n):
+            h.append(mpmath.fdot(jg[1 : k + 1], h[k - 1 :: -1]) / k)
+        running = list(itertools.accumulate((abs(c) for c in h), max))
+        factors.append((h, running))
+    return mpmath.mpf(1), factors
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_reference(name, t, n):
+    """Coefficients and their rounding bound.  A coefficient built from d
+    series, each from k cumulative products or recurrence steps, and d - 1
+    truncated convolutions carries at most 4 (d + 1)(k + 1) eps relative to
+    the convolution of the series' majorants."""
+    with mpmath.workdps(30):
+        scale, factors = _mp_factors(FLOWS[name], t, n)
+        value = [scale] + [mpmath.mpf(0)] * (n - 1)
+        major = [abs(scale)] + [mpmath.mpf(0)] * (n - 1)
+        for series, majorant in factors:
+            value = _mp_convolve(value, series)
+            major = _mp_convolve(major, majorant)
+    d = len(factors)
+    want = np.array([complex(v) for v in value])
+    bound = np.array([4 * (d + 1) * (k + 1) * EPS * float(m) for k, m in enumerate(major)])
+    return want, bound
+
+
+@pytest.mark.parametrize("n", FLOW_NS)
+@pytest.mark.parametrize("t", FLOW_TIMES)
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_flow_coefficients_match_mpmath(name, t, n):
+    want, bound = _mp_reference(name, t, 256)
+    got = FLOWS[name].coefficients(t, n)
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - want[:n]) <= bound[:n])
+
+
+def test_outer_branch_takes_plus_i_pi_at_negative_f0():
+    # F = 2(z - 2) has F(0) = -4; F**(1/2) starts at 2i, not -2i.
+    c = FLOWS["2(z-2)"].coefficients(0.5, 4)
+    assert abs(c[0] - 2j) <= 4 * EPS
+
+
+@pytest.mark.parametrize("t", FLOW_TIMES)
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_flow_coefficients_match_the_fft_kernel(name, t):
+    flow = FLOWS[name]
+    kernel, err = taylor_coefficients(flow.at(t), 64, return_errors=True)
+    assert np.all(np.abs(flow.coefficients(t, 64) - kernel) <= err)
+
+
+@pytest.mark.parametrize("name", ["outer", "2(z-2)", "z-1.05"])
+def test_time_one_outer_reproduces_the_symbol(name):
+    # At t = 1 each binomial series is exactly 1 - w z, so both sides are
+    # products of the d linear factors and the constant, each coefficient
+    # within 4 (d + 2) eps of the majorant |F(0)| prod (1 + |w|).
+    flow = FLOWS[name]
+    p = flow.outer.as_polynomial().coeffs
+    want = np.zeros(32, dtype=complex)
+    want[: p.size] = p
+    d = len(flow.factors)
+    major = abs(p[0]) * np.prod([1 + abs(w) for w in flow.factors])
+    atol = 4 * (d + 2) * EPS * major
+    np.testing.assert_allclose(flow.coefficients(1.0, 32), want, rtol=0, atol=atol)
+
+
+def test_multiplication_sample_is_the_toeplitz_matrix_of_the_coefficients():
+    flow = FLOWS["inner-outer"]
+    sample = sample_multiplication_flow(flow, (0.0, 0.5, 1.0), 24)
+    assert np.array_equal(sample.apply(0.0), np.eye(24))
+    for t in (0.5, 1.0):
+        c = flow.coefficients(t, 24)
+        i, j = np.indices((24, 24))
+        assert np.array_equal(sample.apply(t), np.where(i >= j, c[i - j], 0))
