@@ -73,19 +73,18 @@ from .operators import (
 )
 from .semigroups import (
     ConstantFlow,
-    EllipticFlow,
     OperatorSemigroupSample,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
+    SpiralFlow,
     embed_isometric_composition,
-    sample_elliptic_flow,
     sample_multiplication_flow,
+    sample_spiral_flow,
     wold_comparison_defect,
 )
 from .decisions import (
     EmbeddabilityReport,
-    KoenigsFlow,
     SpiralData,
     Verdict,
     decide_composition,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .blaschke import conjugate_by_automorphism, frostman_transform, solve_blaschke_equation
 from .decisions import (
-    KoenigsFlow,
     decide_composition,
     decide_lfm,
     decide_polynomial_toeplitz,
@@ -46,11 +45,10 @@ from .fileio import (
 )
 from .operators import wold_decompose
 from .semigroups import (
-    EllipticFlow,
     OperatorSemigroupSample,
+    SpiralFlow,
     _grid_cells,
     embed_isometric_composition,
-    sample_elliptic_flow,
     sample_multiplication_flow,
     sample_spiral_flow,
 )
@@ -163,38 +161,22 @@ def cmd_analyze(args) -> int:
 
 def _build_sample(parsed, report, args, times):
     """Concrete operator sample for an embeddable verdict, or NoConstruction."""
-    n = args.n
-    kind = parsed["kind"]
     if report.verdict.value != "Embeddable":
         raise NoConstruction(report.governing_result)
-    if kind == "composition":
-        details = report.details
-        if "fixed_point" not in details:
-            raise NoConstruction(report.governing_result)
-        sym = parsed["symbol"]
-        if isinstance(report.semigroup, EllipticFlow):
-            f = report.semigroup
-            return sample_elliptic_flow(f.alpha, f.theta, times, n), f
-        alpha = details["fixed_point"]
+    flow = report.semigroup
+    if isinstance(flow, SpiralFlow):
+        return sample_spiral_flow(flow, times, args.n), flow
+    if getattr(flow, "multiplicative", False):
+        return sample_multiplication_flow(flow, times, args.n), flow
+    if parsed["kind"] == "composition" and "fixed_point" in report.details:
+        sym, alpha = parsed["symbol"], report.details["fixed_point"]
         if abs(alpha) < 1e-12:
             psi = sym
         elif isinstance(sym, BlaschkeProduct):
             psi = conjugate_by_automorphism(sym, alpha)
         else:
             psi = ConjugatedSymbol(sym, alpha)
-        return embed_isometric_composition(psi, times, n, args.h), None
-    flow = report.semigroup
-    if flow is None:
-        raise NoConstruction(report.governing_result)
-    if isinstance(flow, EllipticFlow):
-        return sample_elliptic_flow(flow.alpha, flow.theta, times, n), flow
-    if isinstance(flow, KoenigsFlow):
-        return (
-            sample_spiral_flow(flow._m, flow.log_multiplier, times, n),
-            flow,
-        )
-    if getattr(flow, "multiplicative", False):
-        return sample_multiplication_flow(flow, times, n), flow
+        return embed_isometric_composition(psi, times, args.n, args.h), None
     raise NoConstruction(report.governing_result)
 
 
@@ -208,7 +190,7 @@ def _law_pairs(times):
     return pairs
 
 
-def _sample_records(sample, flow, args):
+def _sample_records(sample, args):
     records = []
     pairs = _law_pairs(sample.times)
     if pairs:
@@ -236,7 +218,7 @@ def cmd_semigroup(args) -> int:
         name = f"matrix_{i:02d}.csv"
         dump_matrix_csv(outdir / name, sample.operator_at(t))
         matrix_files.append(name)
-    records = _sample_records(sample, flow, args)
+    records = _sample_records(sample, args)
     trajectory_file = None
     if flow is not None and hasattr(flow, "at"):
         grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -244,10 +226,8 @@ def cmd_semigroup(args) -> int:
         for t in times:
             sym = flow.at(t)
             vals = np.asarray(sym(grid))
-            for z, v in zip(grid, vals):
-                rows.append(
-                    f"{t!r},{z.real!r},{z.imag!r},{complex(v).real!r},{complex(v).imag!r}"
-                )
+            for z, v in zip(grid.tolist(), vals.tolist()):
+                rows.append(f"{t!r},{z.real!r},{z.imag!r},{v.real!r},{v.imag!r}")
         trajectory_file = "trajectory.csv"
         (outdir / trajectory_file).write_text("\n".join(rows) + "\n")
     meta = {
@@ -382,8 +362,8 @@ def cmd_verify(args) -> int:
         parsed = load_symbol_file(args.input)
         report = _analyze(parsed, args)
         times = _parse_times(args.times)
-        sample, flow = _build_sample(parsed, report, args, times)
-        records = _sample_records(sample, flow, args)
+        sample, _ = _build_sample(parsed, report, args, times)
+        records = _sample_records(sample, args)
         config = _config(args, parsed)
     doc = {
         "records": [record_document(r) for r in records],

@@ -70,10 +70,10 @@ from .symbols import (
 )
 from .semigroups import (
     ConstantFlow,
-    EllipticFlow,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
+    SpiralFlow,
 )
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "decide_polynomial_toeplitz",
     "decide_composition",
     "decide_lfm",
-    "KoenigsFlow",
 ]
 
 
@@ -332,7 +331,7 @@ def _automorphism_report(alpha, multiplier) -> EmbeddabilityReport:
     return EmbeddabilityReport(
         Verdict.EMBEDDABLE,
         "elliptic-automorphism-semiflow",
-        semigroup=EllipticFlow(alpha, theta),
+        semigroup=SpiralFlow.elliptic(alpha, theta),
         notes=["semigroup of composition operators"],
         details={"fixed_point": alpha, "multiplier": multiplier, "theta": theta},
     )
@@ -426,27 +425,6 @@ def _mobius_of_degree_one(b: BlaschkeProduct):
 # --------------------------------------------------------------------------
 
 
-class KoenigsFlow:
-    """Semiflow of a linear fractional map with interior attracting fixed
-    point: diagonalise between the two fixed points, run the spiral there."""
-
-    multiplicative = False
-    descriptor = "linear-fractional-spiral-flow"
-
-    def __init__(self, alpha, beta, multiplier):
-        self.alpha = complex(alpha)
-        self.beta = beta  # complex or None for infinity
-        self.log_multiplier = cmath.log(complex(multiplier))
-        if beta is None:
-            self._m = MobiusMap(1.0, -self.alpha, 0.0, 1.0)
-        else:
-            self._m = MobiusMap(1.0, -self.alpha, -1.0 / complex(beta), 1.0)
-
-    def at(self, t: float) -> MobiusMap:
-        scale = MobiusMap(cmath.exp(t * self.log_multiplier), 0.0, 0.0, 1.0)
-        return self._m.inverse().compose(scale).compose(self._m)
-
-
 def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
     """Embeddability of a linear fractional self-map into a semiflow of
     analytic self-maps.
@@ -462,7 +440,7 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE,
             "automorphism-semiflow",
-            semigroup=EllipticFlow(0.0, 0.0),
+            semigroup=SpiralFlow.elliptic(0.0, 0.0),
             notes=["identity map"],
         )
 
@@ -513,10 +491,13 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
         "rhs": rhs,
     }
     if lhs <= rhs + tol:
+        # The Koenigs map (z - alpha)/(1 - z/beta) takes the flow to the
+        # spiral z -> exp(t Log lambda) z.
+        koenigs = MobiusMap(1.0, -alpha, 0.0 if beta is None else -1.0 / complex(beta), 1.0)
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE,
             "attractive-elliptic-spiral-condition",
-            semigroup=KoenigsFlow(alpha, beta, multiplier),
+            semigroup=SpiralFlow(koenigs, spiral.log_value, "linear-fractional-spiral-flow"),
             notes=["spiral condition holds"],
             details=details,
         )

@@ -59,6 +59,15 @@ def _as_points(z):
     return np.asarray(z, dtype=complex)
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; ValueError for a fractional value, which
+    ``int`` would truncate."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return n
+
+
 @dataclass
 class BlaschkeProduct:
     """Finite Blaschke product: rotation, origin zero order, nonzero zeros.
@@ -76,12 +85,13 @@ class BlaschkeProduct:
     canonical_phases: bool = False
 
     def __post_init__(self):
+        self.origin_order = _integral(self.origin_order, "origin_order")
         if self.origin_order < 0:
             raise ValueError("origin_order must be nonnegative")
         zs = []
         for alpha, mult in self.zeros:
             alpha = complex(alpha)
-            mult = int(mult)
+            mult = _integral(mult, "zero multiplicity")
             if mult < 1:
                 raise ValueError("zero multiplicity must be positive")
             if not 0.0 < abs(alpha) < 1.0:

@@ -10,6 +10,7 @@ import pytest
 
 from h2embed import cli
 from h2embed.cli import _load_sample_dir, main
+from h2embed.decisions import decide_lfm, decide_toeplitz
 from h2embed.errors import IllConditioned
 from h2embed.fileio import (
     SymbolFileError,
@@ -394,6 +395,91 @@ def test_self_maps_analyze_unchanged(tmp_path, capsys, name):
     rc, out, err = _run(["analyze", "--input", str(path)], capsys)
     assert (rc, err) == (0, "")
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+IDENTITY_CSV_SHA256 = OUTER_CSV_SHA256[0]  # the time-0 file of every flow sample: I_16
+# sha256 of the files `semigroup --n 16` writes and of the document
+# `verify --n 16` prints for three Möbius flows, recorded while the elliptic
+# and the spiral flow were two classes with two samplers; the one
+# linear-fractional flow that replaced them writes the same bytes.  The
+# trajectory.csv digests are of the files then written with each
+# np.float64(x) field read as x.
+MOBIUS_FLOW_SHA256 = {
+    # tau_0.4 as a composition symbol: the rotation by pi about its fixed point
+    "tau_0.4": (
+        _mobius_doc(-1.0, 0.4, -0.4, 1.0, kind="composition"),
+        {
+            "matrix_00.csv": IDENTITY_CSV_SHA256,
+            "matrix_01.csv": "95242e4572606e156bc26838e3c04f2d3b290632015067607e38e8f2e60dc8ba",
+            "matrix_02.csv": "768fb04c14979df6a1cb46d9289d5e434a8306a376c0083785d01ed2fc193565",
+            "meta.json": "4554489d9bf16dbb5f0a0664d097e46e852c0584a841315b7f74cf1a3e718080",
+            "trajectory.csv": "5b33a9f7ee26a26736d2b769842250e86388f09b4075c9a497d36fd31b1abc5b",
+            "verify": "9e6e97903184e2e9195dd36fa1dad53d91892b961f19ea57b045d5d6c2b105c5",
+        },
+    ),
+    # tau_alpha . (z -> e^i z) . tau_alpha with alpha = 0.3 + 0.2i
+    "elliptic-0.3+0.2i": (
+        _mobius_doc(0.41030230586813976 + 0.8414709848078965j,
+                    0.30620350520113737 - 0.16050175661599686j,
+                    0.03038488872202122 + 0.344380834268741j,
+                    0.9297607002371419 - 0.10939122802502654j),
+        {
+            "matrix_00.csv": IDENTITY_CSV_SHA256,
+            "matrix_01.csv": "dc718869b358d0d07b73ddf73e2132f8aaee2b8eb6993077d665f2dbddbd6332",
+            "matrix_02.csv": "fcbaf8685d9db2fd2ce0c6d6e7cbfc079eb4eb5e375eda5a493ba4097d491497",
+            "meta.json": "f5e48c48adaff4ce470661959de13df1360f0e8a92dae9b3980b796e5aef3c18",
+            "trajectory.csv": "16c760d13d9e64aa24aa76ff6773d3e78818f4523bf5957127b396294827ab2e",
+            "verify": "6e9edea09e0c001bfac8676d871cf5d5ceccbe0fcdc56f729715368a3d8d385e",
+        },
+    ),
+    # z -> z/2 + 0.2: the Koenigs spiral between 0.4 and infinity
+    "z/2+0.2": (
+        _mobius_doc(0.5, 0.2, 0.0, 1.0),
+        {
+            "matrix_00.csv": IDENTITY_CSV_SHA256,
+            "matrix_01.csv": "f13370deeff8265a1296b08f9beb7efb8402b0fce0a01a1846de6fc545d3b5d2",
+            "matrix_02.csv": "0c01e84c6373d9ee93c8d25f1bd94ebbaff73b3e5415e3926799e775936020a4",
+            "meta.json": "f2b5eb2c79d8e97a69591582c23202e4bda65733bddebebc68f1d35ef0e72c6d",
+            "trajectory.csv": "360e9b0c26d7d902702f7c1173154b82548757a9468fe301f2885dba2c164af9",
+        },
+    ),
+}
+
+
+def _mobius_flow_digests(tmp_path, capsys, doc):
+    out, meta = _write_sample(tmp_path, capsys, doc)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in meta["matrices"] + ["meta.json", "trajectory.csv"]}
+    _, stdout, _ = _run(["verify", "--input", str(tmp_path / "sym.json"), "--n", "16"], capsys)
+    digests["verify"] = hashlib.sha256(stdout.encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(MOBIUS_FLOW_SHA256))
+def test_mobius_flow_sample_bytes_unchanged(tmp_path, capsys, name):
+    doc, expected = MOBIUS_FLOW_SHA256[name]
+    digests = _mobius_flow_digests(tmp_path, capsys, doc)
+    assert {k: digests[k] for k in expected} == expected
+
+
+
+@pytest.mark.parametrize(
+    "doc, decide",
+    [(OUTER_DOC, decide_toeplitz), (_mobius_doc(0.5, 0.2, 0.0, 1.0), decide_lfm)],
+    ids=["outer", "z/2+0.2"],
+)
+def test_trajectory_rows_are_numbers_on_the_flow(tmp_path, capsys, doc, decide):
+    out, meta = _write_sample(tmp_path, capsys, doc)
+    flow = decide(parse_symbol_document(doc)["symbol"]).semigroup
+    lines = (out / meta["trajectory"]).read_text().splitlines()
+    assert lines[0] == "t,re_z,im_z,re_val,im_val"
+    rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [t for t in meta["times"] for _ in range(8)]
+    for t in meta["times"]:
+        t_rows = np.array([row[1:] for row in rows if row[0] == t])
+        z = t_rows[:, 0] + 1j * t_rows[:, 1]
+        np.testing.assert_allclose(np.abs(z), 0.6, rtol=1e-15)
+        assert np.array_equal(t_rows[:, 2] + 1j * t_rows[:, 3], flow.at(t)(z))
 
 
 # --------------------------------------------------------------------------

@@ -10,14 +10,13 @@ import pytest
 
 from h2embed import decisions
 from h2embed.decisions import (
-    KoenigsFlow,
     Verdict,
     decide_composition,
     decide_lfm,
     decide_polynomial_toeplitz,
     decide_toeplitz,
 )
-from h2embed.semigroups import EllipticFlow, OuterFlow, ProductFlow, SingularInnerFlow
+from h2embed.semigroups import OuterFlow, ProductFlow, SingularInnerFlow, SpiralFlow
 from h2embed.symbols import (
     BlaschkeProduct,
     FactoredSymbol,
@@ -77,9 +76,9 @@ CASES = [
      Verdict.EMBEDDABLE, OuterFlow),
     # An elliptic automorphism fixing 0.3 rides its rotation flow.
     ("elliptic-automorphism-semiflow", lambda: decide_composition(rotation_about(0.3, 1.0)),
-     Verdict.EMBEDDABLE, EllipticFlow),
+     Verdict.EMBEDDABLE, SpiralFlow),
     ("elliptic-automorphism-semiflow", lambda: decide_lfm(rotation_about(0.3, 1.0)),
-     Verdict.EMBEDDABLE, EllipticFlow),
+     Verdict.EMBEDDABLE, SpiralFlow),
     # z^2 is inner, fixes 0 and is not an automorphism: C_phi is an isometry.
     ("similar-isometry-shift-embedding", lambda: decide_composition(Z2),
      Verdict.EMBEDDABLE, None),
@@ -90,7 +89,7 @@ CASES = [
      Verdict.OUT_OF_SCOPE, None),
     # alpha = 0.4, beta = infinity, lam = 1/2: |alpha| l = 0.4 <= |lam| = 0.5 (l = 1).
     ("attractive-elliptic-spiral-condition", lambda: decide_lfm(affine(0.5, 0.4)),
-     Verdict.EMBEDDABLE, KoenigsFlow),
+     Verdict.EMBEDDABLE, SpiralFlow),
     # alpha = 0.3, lam = e^{2.5i}/2: l = |Log lam|/(-Re Log lam) = 3.74, so
     # |alpha| l = 1.12 > |lam| = 0.5 (a self-map: 0.5 + 0.3 |1 - lam| = 0.93 < 1).
     ("attractive-elliptic-spiral-condition",

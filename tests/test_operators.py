@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import svdvals, toeplitz
 from scipy.special import eval_laguerre
 
-from h2embed.decisions import KoenigsFlow, decide_lfm
+from h2embed.decisions import decide_lfm
 from h2embed.errors import AutomorphismInput, IllConditioned, IsometryDefect
 from h2embed.operators import (
     TruncatedOperator,
@@ -54,8 +54,8 @@ def koenigs_conjugator():
     alpha, beta, lam = 0.1, 3.0, 0.6
     m = np.array([[1.0, -alpha], [1.0, -beta]])
     report = decide_lfm(MobiusMap(*(np.linalg.inv(m) @ np.diag([lam, 1.0]) @ m).ravel()))
-    assert isinstance(report.semigroup, KoenigsFlow)
-    return report.semigroup._m
+    assert report.semigroup.descriptor == "linear-fractional-spiral-flow"
+    return report.semigroup.conjugator
 
 
 def sequential_levels(c, w, retention=0.5):

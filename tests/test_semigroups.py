@@ -5,15 +5,30 @@ import mpmath
 import numpy as np
 import pytest
 
+from h2embed.errors import (
+    BranchFailure,
+    DomainError,
+    HorizonOverflow,
+    MissingTime,
+    NonCommuting,
+)
 from h2embed.semigroups import (
+    ConstantFlow,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
+    SpiralFlow,
     embed_isometric_composition,
-    sample_elliptic_flow,
     sample_multiplication_flow,
+    sample_spiral_flow,
 )
-from h2embed.symbols import BlaschkeProduct, RationalOuter, SingularMeasure, taylor_coefficients
+from h2embed.symbols import (
+    BlaschkeProduct,
+    MobiusMap,
+    RationalOuter,
+    SingularMeasure,
+    taylor_coefficients,
+)
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 H = 0.25
@@ -45,7 +60,7 @@ def test_wold_operators_are_cell_shifts(name, n):
     "sample",
     [
         embed_isometric_composition(SYMBOLS["psi"], TIMES, 12, H),
-        sample_elliptic_flow(0.3, 1.0, TIMES, 12),
+        sample_spiral_flow(SpiralFlow.elliptic(0.3, 1.0), TIMES, 12),
     ],
     ids=["wold", "elliptic-flow"],
 )
@@ -200,3 +215,82 @@ def test_multiplication_sample_is_the_toeplitz_matrix_of_the_coefficients():
         c = flow.coefficients(t, 24)
         i, j = np.indices((24, 24))
         assert np.array_equal(sample.apply(t), np.where(i >= j, c[i - j], 0))
+
+
+# --------------------------------------------------------------------------
+# linear-fractional semiflows phi_t = m^-1 . (z -> exp(t L) z) . m
+# --------------------------------------------------------------------------
+
+SPIRAL_POINTS = np.array([0.0, 0.5, -0.3 + 0.4j, 0.2j])
+
+
+@pytest.mark.parametrize("alpha, theta", [(0.0, 0.7), (0.3, 1.0), (0.3 + 0.2j, -2.0)])
+def test_elliptic_flow_fixes_its_center_with_multiplier_exp_i_theta_t(alpha, theta):
+    # Every elliptic automorphism fixing alpha is tau_alpha . (e^{i s} z) . tau_alpha
+    # (Cowen-MacCluer, ch. 2), so phi_t(alpha) = alpha and phi_t'(alpha) = e^{i theta t}.
+    flow = SpiralFlow.elliptic(alpha, theta)
+    for t in (0.25, 1.0, 3.0):
+        phi = flow.at(t)
+        assert abs(complex(phi(alpha)) - alpha) <= 1e-15
+        assert abs(complex(phi.derivative(alpha)) - np.exp(1j * theta * t)) <= 1e-14
+    assert flow.isometric == (alpha == 0)
+
+
+def test_koenigs_flow_is_the_affine_spiral_about_its_fixed_point():
+    # With m(z) = z - alpha the flow is alpha + lam**t (z - alpha).
+    alpha, lam = 0.4, 0.5 * np.exp(0.3j)
+    flow = SpiralFlow(MobiusMap(1.0, -alpha, 0.0, 1.0), np.log(lam), "spiral")
+    for t in (0.5, 1.0, 2.5):
+        want = alpha + lam**t * (SPIRAL_POINTS - alpha)
+        np.testing.assert_allclose(flow.at(t)(SPIRAL_POINTS), want, rtol=0, atol=1e-15)
+    assert not flow.isometric
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_spiral_sample_without_conjugator_is_the_exact_diagonal(theta):
+    sample = sample_spiral_flow(SpiralFlow.elliptic(0.0, theta), TIMES, 8)
+    assert sample.isometric and sample.meta == {"n": 8}
+    assert sample.construction == "elliptic-flow"
+    for t in TIMES:
+        assert np.array_equal(sample.apply(t), np.diag(np.exp(1j * theta * t * np.arange(8))))
+
+
+# --------------------------------------------------------------------------
+# errors raised by flows and samples
+# --------------------------------------------------------------------------
+
+
+def test_product_flow_refuses_a_composition_flow():
+    with pytest.raises(NonCommuting):
+        ProductFlow([OuterFlow(GENERIC_OUTER), SpiralFlow.elliptic(0.3, 1.0)])
+
+
+def test_multiplication_sampler_refuses_a_composition_flow():
+    with pytest.raises(NonCommuting):
+        sample_multiplication_flow(SpiralFlow.elliptic(0.3, 1.0), TIMES, 8)
+
+
+def test_operator_at_an_unsampled_time():
+    sample = sample_spiral_flow(SpiralFlow.elliptic(0.3, 1.0), TIMES, 8)
+    with pytest.raises(MissingTime):
+        sample.operator_at(0.3)
+
+
+def test_horizon_too_small_for_the_levels_and_shifts():
+    # The levels take 1/H = 4 cells each, and t = 1 shifts 4 more.
+    levels = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H).meta["n_levels"]
+    needed = 4 * levels + 4
+    with pytest.raises(HorizonOverflow):
+        embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H, horizon=needed - 1)
+    assert embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H, horizon=needed).dim > 1
+
+
+def test_constant_flow_of_zero_has_no_logarithm():
+    with pytest.raises(BranchFailure):
+        ConstantFlow(0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.6 + 0.8j, 1.5j])
+def test_elliptic_center_outside_the_open_disk(alpha):
+    with pytest.raises(DomainError):
+        SpiralFlow.elliptic(alpha, 1.0)

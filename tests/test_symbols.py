@@ -51,6 +51,19 @@ class TestBlaschke:
         with pytest.raises(ValueError):
             BlaschkeProduct(zeros=[(1.5, 1)])
 
+    def test_fractional_origin_order_is_refused(self):
+        with pytest.raises(ValueError, match="origin_order must be an integer, not 1.5"):
+            BlaschkeProduct(origin_order=1.5)
+
+    def test_fractional_multiplicity_is_refused(self):
+        with pytest.raises(ValueError, match="zero multiplicity must be an integer, not 1.7"):
+            BlaschkeProduct(zeros=[(0.5, 1.7)])
+
+    def test_integral_float_counts_are_stored_as_int(self):
+        b = BlaschkeProduct(origin_order=2.0, zeros=[(0.5, 1.0)])
+        assert (b.origin_order, b.zeros, b.degree) == (2, [(0.5, 1)], 3)
+        assert all(type(v) is int for v in (b.origin_order, b.zeros[0][1], b.degree))
+
     def test_canonical_phase_convention(self):
         alpha = 0.3 + 0.4j
         plain = BlaschkeProduct(zeros=[(alpha, 1)])
