@@ -9,6 +9,7 @@ P - beta Q = 0, which is how everything here is computed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .polynomials import (
     DEFAULT_CLUSTER_RADIUS,
     Polynomial,
     RootSet,
+    poly_derivative,
     poly_mul,
     poly_roots,
     poly_scale,
@@ -109,8 +111,6 @@ def critical_values(
     if b.degree < 1:
         raise DegenerateSymbol("critical values need a nonconstant Blaschke product")
     p, q = b.numerator_denominator()
-    from .polynomials import poly_derivative
-
     num = poly_sub(poly_mul(poly_derivative(p), q), poly_mul(p, poly_derivative(q)))
     if num.is_zero:
         raise DegenerateSymbol("derivative numerator vanished identically")
@@ -244,8 +244,6 @@ def fixed_points_in_disk(phi, tol: float = 1e-9, cluster_radius: float = DEFAULT
         if abs(v) < 1.0 - tol
     ]
     if len(out) > 1:
-        import warnings
-
         warnings.warn(
             "more than one interior fixed point found; "
             "the input is numerically inconsistent with a disk self-map"

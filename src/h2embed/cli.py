@@ -35,8 +35,10 @@ from .decisions import (
 from .errors import H2EmbedError
 from .fileio import (
     SymbolFileError,
-    dump_matrix_csv,
+    _count,
+    _finite,
     _jsonable,
+    dump_matrix_csv,
     json_dumps,
     load_matrix_csv,
     load_symbol_file,
@@ -80,16 +82,18 @@ def _parse_complex(text: str) -> complex:
     raise SymbolFileError(f"cannot parse complex value {text!r}; use RE or RE,IM")
 
 
+def _time(value, where: str) -> float:
+    """The finite nonnegative sample time at ``where``."""
+    t = _finite(value, where)
+    if t < 0.0:
+        raise SymbolFileError(f"{where}: {t!r} is not a finite nonnegative time")
+    return t
+
+
 def _parse_times(text: str):
-    try:
-        times = [float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise SymbolFileError(f"--times: {exc}") from exc
+    times = [_time(t, "--times") for t in text.split(",") if t.strip() != ""]
     if not times:
         raise SymbolFileError("--times: at least one time required")
-    for t in times:
-        if not (math.isfinite(t) and t >= 0.0):
-            raise SymbolFileError(f"--times: {t!r} is not a finite nonnegative time")
     return times
 
 
@@ -316,20 +320,30 @@ def cmd_wold(args) -> int:
 
 
 def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
+    """The sample a ``semigroup`` run wrote to ``path``.  ``meta.json`` is
+    held to the rules of symbol files and flags: ``dim`` is a non-negative
+    integer, ``times`` is a nonempty list of finite nonnegative times (as
+    for --times), and ``isometric``, when present, is true or false."""
     meta_path = path / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
-        dim = int(meta["dim"])
-        times = [float(t) for t in meta["times"]]
-        names = [str(name) for name in meta["matrices"]]
+        dim, times, names = meta["dim"], meta["times"], meta["matrices"]
     except OSError as exc:
         raise SymbolFileError(f"{meta_path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SymbolFileError(
             f"{meta_path}, line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SymbolFileError(f"{meta_path}: needs dim, times and matrices ({exc!r})") from exc
+    dim = _count(dim, f"{meta_path}: dim")
+    if not isinstance(times, list) or not times or not isinstance(names, list):
+        raise SymbolFileError(f"{meta_path}: times and matrices are lists, times nonempty")
+    times = [_time(t, f"{meta_path}: times[{i}]") for i, t in enumerate(times)]
+    names = [str(name) for name in names]
+    isometric = meta.get("isometric", False)
+    if not isinstance(isometric, bool):
+        raise SymbolFileError(f"{meta_path}: isometric: {isometric!r} is not true or false")
     if len(names) != len(times):
         raise SymbolFileError(f"{meta_path}: {len(names)} matrices for {len(times)} times")
     ops = []
@@ -343,7 +357,7 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
         operators=ops,
         construction=meta.get("construction", "loaded"),
         dim=dim,
-        isometric=bool(meta.get("isometric", False)),
+        isometric=isometric,
         meta={"loaded_from": str(path)},
     )
 

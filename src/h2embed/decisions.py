@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -301,10 +302,8 @@ def decide_polynomial_toeplitz(p, tol: float = 1e-9) -> EmbeddabilityReport:
             notes=["zeros inside the disk give a finite nonzero image codimension"],
             details=details,
         )
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         _, outer = factor_polynomial(p, tol)
     notes = []
     if part.boundary:

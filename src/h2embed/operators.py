@@ -109,18 +109,19 @@ class WoldDecomposition:
     """Wandering-subspace picture of an isometric composition operator at
     truncation order n.
 
-    The unitary part is the constants; ``levels[k]`` holds an orthonormal
-    basis of the k-th image of the wandering subspace that is still
-    resolvable inside H^2_n (``levels[0]`` is the wandering basis itself).
-    ``chain_ids[k]`` records which wandering vector each column continues,
-    and ``chain_losses[k]`` the cumulative norm lost to truncation along
-    that chain.  Directions that fell below the retention threshold are
-    counted in ``residual_dim``.
+    ``comp`` is the compressed composition matrix the levels were built
+    from.  The unitary part is the constants; ``levels[k]`` holds an
+    orthonormal basis of the k-th image of the wandering subspace that is
+    still resolvable inside H^2_n (``levels[0]`` is the wandering basis
+    itself).  ``chain_ids[k]`` records which wandering vector each column
+    continues, and ``chain_losses[k]`` the cumulative norm lost to
+    truncation along that chain.  Directions that fell below the retention
+    threshold are counted in ``residual_dim``.
     """
 
     n: int
+    comp: TruncatedOperator
     unitary_basis: np.ndarray
-    wandering_basis: np.ndarray
     levels: list
     chain_ids: list
     chain_losses: list
@@ -129,8 +130,8 @@ class WoldDecomposition:
     meta: dict = field(default_factory=dict)
 
     @property
-    def wandering_dim(self) -> int:
-        return self.wandering_basis.shape[1]
+    def wandering_basis(self) -> np.ndarray:
+        return self.levels[0]
 
     @property
     def level_dims(self) -> list:
@@ -140,138 +141,143 @@ class WoldDecomposition:
         return np.column_stack([self.unitary_basis] + list(self.levels))
 
 
-def _wandering_basis(comp: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of the column space,
-    swept along the coordinate directions so structured inputs keep their
-    monomial basis vectors."""
-    n = comp.shape[0]
-    u, s, _ = scipy.linalg.svd(comp)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    col = u[:, :rank]
-    proj = np.eye(n, dtype=complex) - col @ col.conj().T
-    q = np.zeros((n, n - rank), dtype=complex)
-    k = 0
-    for idx in range(n):
-        if k == n - rank:
+# Thresholds of wold_decompose; its docstring says why they are constants.
+_GRAM_TOL = 1e-6
+_GRAM_DEGREE = 4
+_WANDERING_TAKE = 1e-7
+_RETENTION = 0.5
+
+
+def _gram_schmidt(cand: np.ndarray, block: np.ndarray, threshold: float):
+    """Orthonormal columns drawn from ``cand`` and orthogonal to ``block``.
+
+    The candidate columns are orthogonalised against the orthonormal
+    ``block`` by two passes of block classical Gram-Schmidt, then, in
+    order, against the columns already taken (two passes each).  A
+    candidate is taken when its remaining norm is at least ``threshold``.
+    One classical pass loses orthogonality in proportion to the norm the
+    projection removes; a second pass restores it to rounding unless
+    nearly all of the norm is removed (Giraud-Langou-Rozloznik, Comput.
+    Math. Appl. 50, 2005).  The sweep stops once the block and the taken
+    columns span the space.  Returns the taken columns, their candidate
+    indices and their remaining norms.
+    """
+    u = cand - block @ (block.conj().T @ cand)
+    u -= block @ (block.conj().T @ u)
+    limit = min(u.shape[0] - block.shape[1], u.shape[1])
+    taken = np.empty((u.shape[0], limit), dtype=complex)
+    idx, norms = [], []
+    for j in range(u.shape[1]):
+        m = len(idx)
+        if m == limit:
             break
-        v = proj[:, idx].copy()
-        for _ in range(2):  # one classical Gram-Schmidt pass loses orthogonality
-            v -= q[:, :k] @ (q[:, :k].conj().T @ v)
+        v = u[:, j]
+        for _ in range(2):
+            v = v - taken[:, :m] @ (taken[:, :m].conj().T @ v)
         nrm = float(np.linalg.norm(v))
-        if nrm > 1e-7:
-            q[:, k] = v / nrm
-            k += 1
-    return q[:, :k]
+        if nrm >= threshold:
+            taken[:, m] = v / nrm
+            idx.append(j)
+            norms.append(nrm)
+    return taken[:, : len(idx)], idx, norms
 
 
-def wold_decompose(
-    psi,
-    n: int,
-    *,
-    gram_tol: float = 1e-6,
-    retention: float = 0.5,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    gram_degree: int = 4,
-    gram_samples: int = 2048,
-    radius: float = DEFAULT_RADIUS,
-    comp: TruncatedOperator | None = None,
-) -> WoldDecomposition:
+def wold_decompose(psi, n: int) -> WoldDecomposition:
     """Wold decomposition data for C_psi at truncation order n.
 
     ``psi`` must be inner with psi(0) = 0 (certified through the boundary
     Gram matrix; deviation raises :class:`IsometryDefect`) and must not be
     an automorphism (degree-1 Blaschke products and rotation-like symbols
-    raise :class:`AutomorphismInput` — a unitary has no wandering part).
+    raise :class:`AutomorphismInput` -- a unitary has no wandering part).
 
-    ``rank_tol`` is the largest distance from the wandering subspace
-    W = H^2 (-) ran C_psi that a direction accepted as wandering may have.
     For f in H^2_n, ||P_{ran C_psi} f|| = ||c^* f|| with c the compressed
     matrix, because C_psi is an isometry with orthonormal image basis
     {psi^j} and psi^j is orthogonal to H^2_n for j >= n.  So each singular
-    value of c is the distance of its left singular vector from W; the
-    left singular vectors with singular value at most ``rank_tol`` times
-    the largest (which is 1) span the resolved wandering directions.  No
-    such direction means the truncation cannot resolve W to this
-    tolerance, and :class:`IllConditioned` is raised.
+    value of c is the distance of its left singular vector from the
+    wandering subspace W = H^2 (-) ran C_psi.  The left singular vectors
+    U0 whose singular values are at most ``DEFAULT_RANK_TOL`` times the
+    largest (which is 1) span the resolved wandering directions; none
+    means the truncation cannot resolve W, and :class:`IllConditioned` is
+    raised.
 
-    The levels are built one at a time into a preallocated n x n basis Q
-    that holds the constant, the wandering basis and every accepted
-    column.  The images c V of the previous level are taken in one
-    product and orthogonalised against Q by two passes of block classical
-    Gram-Schmidt; each image is then orthogonalised (twice) against the
-    columns this level has already accepted, and kept if its remaining
-    norm is at least ``retention``.  One classical pass loses
-    orthogonality in proportion to the norm the projection removes; a
-    second pass restores it to rounding unless nearly all of the norm is
-    removed (Giraud-Langou-Rozloznik, Comput. Math. Appl. 50, 2005).  A
-    kept column keeps at least ``retention`` of a norm at most 1, so two
-    passes are enough for every column that enters Q.
+    Every basis here comes from one kernel, :func:`_gram_schmidt`.  The
+    wandering basis is the kernel run in the coordinates of U0: the
+    candidates are U0^* e_0, ..., U0^* e_{n-1}, the block is empty, and a
+    taken y gives w = U0 y.  Each w is a combination of singular vectors
+    with singular value at most ``DEFAULT_RANK_TOL``, so ||c^* w|| stays
+    below it whatever the rounding of the sweep, and the coordinate sweep
+    keeps the monomial basis for z^k.  The levels are built one at a time
+    into a preallocated n x n basis Q that holds the constant, the
+    wandering basis and every kept column: the next level is the kernel
+    run on c times the previous level, with the block Q[:, :k] and the
+    retention threshold 1/2.  A kept column keeps at least half of a norm
+    at most 1, so two passes are enough for every column that enters Q.
+
+    The thresholds are constants because they separate rounding from
+    signal, which no input moves: an inner symbol's boundary Gram matrix
+    (degree 4) is the identity to about 1e-15, so 1e-6 refuses the rest; a
+    candidate already spanned by the taken columns keeps about 1e-15 of
+    its norm, so 1e-7 takes only the rest; and the retention 1/2 is the
+    bound above.  ``c`` is sampled at ``DEFAULT_RADIUS``, kept as ``comp``.
     """
-    g = boundary_gram(psi, gram_degree, gram_samples)
-    defect = float(np.max(np.abs(g - np.eye(gram_degree + 1))))
-    if defect > gram_tol:
+    g = boundary_gram(psi, _GRAM_DEGREE)
+    defect = float(np.max(np.abs(g - np.eye(_GRAM_DEGREE + 1))))
+    if defect > _GRAM_TOL:
         raise IsometryDefect(
             f"boundary Gram deviates from the identity by {defect:.3e}; "
             "the symbol is not inner with a fixed origin (or quadrature is too coarse)"
         )
     if isinstance(psi, BlaschkeProduct) and psi.degree == 1:
         raise AutomorphismInput("degree-1 Blaschke products are automorphisms")
-    comp = comp or composition_matrix(psi, n, radius)
+    comp = composition_matrix(psi, n)
     c = comp.matrix
     if not isinstance(psi, BlaschkeProduct) and abs(c[1, 1]) >= 1.0 - 1e-9:
         raise AutomorphismInput("|psi'(0)| is not below 1: rotation-like symbol")
 
-    w = _wandering_basis(c, rank_tol)
-    if w.shape[1] == 0:
+    u, s, _ = scipy.linalg.svd(c)
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+    u0 = u[:, rank:]
+    cand = u0.conj().T
+    y, _, _ = _gram_schmidt(cand, cand[:, :0], _WANDERING_TAKE)
+    d = y.shape[1]
+    if d == 0:
         raise IllConditioned(
-            f"no direction of H^2_{n} lies within {rank_tol:.1e} of the wandering "
-            "subspace; raise the truncation order or rank_tol"
+            f"no direction of H^2_{n} lies within {DEFAULT_RANK_TOL:.1e} of the "
+            "wandering subspace; raise the truncation order"
         )
 
-    # q holds, in order, the constant, the wandering basis and every
-    # accepted column; level l is the block q[:, starts[l]:starts[l + 1]].
-    d = w.shape[1]
+    # q holds, in order, the constant, the wandering basis and every kept
+    # column; level l is the block q[:, starts[l]:starts[l + 1]].
     q = np.zeros((n, n), dtype=complex)
     q[0, 0] = 1.0
-    q[:, 1 : 1 + d] = w
+    q[:, 1 : 1 + d] = u0 @ y
     k = 1 + d
     starts = [1]
     chain_ids = [list(range(d))]
     chain_losses = [[0.0] * d]
     while len(starts) < n:
-        u = c @ q[:, starts[-1] : k]
-        for _ in range(2):  # two block passes: orthogonal to rounding
-            u -= q[:, :k] @ (q[:, :k].conj().T @ u)
-        start = k
-        ids, losses = [], []
-        for j, (i, loss) in enumerate(zip(chain_ids[-1], chain_losses[-1])):
-            v = u[:, j]
-            for _ in range(2):
-                v = v - q[:, start:k] @ (q[:, start:k].conj().T @ v)
-            nrm = float(np.linalg.norm(v))
-            if nrm < retention:
-                continue
-            q[:, k] = v / nrm
-            k += 1
-            ids.append(i)
-            losses.append(1.0 - (1.0 - loss) * min(1.0, nrm))
-        if not ids:
+        cols, idx, norms = _gram_schmidt(c @ q[:, starts[-1] : k], q[:, :k], _RETENTION)
+        if not idx:
             break
-        starts.append(start)
-        chain_ids.append(ids)
-        chain_losses.append(losses)
+        starts.append(k)
+        q[:, k : k + len(idx)] = cols
+        k += len(idx)
+        chain_ids.append([chain_ids[-1][j] for j in idx])
+        chain_losses.append(
+            [1.0 - (1.0 - chain_losses[-1][j]) * min(1.0, nrm) for j, nrm in zip(idx, norms)]
+        )
 
     levels = [q[:, a:b] for a, b in zip(starts, starts[1:] + [k])]
     q = q[:, :k]
     ortho_defect = float(np.max(np.abs(q.conj().T @ q - np.eye(k))))
     return WoldDecomposition(
         n=n,
+        comp=comp,
         unitary_basis=q[:, :1],
-        wandering_basis=w,
         levels=levels,
         chain_ids=chain_ids,
         chain_losses=chain_losses,
         residual_dim=n - k,
         orthonormality_defect=ortho_defect,
-        meta={"gram_defect": defect, "rank_tol": rank_tol, "retention": retention},
+        meta={"gram_defect": defect},
     )

@@ -31,8 +31,10 @@ An isometric composition operator with symbol fixing 0 embeds through its
 Wold decomposition: constants stay put, and the wandering levels ride a
 right-translation semigroup on a discretised half line.  Those operators
 act on the space constants (+) cells x wandering-fiber, not on H^2_N
-itself; the sample carries the isometric embedding of the resolved part of
-H^2_N into that space so checks can compare against composition matrices.
+itself.  The sample carries the isometric embedding of the resolved part of
+H^2_N into that space, and the Wold decomposition itself (with its
+composition matrix) in ``meta["wold"]``, so checks compare against
+composition matrices without rebuilding anything.
 """
 from __future__ import annotations
 
@@ -50,14 +52,7 @@ from .errors import (
     MissingTime,
     NonCommuting,
 )
-from .operators import (
-    DEFAULT_RADIUS,
-    DEFAULT_RANK_TOL,
-    TruncatedOperator,
-    composition_matrix,
-    lower_toeplitz,
-    wold_decompose,
-)
+from .operators import composition_matrix, lower_toeplitz, wold_decompose
 from .symbols import (
     MobiusMap,
     PowerSeries,
@@ -309,9 +304,9 @@ class OperatorSemigroupSample:
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
-    H^2_N into the sample's own space; ``resolved_basis`` lists the same
-    resolved vectors inside H^2_N.  Flow samples act on H^2_N directly and
-    carry neither.
+    H^2_N into the sample's own space; its columns are the images of
+    ``meta["wold"].collected_basis()``, the Wold decomposition the sample
+    was built from.  Flow samples act on H^2_N directly and carry neither.
     """
 
     times: list
@@ -320,7 +315,6 @@ class OperatorSemigroupSample:
     dim: int
     isometric: bool
     embedding: np.ndarray | None = None
-    resolved_basis: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def apply(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
@@ -344,15 +338,8 @@ class OperatorSemigroupSample:
         return any(math.isclose(tt, t, rel_tol=0.0, abs_tol=1e-12) for tt in self.times)
 
     def test_vectors(self, max_vectors: int | None = None) -> np.ndarray:
-        if self.embedding is not None:
-            cols = self.embedding
-        elif self.resolved_basis is not None:
-            cols = self.resolved_basis
-        else:
-            cols = np.eye(self.dim, dtype=complex)
-        if max_vectors is not None:
-            cols = cols[:, :max_vectors]
-        return cols
+        cols = np.eye(self.dim, dtype=complex) if self.embedding is None else self.embedding
+        return cols[:, :max_vectors]
 
 
 def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
@@ -424,38 +411,26 @@ def _grid_cells(h: float) -> int:
     return m
 
 
-def embed_isometric_composition(
-    psi,
-    times,
-    n: int,
-    h: float,
-    horizon: int | None = None,
-    *,
-    wold=None,
-    comp: TruncatedOperator | None = None,
-    radius: float = DEFAULT_RADIUS,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> OperatorSemigroupSample:
+def embed_isometric_composition(psi, times, n: int, h: float) -> OperatorSemigroupSample:
     """Embed C_psi (psi inner, psi(0) = 0, not an automorphism) into a
     strongly continuous semigroup sampled at the given times.
 
-    The sample space is constants (+) (horizon cells) x (wandering fiber):
-    the unitary part of the Wold decomposition is the constants, where the
+    The sample space is constants (+) (4 n cells) x (wandering fiber): the
+    unitary part of the Wold decomposition is the constants, where the
     operator acts as the identity (the canonical phase, since C_psi fixes
     1), and the k-th image of a wandering vector rides as the indicator of
     the k-th unit block of cells.  Times must be multiples of the grid
-    step h; the operators then are exact cell translations, stored as
-    row-gather indices (see :class:`OperatorSemigroupSample`), so the
+    step h = 1/m; the operators then are exact cell translations, stored
+    as row-gather indices (see :class:`OperatorSemigroupSample`), so the
     semigroup law and isometry hold exactly, and the time-k operator
     reproduces the k-th power of the composition matrix on the resolved
-    subspace.  No ``dim x dim`` array is built.  ``rank_tol`` is passed to
-    :func:`wold_decompose`.
+    subspace.  No ``dim x dim`` array is built.  The levels take m cells
+    each and the largest shift adds t/h more; when they do not fit in the
+    4 n cells, :class:`HorizonOverflow` is raised.  The decomposition from
+    :func:`wold_decompose` travels in ``meta["wold"]``.
     """
-    comp = comp or composition_matrix(psi, n, radius)
-    wold = wold or wold_decompose(
-        psi, n, rank_tol=rank_tol, radius=radius, comp=comp
-    )
-    d = wold.wandering_dim
+    wold = wold_decompose(psi, n)
+    d = wold.level_dims[0]
     m = _grid_cells(h)
     ks = []
     for t in times:
@@ -467,33 +442,25 @@ def embed_isometric_composition(
                 f"sample time {t} is not a multiple of the grid step {h}"
             )
         ks.append(int(round(k)))
-    n_levels = len(wold.levels)
-    horizon = horizon if horizon is not None else 4 * n
+    horizon = 4 * n
+    used = len(wold.levels) * m
     kmax = max(ks, default=0)
-    if n_levels * m + kmax > horizon:
+    if used + kmax > horizon:
         raise HorizonOverflow(
-            f"levels occupy {n_levels * m} cells and shifts add {kmax}; "
+            f"levels occupy {used} cells and shifts add {kmax}; "
             f"horizon {horizon} is too small"
         )
 
+    # Column j of the embedding is column j of wold.collected_basis():
+    # the constant, then each level's columns in chain order.
     dim = 1 + horizon * d
-    cols = [wold.unitary_basis[:, 0]]
-    col_meta = [None]
-    for lv, (basis, ids) in enumerate(zip(wold.levels, wold.chain_ids)):
-        for j, i in enumerate(ids):
-            cols.append(basis[:, j])
-            col_meta.append((lv, i))
-    resolved = np.column_stack(cols)
-
-    embedding = np.zeros((dim, resolved.shape[1]), dtype=complex)
+    embedding = np.zeros((dim, 1 + sum(wold.level_dims)), dtype=complex)
     embedding[0, 0] = 1.0
-    root_h = math.sqrt(h)
-    for cidx, tag in enumerate(col_meta):
-        if tag is None:
-            continue
-        lv, i = tag
-        for c in range(lv * m, (lv + 1) * m):
-            embedding[1 + c * d + i, cidx] = root_h
+    cidx = 1
+    for lv, ids in enumerate(wold.chain_ids):
+        for i in ids:
+            embedding[1 + np.arange(lv * m, (lv + 1) * m) * d + i, cidx] = math.sqrt(h)
+            cidx += 1
 
     # Row 1 + c d + i reads row 1 + (c - k) d + i; the first k cells fill
     # with zeros and the constants stay put.
@@ -504,11 +471,6 @@ def embed_isometric_composition(
         src[0] = 0
         ops.append(src)
 
-    chain_loss = {}
-    for lv, (ids, losses) in enumerate(zip(wold.chain_ids, wold.chain_losses)):
-        for i, loss in zip(ids, losses):
-            chain_loss[(lv, i)] = loss
-
     return OperatorSemigroupSample(
         times=list(times),
         operators=ops,
@@ -516,64 +478,33 @@ def embed_isometric_composition(
         dim=dim,
         isometric=True,
         embedding=embedding,
-        resolved_basis=resolved,
-        meta={
-            "n": n,
-            "h": h,
-            "horizon": horizon,
-            "fiber_dim": d,
-            "col_meta": col_meta,
-            "chain_ids": wold.chain_ids,
-            "chain_loss": chain_loss,
-            "n_levels": n_levels,
-        },
+        meta={"n": n, "h": h, "horizon": horizon, "fiber_dim": d, "wold": wold},
     )
 
 
-def _comparison_columns(sample, comp, k: int, chain_loss_budget: float, zero_tol: float):
-    """Columns of the resolved basis on which the time-k operator must
-    reproduce the k-th composition power: chains still alive k levels up
-    without truncation loss, plus chains whose k-step image truncates away."""
-    meta = sample.meta
-    chain_ids = meta["chain_ids"]
-    chain_loss = meta["chain_loss"]
-    n_levels = meta["n_levels"]
-    ck = np.linalg.matrix_power(comp.matrix, k) if k else np.eye(comp.n, dtype=complex)
-    valid = [0]
-    p = sample.resolved_basis
-    for cidx, tag in enumerate(meta["col_meta"]):
-        if tag is None:
-            continue
-        lv, i = tag
-        target = lv + k
-        alive = (
-            target < n_levels
-            and i in chain_ids[target]
-            and chain_loss.get((target, i), 1.0) <= chain_loss_budget
-            and chain_loss.get((lv, i), 1.0) <= chain_loss_budget
-        )
-        if alive:
-            valid.append(cidx)
-        elif float(np.linalg.norm(ck @ p[:, cidx])) <= zero_tol:
-            valid.append(cidx)
-    return valid, ck
-
-
-def wold_comparison_defect(
-    sample: OperatorSemigroupSample,
-    comp: TruncatedOperator,
-    k: int,
-    *,
-    chain_loss_budget: float = 1e-8,
-    zero_tol: float = 1e-9,
-) -> float:
+def wold_comparison_defect(sample: OperatorSemigroupSample, k: int) -> tuple[float, int]:
     """Spectral-norm gap between the sampled time-k operator and the k-th
-    power of the composition matrix, both compressed to the resolved basis."""
-    e = sample.embedding
-    p = sample.resolved_basis
-    valid, ck = _comparison_columns(sample, comp, k, chain_loss_budget, zero_tol)
-    lhs = e.conj().T @ sample.apply(float(k), e)
-    rhs = p.conj().T @ ck @ p
-    diff = (lhs - rhs)[:, valid]
-    return float(np.linalg.norm(diff, 2))
+    power of the composition matrix, both compressed to the resolved basis
+    of ``sample.meta["wold"]``, and the number of resolved columns it covers.
 
+    A column is covered when its chain is still resolved k levels up with
+    no truncation loss (at most 1e-8, at both ends), or when the k-th power
+    sends it to zero (norm at most 1e-9); on the other columns truncation
+    makes the two sides differ by design.
+    """
+    wold = sample.meta["wold"]
+    p = wold.collected_basis()
+    ck = np.linalg.matrix_power(wold.comp.matrix, k)
+    loss = {
+        (lv, i): x
+        for lv, (ids, losses) in enumerate(zip(wold.chain_ids, wold.chain_losses))
+        for i, x in zip(ids, losses)
+    }
+    covered = [0]  # the constant; the keys of loss follow the columns of p
+    for cidx, (lv, i) in enumerate(loss, start=1):
+        alive = loss[(lv, i)] <= 1e-8 and loss.get((lv + k, i), 1.0) <= 1e-8
+        if alive or float(np.linalg.norm(ck @ p[:, cidx])) <= 1e-9:
+            covered.append(cidx)
+    e = sample.embedding
+    diff = (e.conj().T @ sample.apply(float(k), e) - p.conj().T @ ck @ p)[:, covered]
+    return float(np.linalg.norm(diff, 2)), len(covered)

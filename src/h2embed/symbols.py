@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     IllConditioned,
     PoleHit,
+    ZeroPolynomial,
 )
 from .polynomials import (
     DEFAULT_BOUNDARY_TOL,
@@ -442,8 +443,6 @@ def factor_polynomial(
     """
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.is_zero:
-        from .errors import ZeroPolynomial
-
         raise ZeroPolynomial("cannot factor the zero polynomial")
     leading = complex(p.coeffs[-1])
     if p.degree == 0:

@@ -2,9 +2,10 @@
 
 Every check returns a :class:`VerificationRecord`: a named defect, the
 threshold it was held to, witnesses for the worst offenders, and a pass
-flag.  Thresholds are always parameters.  A check that does not apply to
-a sample (isometry of a non-isometric flow, Wold reconstruction of an
-automorphism) reports ``applicable=False`` and never fails.
+flag.  Thresholds are parameters, except the Wold check's wandering bound,
+the one its basis is built to.  A check that does not apply to a sample
+(isometry of a non-isometric flow, Wold reconstruction of an automorphism)
+reports ``applicable=False`` and never fails.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AutomorphismInput, MissingTime
-from .operators import TruncatedOperator, composition_matrix, wold_decompose
+from .operators import DEFAULT_RANK_TOL
 from .semigroups import (
     OperatorSemigroupSample,
     embed_isometric_composition,
@@ -165,43 +166,44 @@ def check_strong_continuity(
     )
 
 
-def check_wold_reconstruction(
-    psi,
-    n: int,
-    tol: float,
-    *,
-    h: float = 0.5,
-    sample: OperatorSemigroupSample | None = None,
-    wold=None,
-    comp: TruncatedOperator | None = None,
-) -> VerificationRecord:
-    """Completeness, orthonormality and time-1 agreement of the Wold/shift
-    embedding of C_psi.  Automorphism symbols are inapplicable (their
-    composition operator is unitary: no wandering part to reconstruct)."""
+def check_wold_reconstruction(psi, n: int, tol: float, *, h: float = 0.5) -> VerificationRecord:
+    """Completeness, orthonormality, wandering and time-1 agreement of the
+    Wold/shift embedding of C_psi.  Automorphism symbols are inapplicable
+    (their composition operator is unitary: no wandering part to
+    reconstruct).
+
+    The wandering witness is max ||c^* w|| over the wandering basis, the
+    distance of each w from W = H^2 (-) ran C_psi; it is held to
+    ``DEFAULT_RANK_TOL``, the bound the basis is built to, and the other
+    witnesses to ``tol``.  ``details`` says how many resolved columns the
+    time-1 comparison covered, out of all of them."""
     try:
-        comp = comp or composition_matrix(psi, n)
-        wold = wold or wold_decompose(psi, n, comp=comp)
+        sample = embed_isometric_composition(psi, (0.0, 1.0), n, h)
     except AutomorphismInput as exc:
         return _inapplicable("wold-reconstruction", tol, str(exc))
-    completeness_gap = abs(
-        n - (1 + sum(wold.level_dims) + wold.residual_dim)
-    )
+    wold = sample.meta["wold"]
+    completeness_gap = float(abs(n - (1 + sum(wold.level_dims) + wold.residual_dim)))
     ortho = wold.orthonormality_defect
-    if sample is None:
-        sample = embed_isometric_composition(
-            psi, (0.0, 1.0), n, h, wold=wold, comp=comp
-        )
-    agree = wold_comparison_defect(sample, comp, 1)
-    worst = max(float(completeness_gap), ortho, agree)
+    c, w = wold.comp.matrix, wold.wandering_basis
+    wandering = float(np.max(np.linalg.norm(c.conj().T @ w, axis=0)))
+    agree, compared = wold_comparison_defect(sample, 1)
+    worst = max(completeness_gap, ortho, agree)
     return VerificationRecord(
         "wold-reconstruction",
         worst,
         tol,
-        worst <= tol,
+        worst <= tol and wandering <= DEFAULT_RANK_TOL,
         witnesses=[
-            ("completeness", float(completeness_gap)),
+            ("completeness", completeness_gap),
             ("orthonormality", ortho),
+            ("wandering", wandering),
             ("time-1 agreement", agree),
         ],
-        details={"level_dims": wold.level_dims, "residual_dim": wold.residual_dim},
+        details={
+            "level_dims": wold.level_dims,
+            "residual_dim": wold.residual_dim,
+            "wandering_bound": DEFAULT_RANK_TOL,
+            "compared_columns": compared,
+            "resolved_columns": 1 + sum(wold.level_dims),
+        },
     )

@@ -265,6 +265,20 @@ SAMPLE_DEFECTS = {
         ["meta.json", "2 matrices for 3 times"],
     ),
     "no dim": ("psi", _meta_edit("dim", lambda meta: None), ["meta.json", "dim"]),
+    # Each of these used to load: NaN, infinite and negative times left no
+    # law pair and no record (exit 0), a fractional dim was truncated and
+    # any nonempty string read as isometric.
+    "NaN times": ("z^2", _meta_edit("times", lambda meta: [math.nan] * 3),
+                  ["meta.json", "times[0]", "nan"]),
+    "infinite time": ("z^2", _meta_edit("times", lambda meta: [0.0, math.inf, 1.0]),
+                      ["meta.json", "times[1]", "inf"]),
+    "negative time": ("z^2", _meta_edit("times", lambda meta: [0.0, -0.5, 1.0]),
+                      ["meta.json", "times[1]", "-0.5"]),
+    "no times": ("z^2", _meta_edit("times", lambda meta: []), ["meta.json", "times"]),
+    "fractional dim": ("z^2", _meta_edit("dim", lambda meta: meta["dim"] + 0.9),
+                       ["meta.json", "dim", "{dim}.9"]),
+    "isometric not a boolean": ("z^2", _meta_edit("isometric", lambda meta: "no"),
+                                ["meta.json", "isometric", "'no'"]),
 }
 
 

@@ -8,6 +8,7 @@ from scipy.special import eval_laguerre
 from h2embed.decisions import decide_lfm
 from h2embed.errors import AutomorphismInput, IllConditioned, IsometryDefect
 from h2embed.operators import (
+    DEFAULT_RANK_TOL,
     TruncatedOperator,
     boundary_gram,
     composition_matrix,
@@ -383,10 +384,21 @@ class TestWold:
         assert wold_decompose(psi, 128).orthonormality_defect <= 1e-12
 
     def test_unresolved_wandering_subspace_is_numeric_failure(self):
-        # rank_tol = 0 accepts no direction short of exactly wandering; that
-        # is a failure to resolve W, not an automorphism.
+        # At n = 8 no left singular vector of c lies within DEFAULT_RANK_TOL
+        # of W (psi resolves its first direction at n = 11); that is a
+        # failure to resolve W, not an automorphism.
         with pytest.raises(IllConditioned):
-            wold_decompose(PSI, 16, rank_tol=0.0)
+            wold_decompose(PSI, 8)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("psi", [PSI, DEG3], ids=["psi", "deg3"])
+    def test_wandering_basis_lies_in_w(self, psi, n):
+        # ||c^* w|| is the distance of w from W.  Normalising coordinate
+        # vectors projected through I - U U^* left W: 0.42 (psi) and 0.20
+        # (deg3) at n = 64.
+        w = wold_decompose(psi, n)
+        dist = np.linalg.norm(w.comp.matrix.conj().T @ w.wandering_basis, axis=0)
+        assert np.max(dist) <= DEFAULT_RANK_TOL
 
     def test_rotation_refused(self):
         with pytest.raises(AutomorphismInput):

@@ -277,12 +277,13 @@ def test_operator_at_an_unsampled_time():
 
 
 def test_horizon_too_small_for_the_levels_and_shifts():
-    # The levels take 1/H = 4 cells each, and t = 1 shifts 4 more.
-    levels = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H).meta["n_levels"]
-    needed = 4 * levels + 4
+    # z^2 at n = 12 has 4 levels on a half line of 4 n = 48 cells.  With
+    # h = 1/12 they take 48 cells and t = 1 shifts 12 more; with h = 1/8
+    # they take 32 and t = 1 shifts 8 more.
+    sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, 1 / 8)
+    assert len(sample.meta["wold"].levels) == 4 and sample.meta["horizon"] == 48
     with pytest.raises(HorizonOverflow):
-        embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H, horizon=needed - 1)
-    assert embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, H, horizon=needed).dim > 1
+        embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, 1 / 12)
 
 
 def test_constant_flow_of_zero_has_no_logarithm():

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from h2embed import semigroups
 from h2embed.cli import _load_sample_dir, main
 from h2embed.errors import IllConditioned
+from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
 from h2embed.semigroups import OperatorSemigroupSample, embed_isometric_composition
 from h2embed.symbols import BlaschkeProduct
 from h2embed.verify import check_semigroup_law, check_wold_reconstruction
@@ -14,12 +17,33 @@ PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
 def test_wold_reconstruction_applies_to_generic_blaschke():
     rec = check_wold_reconstruction(PSI, 16, 1e-8)
     assert rec.applicable and rec.passed
-    assert rec.details == {"level_dims": [2, 2, 2, 2, 2, 1], "residual_dim": 4}
+    assert rec.details == {
+        "level_dims": [2, 2, 2, 2, 2, 1],
+        "residual_dim": 4,
+        "wandering_bound": DEFAULT_RANK_TOL,
+        "compared_columns": 1,
+        "resolved_columns": 12,
+    }
+    assert dict(rec.witnesses)["wandering"] <= DEFAULT_RANK_TOL
 
 
-def test_embedding_passes_rank_tol_to_wold():
+def test_wold_reconstruction_fails_on_a_vector_of_the_range(monkeypatch):
+    # Swap one wandering vector for psi itself, a unit vector of ran C_psi.
+    def leaky(psi, n):
+        wold = wold_decompose(psi, n)
+        c = wold.comp.matrix
+        wold.wandering_basis[:, 0] = c[:, 1] / np.linalg.norm(c[:, 1])
+        return wold
+
+    monkeypatch.setattr(semigroups, "wold_decompose", leaky)
+    rec = check_wold_reconstruction(PSI, 16, 1e-8)
+    assert rec.applicable and not rec.passed
+    assert dict(rec.witnesses)["wandering"] > 0.9
+
+
+def test_embedding_of_an_unresolved_wandering_subspace_is_numeric_failure():
     with pytest.raises(IllConditioned):
-        embed_isometric_composition(PSI, (0.0, 1.0), 16, 0.5, rank_tol=0.0)
+        embed_isometric_composition(PSI, (0.0, 1.0), 8, 0.5)
 
 
 def _loaded_z2_sample(tmp_path):
