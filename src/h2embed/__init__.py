@@ -28,7 +28,6 @@ from .polynomials import (
     DiskPartition,
     Polynomial,
     RootSet,
-    poly_add,
     poly_derivative,
     poly_mul,
     poly_pow,

@@ -22,7 +22,7 @@ from .errors import (
     ResidualFailure,
 )
 from .polynomials import (
-    DEFAULT_CLUSTER_RADIUS,
+    DEFAULT_BOUNDARY_TOL,
     Polynomial,
     RootSet,
     poly_derivative,
@@ -46,6 +46,13 @@ __all__ = [
     "dw_orbit",
 ]
 
+_CONJUGATION_RESIDUAL = 1e-9  # looser than solve's 1e-10: alpha is itself a computed root
+_REGULAR_MARGIN = 1e-4  # keeps beta far above the rounding of the critical values
+_REGULAR_TRIES = 1000  # the discs the margin excludes cover about 1e-7 of the disk
+_ORIGIN_TOL = 1e-9  # far above the rounding of a merged root at the origin
+# interior_fixed_point: orbits to an interior point converge geometrically
+_ORBIT_STEPS, _ORBIT_TOL, _ORBIT_MARGIN = 400, 1e-12, 1e-6
+
 
 @dataclass
 class PreimageSet:
@@ -61,12 +68,7 @@ def _equation_polynomial(b: BlaschkeProduct, beta: complex) -> Polynomial:
     return poly_sub(p, poly_scale(q, beta))
 
 
-def solve_blaschke_equation(
-    b: BlaschkeProduct,
-    beta,
-    tol: float = 1e-10,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-) -> PreimageSet:
+def solve_blaschke_equation(b: BlaschkeProduct, beta, tol: float = 1e-10) -> PreimageSet:
     """All deg(B) preimages of ``beta`` under ``b``, with multiplicities.
 
     Raises :class:`ResidualFailure` if a claimed root fails |B(z) - beta| <= tol.
@@ -77,7 +79,7 @@ def solve_blaschke_equation(
     if abs(beta) >= 1.0:
         raise DomainError("target values must lie in the open disk")
     eq = _equation_polynomial(b, beta)
-    rs = poly_roots(eq, cluster_radius)
+    rs = poly_roots(eq)
     if rs.total_multiplicity != b.degree:
         raise ResidualFailure(
             f"expected {b.degree} preimages, root finder produced "
@@ -88,25 +90,14 @@ def solve_blaschke_equation(
         raise ResidualFailure(
             f"preimage residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )
-    values = rs.values()
-    sep_ok = all(
-        abs(values[i] - values[j]) > cluster_radius
-        for i in range(len(values))
-        for j in range(i + 1, len(values))
-    )
-    all_distinct = sep_ok and all(m == 1 for _, m in rs.roots)
-    return PreimageSet(beta, rs, all_distinct)
+    return PreimageSet(beta, rs, all(m == 1 for _, m in rs.roots))
 
 
-def critical_values(
-    b: BlaschkeProduct,
-    tol: float = 1e-9,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-) -> list:
+def critical_values(b: BlaschkeProduct) -> list:
     """Values of ``b`` at its critical points in the closed disk.
 
     Critical points are the roots of P'Q - PQ'; points outside the closed
-    disk are discarded.
+    disk, widened by ``DEFAULT_BOUNDARY_TOL``, are discarded.
     """
     if b.degree < 1:
         raise DegenerateSymbol("critical values need a nonconstant Blaschke product")
@@ -116,31 +107,26 @@ def critical_values(
         raise DegenerateSymbol("derivative numerator vanished identically")
     if num.degree == 0:
         return []
-    rs = poly_roots(num, cluster_radius)
-    vals = [complex(b(v)) for v, _ in rs.roots if abs(v) <= 1.0 + tol]
+    rs = poly_roots(num)
+    vals = [complex(b(v)) for v, _ in rs.roots if abs(v) <= 1.0 + DEFAULT_BOUNDARY_TOL]
     vals.sort(key=lambda w: (w.real, w.imag))
     return vals
 
 
-def sample_regular_value(
-    b: BlaschkeProduct,
-    seed: int,
-    margin: float = 1e-4,
-    max_tries: int = 1000,
-) -> complex:
+def sample_regular_value(b: BlaschkeProduct, seed: int) -> complex:
     """Deterministically draw beta in the disk, away from every critical value,
-    from the origin and from the boundary by at least ``margin``."""
+    from the origin and from the boundary by at least ``_REGULAR_MARGIN``."""
     crit = critical_values(b)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        r = math.sqrt(rng.uniform()) * (1.0 - 2.0 * margin)
+    for _ in range(_REGULAR_TRIES):
+        r = math.sqrt(rng.uniform()) * (1.0 - 2.0 * _REGULAR_MARGIN)
         beta = r * np.exp(2j * np.pi * rng.uniform())
         beta = complex(beta)
-        if abs(beta) <= margin:
+        if abs(beta) <= _REGULAR_MARGIN:
             continue
-        if all(abs(beta - c) > margin for c in crit):
+        if all(abs(beta - c) > _REGULAR_MARGIN for c in crit):
             return beta
-    raise ExhaustedRetries(f"no regular value found in {max_tries} draws")
+    raise ExhaustedRetries(f"no regular value found in {_REGULAR_TRIES} draws")
 
 
 def _fit_rotation(origin_order, zeros, target) -> BlaschkeProduct:
@@ -159,23 +145,18 @@ def _fit_rotation(origin_order, zeros, target) -> BlaschkeProduct:
     )
 
 
-def _split_origin(rs: RootSet, origin_tol: float = 1e-9):
+def _split_origin(rs: RootSet):
     origin = 0
     zeros = []
     for v, m in rs.roots:
-        if abs(v) < origin_tol:
+        if abs(v) < _ORIGIN_TOL:
             origin += m
         else:
             zeros.append((v, m))
     return origin, zeros
 
 
-def frostman_transform(
-    b: BlaschkeProduct,
-    lam,
-    tol: float = 1e-8,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-):
+def frostman_transform(b: BlaschkeProduct, lam, tol: float = 1e-8):
     """tau_lam . b as a Blaschke product, plus a simple-zero flag.
 
     The zeros of the transform are the preimages of ``lam`` under ``b``;
@@ -186,7 +167,7 @@ def frostman_transform(
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise DomainError("Frostman parameter must lie in the open disk")
-    pre = solve_blaschke_equation(b, lam, tol=max(tol, 1e-10), cluster_radius=cluster_radius)
+    pre = solve_blaschke_equation(b, lam, tol=max(tol, 1e-10))
     origin, zeros = _split_origin(pre.solutions)
     tau = MobiusMap.disk_involution(lam)
     result = _fit_rotation(origin, zeros, lambda z: tau(b(z)))
@@ -194,12 +175,7 @@ def frostman_transform(
     return result, simple
 
 
-def conjugate_by_automorphism(
-    b: BlaschkeProduct,
-    alpha,
-    tol: float = 1e-10,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-) -> BlaschkeProduct:
+def conjugate_by_automorphism(b: BlaschkeProduct, alpha) -> BlaschkeProduct:
     """tau_alpha . b . tau_alpha as a Blaschke product.
 
     Its zeros are tau_alpha applied to the preimages of ``alpha``; in
@@ -208,7 +184,7 @@ def conjugate_by_automorphism(
     """
     alpha = complex(alpha)
     tau = MobiusMap.disk_involution(alpha)
-    pre = solve_blaschke_equation(b, alpha, tol=max(tol, 1e-9), cluster_radius=cluster_radius)
+    pre = solve_blaschke_equation(b, alpha, tol=_CONJUGATION_RESIDUAL)
     moved = RootSet(
         [(complex(tau(v)), m) for v, m in pre.solutions.roots],
         pre.solutions.residual_bound,
@@ -217,8 +193,9 @@ def conjugate_by_automorphism(
     return _fit_rotation(origin, zeros, lambda z: tau(b(tau(z))))
 
 
-def fixed_points_in_disk(phi, tol: float = 1e-9, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
-    """Solutions of phi(z) = z strictly inside the disk, with phi'(z) at each.
+def fixed_points_in_disk(phi):
+    """Solutions of phi(z) = z inside the disk, off the ``DEFAULT_BOUNDARY_TOL``
+    band at the circle, with phi'(z) at each.
 
     ``phi`` is a Blaschke product or a Mobius map; either reduces to
     polynomial roots.  A holomorphic self-map has at most one interior
@@ -237,11 +214,11 @@ def fixed_points_in_disk(phi, tol: float = 1e-9, cluster_radius: float = DEFAULT
         raise DegenerateSymbol("identity map: every point is fixed")
     if fp.degree == 0:
         return []
-    rs = poly_roots(fp, cluster_radius)
+    rs = poly_roots(fp)
     out = [
         (v, complex(deriv(v)))
         for v, _ in rs.roots
-        if abs(v) < 1.0 - tol
+        if abs(v) < 1.0 - DEFAULT_BOUNDARY_TOL
     ]
     if len(out) > 1:
         warnings.warn(
@@ -251,41 +228,32 @@ def fixed_points_in_disk(phi, tol: float = 1e-9, cluster_radius: float = DEFAULT
     return out
 
 
-def interior_fixed_point(
-    f,
-    derivative=None,
-    start: complex = 0.0,
-    max_iter: int = 400,
-    tol: float = 1e-12,
-    interior_margin: float = 1e-6,
-):
+def interior_fixed_point(f, derivative):
     """Attracting interior fixed point of a non-automorphic self-map, or None.
 
-    Plain forward iteration (the orbit converges to the attracting point
-    whenever it lies inside), followed by a few Newton polish steps when a
-    derivative is supplied.  Returns None when the orbit drifts to the
-    boundary instead.
+    Plain forward iteration from 0 (the orbit converges to the attracting
+    point whenever it lies inside), followed by a few Newton polish steps.
+    Returns None when the orbit drifts to the boundary instead.
     """
-    z = complex(start)
-    for _ in range(max_iter):
+    z = 0.0 + 0.0j
+    for _ in range(_ORBIT_STEPS):
         nz = complex(np.asarray(f(z)))
-        if abs(nz) > 1.0 - interior_margin:
+        if abs(nz) > 1.0 - _ORBIT_MARGIN:
             return None
-        if abs(nz - z) < 1e2 * tol:
+        if abs(nz - z) < 1e2 * _ORBIT_TOL:
             z = nz
             break
         z = nz
     else:
         return None
-    if derivative is not None:
-        for _ in range(4):
-            fz = complex(np.asarray(f(z)))
-            dz = complex(np.asarray(derivative(z)))
-            denom = dz - 1.0
-            if abs(denom) < 1e-14:
-                break
-            z = z - (fz - z) / denom
-    if abs(complex(np.asarray(f(z))) - z) > 1e3 * tol:
+    for _ in range(4):
+        fz = complex(np.asarray(f(z)))
+        dz = complex(np.asarray(derivative(z)))
+        denom = dz - 1.0
+        if abs(denom) < 1e-14:
+            break
+        z = z - (fz - z) / denom
+    if abs(complex(np.asarray(f(z))) - z) > 1e3 * _ORBIT_TOL:
         return None
     return z
 

@@ -101,15 +101,13 @@ class EmbeddabilityReport:
     verdict: Verdict
     governing_result: str
     semigroup: object | None = None
-    semigroup_descriptor: str | None = None
     notes: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.semigroup is not None and self.semigroup_descriptor is None:
-            self.semigroup_descriptor = getattr(
-                self.semigroup, "descriptor", None
-            ) or getattr(self.semigroup, "construction", type(self.semigroup).__name__)
+    @property
+    def semigroup_descriptor(self) -> str | None:
+        """The ``descriptor`` of the constructed flow, None without one."""
+        return None if self.semigroup is None else self.semigroup.descriptor
 
 
 @dataclass
@@ -164,10 +162,8 @@ def _outer_part(sym: FactoredSymbol):
     f = sym.outer
     if f is None:
         return None, 1.0 + 0.0j
-    if f.is_constant:
-        if abs(abs(f.constant) - 1.0) <= _UNIMODULAR_TOL:
-            return None, f.constant  # unimodular constant: inner-trivial phase
-        return f, 1.0 + 0.0j
+    if f.is_constant and abs(abs(f.constant) - 1.0) <= _UNIMODULAR_TOL:
+        return None, f.constant  # unimodular constant: inner-trivial phase
     return f, 1.0 + 0.0j
 
 
@@ -414,8 +410,6 @@ def _mobius_of_degree_one(b: BlaschkeProduct):
     if b.origin_order == 1:
         return phase, 0.0, 0.0, 1.0
     (alpha, _), = b.zeros
-    if b.canonical_phases:
-        phase *= abs(alpha) / alpha
     return -phase, phase * alpha, -np.conj(alpha), 1.0
 
 

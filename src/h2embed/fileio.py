@@ -93,6 +93,14 @@ def _count(value, where: str) -> int:
     return int(x)
 
 
+def _list(obj: dict, key: str, where: str) -> list:
+    """The list at ``where``.``key``; an absent key is the empty list."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SymbolFileError(f"{where}.{key}: {value!r} is not a list")
+    return value
+
+
 def _complex_from(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise SymbolFileError(f"{where}: complex numbers are {{'re': x, 'im': y}} objects")
@@ -105,7 +113,7 @@ def _blaschke_from(obj, where: str) -> BlaschkeProduct:
     if not isinstance(obj, dict):
         raise SymbolFileError(f"{where}: expected an object")
     zeros = []
-    for i, z in enumerate(obj.get("zeros", [])):
+    for i, z in enumerate(_list(obj, "zeros", where)):
         if not isinstance(z, dict) or "mult" not in z:
             raise SymbolFileError(f"{where}.zeros[{i}]: expected re/im/mult fields")
         at = f"{where}.zeros[{i}]"
@@ -123,7 +131,7 @@ def _singular_from(obj, where: str) -> SingularInner:
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise SymbolFileError(f"{where}: expected an object with an 'atoms' list")
     pairs = []
-    for i, atom in enumerate(obj["atoms"]):
+    for i, atom in enumerate(_list(obj, "atoms", where)):
         if not isinstance(atom, dict) or set(atom) != {"angle", "mass"}:
             raise SymbolFileError(
                 f"{where}.atoms[{i}]: atoms are given by angle and mass only "
@@ -143,11 +151,11 @@ def _outer_from(obj, where: str) -> RationalOuter:
     constant = _complex_from(obj.get("constant", {"re": 1.0, "im": 0.0}), f"{where}.constant")
     conjugate_factors = [
         _complex_from(c, f"{where}.conjugate_factors[{i}]")
-        for i, c in enumerate(obj.get("conjugate_factors", []))
+        for i, c in enumerate(_list(obj, "conjugate_factors", where))
     ]
     exterior_zeros = [
         _complex_from(c, f"{where}.exterior_zeros[{i}]")
-        for i, c in enumerate(obj.get("exterior_zeros", []))
+        for i, c in enumerate(_list(obj, "exterior_zeros", where))
     ]
     try:
         return RationalOuter(
@@ -205,7 +213,10 @@ def parse_symbol_document(doc: dict) -> dict:
         singular = _singular_from(doc["singular"], "singular") if doc.get("singular") else None
         outer = _outer_from(doc["outer"], "outer") if doc.get("outer") else None
         out["symbol"] = FactoredSymbol(blaschke=blaschke, singular=singular, outer=outer)
-        out["declared_infinite_blaschke"] = bool(doc.get("declared_infinite_blaschke", False))
+        declared = doc.get("declared_infinite_blaschke", False)
+        if not isinstance(declared, bool):
+            raise SymbolFileError(f"declared_infinite_blaschke: {declared!r} is not true or false")
+        out["declared_infinite_blaschke"] = declared
     elif kind == "composition":
         given = [k for k in ("blaschke", "singular", "mobius") if doc.get(k)]
         if len(given) != 1:
@@ -220,7 +231,8 @@ def parse_symbol_document(doc: dict) -> dict:
         if not isinstance(body, dict) or "coeffs" not in body:
             raise SymbolFileError("polynomial: expected an object with a 'coeffs' list")
         coeffs = [
-            _complex_from(c, f"polynomial.coeffs[{i}]") for i, c in enumerate(body["coeffs"])
+            _complex_from(c, f"polynomial.coeffs[{i}]")
+            for i, c in enumerate(_list(body, "coeffs", "polynomial"))
         ]
         out["symbol"] = Polynomial(coeffs)
     elif kind == "mobius":
@@ -233,7 +245,10 @@ def parse_symbol_document(doc: dict) -> dict:
 
 
 def load_symbol_file(path) -> dict:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+        raise SymbolFileError(f"--input: {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

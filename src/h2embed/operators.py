@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .errors import AutomorphismInput, IllConditioned, IsometryDefect
 from .symbols import (
+    DEFAULT_RADIUS,
     BlaschkeProduct,
     _circle_points,
     _coefficients_from_samples,
@@ -33,8 +34,9 @@ __all__ = [
     "wold_decompose",
 ]
 
-DEFAULT_RADIUS = 0.9
 DEFAULT_RANK_TOL = 1e-8
+# boundary_gram's 2048 quadrature points: exact to rounding for Blaschke products
+_GRAM_POINTS = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
 
 
 @dataclass
@@ -50,7 +52,7 @@ class TruncatedOperator:
             raise ValueError("matrix shape does not match the truncation order")
 
 
-def composition_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> TruncatedOperator:
+def composition_matrix(phi, n: int) -> TruncatedOperator:
     """Compressed composition operator: column j holds the Taylor
     coefficients (below degree n) of phi**j.
 
@@ -58,12 +60,13 @@ def composition_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> Truncated
     previous row times the samples of phi, and extracted by one batched
     FFT; the amplification guard is scaled by max |phi| on that circle.
     """
-    vals = _sample(phi, _circle_points(n, radius))
+    r = DEFAULT_RADIUS
+    vals = _sample(phi, _circle_points(n, r))
     pw = np.empty((n, vals.size), dtype=complex)
     pw[0] = 1.0
     for j in range(1, n):
         pw[j] = pw[j - 1] * vals
-    coeffs = _coefficients_from_samples(pw[1:], n, radius, float(np.max(np.abs(vals))))
+    coeffs = _coefficients_from_samples(pw[1:], n, r, float(np.max(np.abs(vals))))
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
     out[:, 1:] = coeffs.T
@@ -79,14 +82,14 @@ def lower_toeplitz(c) -> TruncatedOperator:
     return TruncatedOperator(c.size, scipy.linalg.toeplitz(c, first_row))
 
 
-def toeplitz_matrix(phi, n: int, radius: float = DEFAULT_RADIUS) -> TruncatedOperator:
+def toeplitz_matrix(phi, n: int) -> TruncatedOperator:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with
     first column the Taylor coefficients of phi, extracted by
-    :func:`taylor_coefficients`."""
-    return lower_toeplitz(taylor_coefficients(phi, n, radius))
+    :func:`taylor_coefficients` at ``DEFAULT_RADIUS``."""
+    return lower_toeplitz(taylor_coefficients(phi, n))
 
 
-def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:
+def boundary_gram(phi, d: int) -> np.ndarray:
     """(d+1) x (d+1) Gram matrix of {phi^0, ..., phi^d} by circle quadrature.
 
     For an inner phi fixing the origin this is the identity, which is the
@@ -94,14 +97,11 @@ def boundary_gram(phi, d: int, samples: int = 2048) -> np.ndarray:
     The quadrature grid is offset by half a step so atoms of singular
     inner symbols at common angles are never hit.
     """
-    if samples < 1024 or (samples & (samples - 1)) != 0:
-        raise ValueError("sample count must be a power of two, at least 1024")
-    zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
-    vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
-    powers = np.ones((d + 1, samples), dtype=complex)
+    vals = np.asarray(circle_eval(phi, _GRAM_POINTS), dtype=complex)
+    powers = np.ones((d + 1, vals.size), dtype=complex)
     powers[1:] = vals
     powers = np.cumprod(powers, axis=0)
-    return powers @ powers.conj().T / samples
+    return powers @ powers.conj().T / vals.size
 
 
 @dataclass
@@ -218,7 +218,7 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
     (degree 4) is the identity to about 1e-15, so 1e-6 refuses the rest; a
     candidate already spanned by the taken columns keeps about 1e-15 of
     its norm, so 1e-7 takes only the rest; and the retention 1/2 is the
-    bound above.  ``c`` is sampled at ``DEFAULT_RADIUS``, kept as ``comp``.
+    bound above.  ``c`` is :func:`composition_matrix` of psi, kept as ``comp``.
     """
     g = boundary_gram(psi, _GRAM_DEGREE)
     defect = float(np.max(np.abs(g - np.eye(_GRAM_DEGREE + 1))))

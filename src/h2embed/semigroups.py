@@ -337,9 +337,9 @@ class OperatorSemigroupSample:
     def has_time(self, t: float) -> bool:
         return any(math.isclose(tt, t, rel_tol=0.0, abs_tol=1e-12) for tt in self.times)
 
-    def test_vectors(self, max_vectors: int | None = None) -> np.ndarray:
+    def test_vectors(self, count: int) -> np.ndarray:
         cols = np.eye(self.dim, dtype=complex) if self.embedding is None else self.embedding
-        return cols[:, :max_vectors]
+        return cols[:, :count]
 
 
 def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:

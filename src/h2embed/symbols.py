@@ -29,8 +29,8 @@ from .errors import (
 )
 from .polynomials import (
     DEFAULT_BOUNDARY_TOL,
-    DEFAULT_CLUSTER_RADIUS,
     Polynomial,
+    poly_derivative,
     poly_mul,
     poly_pow,
     poly_roots,
@@ -54,6 +54,10 @@ __all__ = [
 
 _POLE_TOL = 1e-14
 _OUTER_MODULUS_SLACK = 1e-8
+DEFAULT_RADIUS = 0.9  # FFT sampling radius: _ERROR_BUDGET allows n <= 168 at scale 1
+_ERROR_BUDGET = 1e-8  # rounding amplification accepted: half the digits of a double
+# is_disk_automorphism tests 64 circle points; three already fix a Mobius image circle
+_AUTOMORPHISM_PROBES = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
 
 
 def _as_points(z):
@@ -74,16 +78,14 @@ class BlaschkeProduct:
     """Finite Blaschke product: rotation, origin zero order, nonzero zeros.
 
     ``zeros`` is a list of (alpha, multiplicity) with 0 < |alpha| < 1; a
-    zero at the origin lives in ``origin_order`` only.  By default each
-    factor is the plain (alpha - z)/(1 - conj(alpha) z); setting
-    ``canonical_phases`` multiplies in the classical |alpha|/alpha phase
-    per factor.  The explicit ``rotation`` disambiguates either way.
+    zero at the origin lives in ``origin_order`` only.  Each factor is the
+    plain (alpha - z)/(1 - conj(alpha) z), without the classical
+    |alpha|/alpha phase; the explicit ``rotation`` carries the phase.
     """
 
     rotation: float = 0.0
     origin_order: int = 0
     zeros: list = field(default_factory=list)
-    canonical_phases: bool = False
 
     def __post_init__(self):
         self.origin_order = _integral(self.origin_order, "origin_order")
@@ -111,16 +113,9 @@ class BlaschkeProduct:
     def is_trivial(self) -> bool:
         return self.degree == 0
 
-    def _phase(self) -> complex:
-        c = cmath.exp(1j * self.rotation)
-        if self.canonical_phases:
-            for alpha, m in self.zeros:
-                c *= (abs(alpha) / alpha) ** m
-        return c
-
     def __call__(self, z):
         z = _as_points(z)
-        out = np.full_like(z, self._phase())
+        out = np.full_like(z, cmath.exp(1j * self.rotation))
         if self.origin_order:
             out = out * z**self.origin_order
         for alpha, m in self.zeros:
@@ -132,7 +127,7 @@ class BlaschkeProduct:
 
     def numerator_denominator(self):
         """Polynomials (P, Q) with B = P/Q, including phase and origin factor."""
-        num = Polynomial([self._phase()])
+        num = Polynomial([cmath.exp(1j * self.rotation)])
         if self.origin_order:
             num = poly_mul(num, Polynomial([0] * self.origin_order + [1]))
         den = Polynomial([1.0])
@@ -144,8 +139,7 @@ class BlaschkeProduct:
     def derivative(self, z):
         z = _as_points(z)
         p, q = self.numerator_denominator()
-        dp = Polynomial(npoly.polyder(p.coeffs)) if p.degree > 0 else Polynomial([])
-        dq = Polynomial(npoly.polyder(q.coeffs)) if q.degree > 0 else Polynomial([])
+        dp, dq = poly_derivative(p), poly_derivative(q)
         qz = q(z)
         if np.any(np.abs(qz) < _POLE_TOL):
             raise PoleHit("derivative evaluation at a pole")
@@ -346,11 +340,10 @@ class MobiusMap:
             raise DomainError("involution center must lie in the open disk")
         return cls(-1.0, alpha, -np.conj(alpha), 1.0)
 
-    def is_disk_automorphism(self, samples: int = 64, tol: float = 1e-9) -> bool:
+    def is_disk_automorphism(self, tol: float = 1e-9) -> bool:
         """Numerical test: boundary maps to boundary and the origin stays inside."""
         try:
-            zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
-            on_circle = np.max(np.abs(np.abs(self(zeta)) - 1.0)) <= tol
+            on_circle = np.max(np.abs(np.abs(self(_AUTOMORPHISM_PROBES)) - 1.0)) <= tol
             return bool(on_circle and abs(complex(self(0.0))) < 1.0)
         except PoleHit:
             return False
@@ -429,11 +422,7 @@ def circle_eval(sym, z):
     return sym(z)
 
 
-def factor_polynomial(
-    p,
-    tol: float = DEFAULT_BOUNDARY_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-):
+def factor_polynomial(p, tol: float = DEFAULT_BOUNDARY_TOL):
     """Split a polynomial as Blaschke part times rational outer part.
 
     Zeros strictly inside the disk become Blaschke zeros, with the
@@ -448,7 +437,7 @@ def factor_polynomial(
     if p.degree == 0:
         return BlaschkeProduct(), RationalOuter(constant=leading)
 
-    rs = poly_roots(p, cluster_radius)
+    rs = poly_roots(p)
     part = roots_in_disk(rs, tol)
     if part.boundary:
         warnings.warn(
@@ -522,7 +511,7 @@ def _circle_points(n: int, radius: float) -> np.ndarray:
 
 
 def _coefficients_from_samples(
-    samples: np.ndarray, n: int, radius: float, scale: float, error_budget: float = 1e-8
+    samples: np.ndarray, n: int, radius: float, scale: float
 ) -> np.ndarray:
     """First ``n`` Taylor coefficients of each function sampled along the
     last axis of ``samples`` at the points of :func:`_circle_points`.
@@ -531,14 +520,14 @@ def _coefficients_from_samples(
     stays below the eps-relative rounding of the FFT.  Coefficient k is
     the k-th FFT term over m, rescaled by radius**(-k), which amplifies
     that rounding as well.  Guard: raises :class:`IllConditioned` when
-    radius**(-(n-1)) * eps * max(1, scale) exceeds ``error_budget``.
+    radius**(-(n-1)) * eps * max(1, scale) exceeds ``_ERROR_BUDGET``.
     ``scale`` is the caller's bound on the sampled function; for powers
     phi**j it stays max |phi| on the circle.
     """
     eps = float(np.finfo(float).eps)
-    if radius ** (-(n - 1)) * eps * max(1.0, scale) > error_budget:
+    if radius ** (-(n - 1)) * eps * max(1.0, scale) > _ERROR_BUDGET:
         raise IllConditioned(
-            f"radius**-(n-1) amplification exceeds the error budget {error_budget}; "
+            f"radius**-(n-1) amplification exceeds the error budget {_ERROR_BUDGET}; "
             "raise the radius or lower n"
         )
     powers = radius ** (-np.arange(n, dtype=float))
@@ -548,10 +537,9 @@ def _coefficients_from_samples(
 def taylor_coefficients(
     f,
     n: int,
-    radius: float = 0.9,
+    radius: float = DEFAULT_RADIUS,
     *,
     return_errors: bool = False,
-    error_budget: float = 1e-8,
 ):
     """First ``n`` Taylor coefficients of a disk-analytic symbol.
 
@@ -567,7 +555,7 @@ def taylor_coefficients(
         raise ValueError("need at least one coefficient")
     vals = _sample(f, _circle_points(n, radius))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    coeffs = _coefficients_from_samples(vals, n, radius, scale, error_budget)
+    coeffs = _coefficients_from_samples(vals, n, radius, scale)
     if not return_errors:
         return coeffs
     m = vals.size

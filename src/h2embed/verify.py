@@ -3,13 +3,13 @@
 Every check returns a :class:`VerificationRecord`: a named defect, the
 threshold it was held to, witnesses for the worst offenders, and a pass
 flag.  Thresholds are parameters, except the Wold check's wandering bound,
-the one its basis is built to.  A check that does not apply to a sample
-(isometry of a non-isometric flow, Wold reconstruction of an automorphism)
-reports ``applicable=False`` and never fails.
+the one its basis is built to, and the continuity check's monotonicity
+slack.  A check that does not apply to a sample (isometry of a
+non-isometric flow, Wold reconstruction of an automorphism) reports
+``applicable=False`` and never fails.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +30,11 @@ __all__ = [
     "check_strong_continuity",
     "check_wold_reconstruction",
 ]
+
+_NORM_VECTORS = 9  # the lowest-degree resolved vectors, which truncation disturbs least
+_CONTINUITY_VECTORS = 4  # test vectors of the continuity check
+_MONOTONE_SLACK = 1e-10  # rise of ||V_t x - x|| toward t = 0 forgiven as rounding
+_WOLD_STEP = 0.5  # half-line grid step of the Wold check: the semigroup default
 
 
 @dataclass
@@ -88,13 +93,13 @@ def check_semigroup_law(
 
 
 def _column_norm_record(
-    name: str, sample: OperatorSemigroupSample, tol: float, max_vectors, defect_of
+    name: str, sample: OperatorSemigroupSample, tol: float, defect_of
 ) -> VerificationRecord:
-    """Worst ``defect_of(||V_t x||)`` over sampled times and resolved test
-    vectors; not applicable to samples not isometric by construction."""
+    """Worst ``defect_of(||V_t x||)`` over sampled times and the first resolved
+    test vectors; not applicable to samples not isometric by construction."""
     if not sample.isometric:
         return _inapplicable(name, tol, "sample is not isometric by construction")
-    vecs = sample.test_vectors(max_vectors)
+    vecs = sample.test_vectors(_NORM_VECTORS)
     witnesses = []
     worst = 0.0
     for t in sample.times:
@@ -106,45 +111,31 @@ def _column_norm_record(
     return VerificationRecord(name, worst, tol, worst <= tol, witnesses[:5])
 
 
-def check_isometry(
-    sample: OperatorSemigroupSample, tol: float, max_vectors: int | None = None
-) -> VerificationRecord:
+def check_isometry(sample: OperatorSemigroupSample, tol: float) -> VerificationRecord:
     """max over sampled times and resolved test vectors of | ||V_t x|| - 1 |.
 
     Not applicable to samples that are not isometric by construction."""
-    return _column_norm_record(
-        "isometry", sample, tol, max_vectors, lambda norms: np.abs(norms - 1.0)
-    )
+    return _column_norm_record("isometry", sample, tol, lambda norms: np.abs(norms - 1.0))
 
 
 def check_noncompactness_proxy(
-    sample: OperatorSemigroupSample, tol: float, max_vectors: int | None = None
+    sample: OperatorSemigroupSample, tol: float
 ) -> VerificationRecord:
     """Certifies ||V_t e_n|| >= 1 - tol on the resolved orthonormal vectors:
     the uniform lower bound a compact operator cannot sustain."""
-    return _column_norm_record(
-        "noncompactness-proxy", sample, tol, max_vectors, lambda norms: 1.0 - norms
-    )
+    return _column_norm_record("noncompactness-proxy", sample, tol, lambda norms: 1.0 - norms)
 
 
-def check_strong_continuity(
-    sample: OperatorSemigroupSample,
-    test_vectors: np.ndarray | None,
-    tol: float,
-    monotone_slack: float = 1e-10,
-) -> VerificationRecord:
+def check_strong_continuity(sample: OperatorSemigroupSample, tol: float) -> VerificationRecord:
     """Along the sample's times sorted downward, ||V_t x - x|| must be
-    nonincreasing (within the slack) and end below the tolerance."""
+    nonincreasing (within ``_MONOTONE_SLACK``) and end below the tolerance,
+    for the first ``_CONTINUITY_VECTORS`` resolved test vectors x."""
     times = sorted((t for t in sample.times if t > 0), reverse=True)
     if len(times) < 2:
         return _inapplicable(
             "strong-continuity", tol, "need at least two positive times"
         )
-    if test_vectors is None:
-        test_vectors = sample.test_vectors(4)
-    test_vectors = np.atleast_2d(np.asarray(test_vectors, dtype=complex))
-    if test_vectors.shape[0] != sample.dim:
-        test_vectors = test_vectors.T
+    test_vectors = sample.test_vectors(_CONTINUITY_VECTORS)
     witnesses = []
     worst = 0.0
     for j in range(test_vectors.shape[1]):
@@ -158,7 +149,7 @@ def check_strong_continuity(
         defect = max(final, increase)
         witnesses.append((f"vector {j}", defect))
         worst = max(worst, defect)
-        if increase > monotone_slack:
+        if increase > _MONOTONE_SLACK:
             worst = max(worst, tol + increase)  # monotonicity violation fails outright
     witnesses.sort(key=lambda w: -w[1])
     return VerificationRecord(
@@ -166,7 +157,7 @@ def check_strong_continuity(
     )
 
 
-def check_wold_reconstruction(psi, n: int, tol: float, *, h: float = 0.5) -> VerificationRecord:
+def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
     """Completeness, orthonormality, wandering and time-1 agreement of the
     Wold/shift embedding of C_psi.  Automorphism symbols are inapplicable
     (their composition operator is unitary: no wandering part to
@@ -178,7 +169,7 @@ def check_wold_reconstruction(psi, n: int, tol: float, *, h: float = 0.5) -> Ver
     witnesses to ``tol``.  ``details`` says how many resolved columns the
     time-1 comparison covered, out of all of them."""
     try:
-        sample = embed_isometric_composition(psi, (0.0, 1.0), n, h)
+        sample = embed_isometric_composition(psi, (0.0, 1.0), n, _WOLD_STEP)
     except AutomorphismInput as exc:
         return _inapplicable("wold-reconstruction", tol, str(exc))
     wold = sample.meta["wold"]

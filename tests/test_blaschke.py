@@ -11,7 +11,7 @@ from h2embed.blaschke import (
     sample_regular_value,
     solve_blaschke_equation,
 )
-from h2embed.errors import DomainError, NotContractive
+from h2embed.errors import DomainError, ExhaustedRetries, NotContractive
 from h2embed.symbols import BlaschkeProduct, MobiusMap, SingularInner, SingularMeasure
 
 
@@ -80,6 +80,15 @@ class TestRegularValue:
     def test_deterministic(self):
         b = BlaschkeProduct(zeros=[(0.4, 1)])
         assert sample_regular_value(b, seed=9) == sample_regular_value(b, seed=9)
+
+    def test_draws_within_the_margin_exhaust_the_retries(self, monkeypatch):
+        class Origin:  # every draw lands on the origin, within the margin
+            def uniform(self):
+                return 0.0
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Origin())
+        with pytest.raises(ExhaustedRetries):
+            sample_regular_value(BlaschkeProduct(origin_order=2), seed=0)
 
 
 class TestFrostman:

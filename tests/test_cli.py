@@ -593,6 +593,81 @@ def test_blaschke_counts_written_as_integral_floats_are_read(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "composition", "blaschke": {"zeros": 5}}, "blaschke.zeros"),
+        ({"kind": "composition", "blaschke": {"zeros": None}}, "blaschke.zeros"),
+        ({"kind": "composition", "singular": {"atoms": 5}}, "singular.atoms"),
+        ({"kind": "toeplitz", "outer": {"conjugate_factors": 5}}, "outer.conjugate_factors"),
+        ({"kind": "toeplitz", "outer": {"exterior_zeros": 5}}, "outer.exterior_zeros"),
+        ({"kind": "polynomial", "polynomial": {"coeffs": 5}}, "polynomial.coeffs"),
+    ],
+    ids=["zeros", "zeros null", "atoms", "conjugate_factors", "exterior_zeros", "coeffs"],
+)
+def test_exit_2_symbol_list_that_is_not_a_list(tmp_path, capsys, doc, field):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "declared, verdict",
+    [(True, "Embeddable"), (False, "NotEmbeddable"), ("no", None), (None, None), (1, None)],
+)
+def test_declared_infinite_blaschke_is_a_json_boolean(tmp_path, capsys, declared, verdict):
+    path = tmp_path / "sym.json"
+    doc = {"kind": "toeplitz", "blaschke": {"origin_order": 1}}
+    path.write_text(json.dumps(dict(doc, declared_infinite_blaschke=declared)))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    if verdict is None:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: malformed input: declared_infinite_blaschke: ")
+    else:
+        assert (rc, json.loads(out)["verdict"]) == (0, verdict)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not UTF-8"])
+def test_exit_2_unusable_input_path(tmp_path, capsys, case):
+    path = tmp_path / "sym.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b'{"kind": "\xff"}')
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: --input: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("analyze", "directory"), ("analyze", "missing directory"), ("semigroup", "file")],
+)
+def test_exit_2_unusable_output_path(tmp_path, capsys, command, case):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    out = {"directory": tmp_path, "missing directory": tmp_path / "no" / "doc.json",
+           "file": path}[case]
+    rc, stdout, err = _run([command, "--input", str(path), "--n", "16", "--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: malformed input: --out: {out}: ")
+
+
+def test_solve_reports_a_triple_zero_once(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    zero = {"re": 0.5, "im": 0.2, "mult": 3}
+    path.write_text(json.dumps({"kind": "composition", "blaschke": {"zeros": [zero]}}))
+    rc, out, _ = _run(["solve", "--input", str(path), "--beta", "0"], capsys)
+    doc = json.loads(out)
+    assert rc == 0 and doc["all_distinct"] is False
+    (root,) = doc["roots"]
+    # the three companion roots scatter by about 1e-5, but their centroid
+    # moves only linearly with the rounding
+    assert root["mult"] == 3 and abs(complex(root["re"], root["im"]) - (0.5 + 0.2j)) < 1e-12
+
+
 Z2_DOC ={"kind": "composition", "blaschke": {"origin_order": 2}}
 
 
@@ -624,6 +699,14 @@ def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):
     rc, out, err = _run(["verify", "--input", str(path)], capsys)
     assert (rc, out) == (3, "")
     assert err == "error: verdict carries no concrete construction (inner-toeplitz-dichotomy)\n"
+
+
+def test_exit_4_residual_failure(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    rc, out, err = _run(["solve", "--input", str(path), "--beta", "0.3", "--tol", "1e-30"], capsys)
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: ResidualFailure: preimage residual ")
 
 
 def test_exit_4_numeric_failure(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from h2embed.operators import (
     wold_decompose,
 )
 from h2embed.symbols import (
+    DEFAULT_RADIUS,
     BlaschkeProduct,
     MobiusMap,
     PowerSeries,
@@ -164,7 +165,7 @@ class TestCompositionMatrix:
     def test_exact_series_of_blaschke_powers(self):
         # psi = z (1/2 - z)/(1 - z/2): column j holds the series of psi^j,
         # which has a zero of order j, so the matrix is lower triangular.
-        n, r = 16, 0.9
+        n, r = 16, DEFAULT_RADIUS
         half = Fraction(1, 2)
         base = [Fraction(0), half] + [
             half ** (k + 1) - half ** (k - 1) for k in range(1, n - 1)
@@ -176,7 +177,7 @@ class TestCompositionMatrix:
                 [sum(prev[i] * base[k - i] for i in range(k + 1)) for k in range(n)]
             )
         exact = np.array([[float(col[k]) for col in cols] for k in range(n)])
-        c = composition_matrix(PSI, n, radius=r).matrix
+        c = composition_matrix(PSI, n).matrix
         # Rounding bound: the FFT of m = 512 samples errs by at most
         # 3 log2(m) eps = 27 eps relative in norm (Higham, Accuracy and
         # Stability, Thm 24.2).  A computed sample of psi is off by at most
@@ -241,19 +242,18 @@ class TestKernelVector:
 
 class TestBoundaryGram:
     def test_identity_for_shift(self):
-        g = boundary_gram(BlaschkeProduct(origin_order=1), 3, 1024)
+        g = boundary_gram(BlaschkeProduct(origin_order=1), 3)
         assert np.max(np.abs(g - np.eye(4))) < 1e-12
 
     def test_identity_for_square(self):
-        g = boundary_gram(SQUARE, 3, 1024)
+        g = boundary_gram(SQUARE, 3)
         assert np.max(np.abs(g - np.eye(4))) < 1e-10
 
     def test_blaschke_with_origin_zero_and_quadrature_convergence(self):
+        # the trapezoidal error of the Gram entries decays like 0.5**m in the
+        # point count m, so the 2048-point quadrature is exact to rounding
         b = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
-        g1 = boundary_gram(b, 4, 1024)
-        g2 = boundary_gram(b, 4, 2048)
-        assert np.max(np.abs(g1 - np.eye(5))) < 1e-8
-        assert np.max(np.abs(g1 - g2)) < 1e-10
+        assert np.max(np.abs(boundary_gram(b, 4) - np.eye(5))) <= 1e-12
 
     @pytest.mark.parametrize(
         "phi",
@@ -271,11 +271,7 @@ class TestBoundaryGram:
         # |phi| <= 1 on the circle, so either order of summing the 2048
         # products is within samples * eps of the exact mean
         tol = samples * np.finfo(float).eps
-        assert np.max(np.abs(boundary_gram(phi, 4, samples) - want)) <= tol
-
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            boundary_gram(SQUARE, 2, 1000)
+        assert np.max(np.abs(boundary_gram(phi, 4) - want)) <= tol
 
 
 def _codim(op: TruncatedOperator, tol: float = 1e-8) -> int:

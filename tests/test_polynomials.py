@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from h2embed.errors import ZeroPolynomial
 from h2embed.polynomials import (
     Polynomial,
-    poly_add,
     poly_derivative,
     poly_mul,
+    poly_pow,
     poly_roots,
     poly_scale,
+    poly_sub,
     roots_in_disk,
 )
 
@@ -54,11 +55,26 @@ def test_triple_root_against_symbolic_expansion():
     # oracle: expand (z - 1)^3 symbolically
     cube = poly_mul(poly_mul(Polynomial([-1, 1]), Polynomial([-1, 1])), Polynomial([-1, 1]))
     assert np.allclose(cube.coeffs, [-1, 3, -3, 1])
-    # companion roots of a triple root scatter ~eps**(1/3); widen the merge radius
-    rs = poly_roots(cube, cluster_radius=1e-4)
+    # companion roots of a triple root scatter ~eps**(1/3)
+    rs = poly_roots(cube)
     assert len(rs.roots) == 1
     v, m = rs.roots[0]
     assert m == 3 and abs(v - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_multiple_root_next_to_a_simple_root_merges_once(k):
+    alpha = 0.5 + 0.2j
+    rs = poly_roots(poly_mul(poly_pow(Polynomial([-alpha, 1]), k), Polynomial([-2.0, 1])))
+    assert [m for _, m in rs.roots] == [k, 1]
+    assert abs(rs.roots[0][0] - alpha) < 1e-12 and abs(rs.roots[1][0] - 2.0) < 1e-12
+
+
+def test_simple_roots_1e_4_apart_stay_two_roots():
+    # a double root here scatters by about 3e-8, far below the gap
+    rs = poly_roots(poly_mul(Polynomial([-0.5, 1]), Polynomial([-0.5001, 1])))
+    assert [m for _, m in rs.roots] == [1, 1]
+    assert abs(rs.roots[1][0] - rs.roots[0][0] - 1e-4) < 1e-10
 
 
 def test_zero_polynomial_raises():
@@ -137,6 +153,6 @@ complex_ints = st.builds(
 def test_derivative_is_linear(pc, qc, a, b):
     # integer coefficients keep the float arithmetic exact
     p, q = Polynomial(pc), Polynomial(qc)
-    lhs = poly_derivative(poly_add(poly_scale(p, a), poly_scale(q, b)))
-    rhs = poly_add(poly_scale(poly_derivative(p), a), poly_scale(poly_derivative(q), b))
+    lhs = poly_derivative(poly_sub(poly_scale(p, a), poly_scale(q, -b)))
+    rhs = poly_sub(poly_scale(poly_derivative(p), a), poly_scale(poly_derivative(q), -b))
     assert lhs == rhs

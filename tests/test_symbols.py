@@ -6,6 +6,7 @@ from h2embed.errors import (
     DegenerateMap,
     DomainError,
     IllConditioned,
+    PoleHit,
 )
 from h2embed.polynomials import Polynomial, poly_mul
 from h2embed.symbols import (
@@ -19,6 +20,25 @@ from h2embed.symbols import (
     factor_polynomial,
     taylor_coefficients,
 )
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: BlaschkeProduct(zeros=[(0.3 + 0.4j, 1)])(1 / np.conj(0.3 + 0.4j)),
+        lambda: BlaschkeProduct(zeros=[(0.3 + 0.4j, 1)]).derivative(1 / np.conj(0.3 + 0.4j)),
+        lambda: MobiusMap(1.0, 0.0, 1.0, -2.0)(2.0),
+        lambda: MobiusMap(1.0, 0.0, 1.0, -2.0).derivative(2.0),
+        lambda: SingularInner(SingularMeasure.from_angles([(0.5, 1.0)])).boundary_value(
+            np.exp(0.5j)
+        ),
+    ],
+    ids=["blaschke at 1/conj(alpha)", "blaschke derivative", "mobius at its pole",
+         "mobius derivative", "singular boundary value at its atom"],
+)
+def test_evaluation_at_a_pole_raises(evaluate):
+    with pytest.raises(PoleHit):
+        evaluate()
 
 
 class TestBlaschke:
@@ -63,13 +83,6 @@ class TestBlaschke:
         b = BlaschkeProduct(origin_order=2.0, zeros=[(0.5, 1.0)])
         assert (b.origin_order, b.zeros, b.degree) == (2, [(0.5, 1)], 3)
         assert all(type(v) is int for v in (b.origin_order, b.zeros[0][1], b.degree))
-
-    def test_canonical_phase_convention(self):
-        alpha = 0.3 + 0.4j
-        plain = BlaschkeProduct(zeros=[(alpha, 1)])
-        canon = BlaschkeProduct(zeros=[(alpha, 1)], canonical_phases=True)
-        z = 0.2 + 0.1j
-        assert complex(canon(z)) == pytest.approx(complex(plain(z)) * abs(alpha) / alpha)
 
     def test_degree(self):
         b = BlaschkeProduct(origin_order=1, zeros=[(0.5, 2)])
