@@ -73,13 +73,12 @@ class NoConstruction(Exception):
     pass
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise SymbolFileError(f"cannot parse complex value {text!r}; use RE or RE,IM")
+    if len(parts) > 2:
+        raise SymbolFileError(f"{flag}: cannot parse complex value {text!r}; use RE or RE,IM")
+    im = _finite(parts[1], flag) if len(parts) == 2 else 0.0
+    return complex(_finite(parts[0], flag), im)
 
 
 def _time(value, where: str) -> float:
@@ -176,15 +175,26 @@ def _build_sample(parsed, report, args, times):
     if getattr(flow, "multiplicative", False):
         return sample_multiplication_flow(flow, times, args.n), flow
     if parsed["kind"] == "composition" and "fixed_point" in report.details:
-        sym, alpha = parsed["symbol"], report.details["fixed_point"]
-        if abs(alpha) < 1e-12:
-            psi = sym
-        elif isinstance(sym, BlaschkeProduct):
-            psi = conjugate_by_automorphism(sym, alpha)
-        else:
-            psi = ConjugatedSymbol(sym, alpha)
+        psi = _fixing_origin(parsed["symbol"], lambda: report.details["fixed_point"])
         return embed_isometric_composition(psi, times, args.n, args.h), None
     raise NoConstruction(report.governing_result)
+
+
+def _fixing_origin(sym, fixed_point):
+    """The composition symbol whose Wold decomposition the Wold/shift
+    construction uses: ``sym`` itself when it fixes 0, else
+    tau_alpha . sym . tau_alpha, which moves its interior fixed point alpha
+    to 0.  ``fixed_point()`` gives alpha, or None when there is none (then
+    ``sym`` is returned, and ``wold_decompose`` refuses it); it is called
+    only when sym(0) != 0."""
+    if complex(np.asarray(sym(0.0))) == 0:
+        return sym
+    alpha = fixed_point()
+    if alpha is None or abs(alpha) < 1e-12:
+        return sym
+    if isinstance(sym, BlaschkeProduct):
+        return conjugate_by_automorphism(sym, alpha)
+    return ConjugatedSymbol(sym, alpha)
 
 
 def _law_pairs(times):
@@ -268,7 +278,7 @@ def _blaschke_symbol(parsed, command: str) -> BlaschkeProduct:
 def cmd_solve(args) -> int:
     parsed = load_symbol_file(args.input)
     sym = _blaschke_symbol(parsed, "solve")
-    beta = _parse_complex(args.beta)
+    beta = _parse_complex(args.beta, "--beta")
     pre = solve_blaschke_equation(sym, beta, tol=args.tol)
     doc = {
         "target": beta,
@@ -284,7 +294,7 @@ def cmd_solve(args) -> int:
 def cmd_frostman(args) -> int:
     parsed = load_symbol_file(args.input)
     sym = _blaschke_symbol(parsed, "frostman")
-    lam = _parse_complex(args.lam)
+    lam = _parse_complex(args.lam, "--lam")
     result, simple = frostman_transform(sym, lam, tol=args.tol)
     tau = MobiusMap.disk_involution(lam)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
@@ -305,7 +315,11 @@ def cmd_wold(args) -> int:
     parsed = load_symbol_file(args.input)
     if parsed["kind"] != "composition":
         raise SymbolFileError("wold needs a composition symbol file")
-    wold = wold_decompose(parsed["symbol"], args.n)
+    sym = parsed["symbol"]
+    psi = _fixing_origin(
+        sym, lambda: decide_composition(sym, tol=args.tol).details.get("fixed_point")
+    )
+    wold = wold_decompose(psi, args.n)
     levels = []
     for basis in wold.levels:
         levels.append(
@@ -448,10 +462,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
+_COMPLEX_FLAGS = ("--beta", "--lam")
+_LEADING = tuple("0123456789.")
+
+
+def _attach_complex_values(argv) -> list:
+    """``argv`` with ``--beta V`` and ``--lam V`` spelt ``--beta=V`` when V
+    starts with '-' and a digit or '.': argparse reads a separate value
+    such as -0.2,-0.5 as an unknown option (only a plain negative number
+    passes), and no option of this parser starts that way."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _COMPLEX_FLAGS and token[:1] == "-" and token[1:2] in _LEADING:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _PARSER.parse_args(_attach_complex_values(argv))
     if args.n < 4:
         print("error: --n must be at least 4", file=sys.stderr)
         return EXIT_PARSE

@@ -32,6 +32,17 @@ tolerance).  Lines end in ``\r\n``.
     0                   sample): dim integer lines; row i of V x is row
     -1                  ``src[i]`` of x, and 0 where ``src[i]`` is -1
     ...
+
+A dense file is written and read per distinct entry: the writer formats
+each distinct bit pattern once (-0.0 stays apart from 0.0) and places its
+line by index, and the reader checks and parses each distinct line once
+and scatters the values back.  That is what makes the files of
+multiplication flows cheap: V_t = T_{f_t} is an analytic Toeplitz matrix,
+constant along diagonals, so its dim**2 entries take at most dim + 1
+distinct values (2 for the identity at t = 0).  A dense file whose entries
+are all distinct costs what it did per entry.  Entries must be finite: a
+NaN or infinite part is refused, naming the first line that holds one,
+as a symbol file refuses a non-finite number.
 """
 from __future__ import annotations
 
@@ -275,8 +286,12 @@ def dump_matrix_csv(path, matrix: np.ndarray):
         lines = [INDEX_HEADER, *map(str, matrix.tolist())]
     else:
         flat = np.asarray(matrix, dtype=complex).ravel(order="C")
-        lines = [MATRIX_HEADER]
-        lines += [f"{re!r},{im!r}" for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
+        # one line per bit pattern (so -0.0 stays apart from 0.0), placed
+        # by the inverse index
+        keys, inverse = np.unique(flat.view("V16"), return_inverse=True)
+        distinct = keys.view(complex)
+        text = [f"{re!r},{im!r}" for re, im in zip(distinct.real.tolist(), distinct.imag.tolist())]
+        lines = [MATRIX_HEADER, *map(text.__getitem__, inverse.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -291,12 +306,13 @@ def _bad_line(path, body, parse) -> SymbolFileError:
     return SymbolFileError(f"{path}: unreadable entries")
 
 
-def _two_floats(line: str):
+def _two_finite_floats(line: str):
     fields = line.split(",")
     if len(fields) != 2:
         raise ValueError(f"expected 2 fields 're,im', found {len(fields)}")
     for v in fields:
-        float(v)
+        if not math.isfinite(x := float(v)):
+            raise ValueError(f"{x!r} is not a finite number")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -324,12 +340,19 @@ def load_matrix_csv(path) -> np.ndarray:
         raise SymbolFileError(
             f"{path}: missing the '{MATRIX_HEADER}' or '{INDEX_HEADER}' header"
         )
-    if any(line.count(",") != 1 for line in body):
-        raise _bad_line(path, body, _two_floats)
+    # each distinct line is checked and parsed once, numbered in order of
+    # first appearance; an error still names the first bad line of the body
+    position = {}
+    index = [position.setdefault(line, len(position)) for line in body]
+    if any(line.count(",") != 1 for line in position):
+        raise _bad_line(path, body, _two_finite_floats)
     try:
-        flat = np.array(",".join(body).split(",") if body else [], dtype=float).view(complex)
+        values = np.array(",".join(position).split(",") if position else [], dtype=float)
     except ValueError:
-        raise _bad_line(path, body, _two_floats) from None
+        raise _bad_line(path, body, _two_finite_floats) from None
+    if not np.isfinite(values).all():
+        raise _bad_line(path, body, _two_finite_floats)
+    flat = values.view(complex)[np.array(index, dtype=np.intp)]
     n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise SymbolFileError(f"{path}: {flat.size} entries do not form a square matrix")

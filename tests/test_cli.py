@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from h2embed import cli
+from h2embed.blaschke import conjugate_by_automorphism
 from h2embed.cli import _load_sample_dir, main
-from h2embed.decisions import decide_lfm, decide_toeplitz
+from h2embed.decisions import decide_composition, decide_lfm, decide_toeplitz
 from h2embed.errors import IllConditioned
 from h2embed.fileio import (
     SymbolFileError,
@@ -18,6 +19,7 @@ from h2embed.fileio import (
     load_matrix_csv,
     parse_symbol_document,
 )
+from h2embed.operators import wold_decompose
 
 PSI_DOC = {
     "kind": "composition",
@@ -227,6 +229,15 @@ SAMPLE_DEFECTS = {
     "non-numeric entry": (
         "outer", lambda out: _corrupt_line(out / "matrix_02.csv", 3, "1.0,abc"),
         ["matrix_02.csv", "line 3", "abc"],
+    ),
+    # these two used to die in the SVD of the isometry check with a traceback
+    "NaN entry": (
+        "outer", lambda out: _corrupt_line(out / "matrix_01.csv", 20, "nan,0.0"),
+        ["matrix_01.csv", "line 20: nan is not a finite number"],
+    ),
+    "infinite entry": (
+        "outer", lambda out: _corrupt_line(out / "matrix_02.csv", 2, "inf,0.0"),
+        ["matrix_02.csv", "line 2: inf is not a finite number"],
     ),
     "missing directory": ("outer", lambda out: shutil.rmtree(out), ["meta.json"]),
     "missing meta.json": ("outer", lambda out: (out / "meta.json").unlink(), ["meta.json"]),
@@ -707,6 +718,57 @@ def test_exit_4_residual_failure(tmp_path, capsys):
     rc, out, err = _run(["solve", "--input", str(path), "--beta", "0.3", "--tol", "1e-30"], capsys)
     assert (rc, out) == (4, "")
     assert err.startswith("error: ResidualFailure: preimage residual ")
+
+
+def test_wold_moves_a_nonzero_fixed_point_to_0(tmp_path, capsys, monkeypatch):
+    """wold decomposes tau_alpha . phi . tau_alpha, as verify builds it, and
+    solves for the fixed point alpha only when phi(0) != 0."""
+    calls = []
+
+    def counted(phi, tol):
+        calls.append(phi)
+        return decide_composition(phi, tol)
+
+    monkeypatch.setattr(cli, "decide_composition", counted)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(PSI_DOC))
+    assert _run(["wold", "--input", str(path), "--n", "16"], capsys)[0] == 0
+    assert calls == []
+    sym = parse_symbol_document(VERIFY_GOLDEN["conj-square"][0])["symbol"]
+    path.write_text(json.dumps(VERIFY_GOLDEN["conj-square"][0]))
+    rc, out, err = _run(["wold", "--input", str(path), "--n", "16"], capsys)
+    assert (rc, err, len(calls)) == (0, "", 1)
+    alpha = decide_composition(sym).details["fixed_point"]
+    assert abs(alpha - 0.0598) < 1e-4
+    wold = wold_decompose(conjugate_by_automorphism(sym, alpha), 16)
+    doc = json.loads(out)
+    assert (doc["level_dims"], doc["residual_dim"]) == (wold.level_dims, wold.residual_dim)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("solve", "--beta", "-0.2,-0.5"), ("solve", "--beta", "-.2,0.1"),
+     ("frostman", "--lam", "-0.1,-0.2"), ("frostman", "--lam", "-1e-1,0.3")],
+)
+def test_complex_flag_with_a_negative_leading_part(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    joined = _run([command, "--input", str(path), f"{flag}={value}"], capsys)
+    assert joined[0] == 0
+    assert _run([command, "--input", str(path), flag, value], capsys) == joined
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, words",
+    [("solve", "--beta", "abc", "could not convert"), ("solve", "--beta", "nan", "nan is not"),
+     ("frostman", "--lam", "0.1,inf", "inf is not"), ("frostman", "--lam", "1,2,3", "RE or RE,IM")],
+)
+def test_exit_2_malformed_complex_flag(tmp_path, capsys, command, flag, value, words):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    rc, out, err = _run([command, "--input", str(path), f"{flag}={value}"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed input: {flag}: ") and words in err
 
 
 def test_exit_4_numeric_failure(tmp_path, capsys, monkeypatch):
