@@ -73,12 +73,16 @@ class NoConstruction(Exception):
     pass
 
 
-def _parse_complex(text: str, flag: str) -> complex:
+def _disk_point(text: str, flag: str) -> complex:
+    """The point RE or RE,IM of the open unit disk that ``flag`` gives."""
     parts = text.split(",")
     if len(parts) > 2:
         raise SymbolFileError(f"{flag}: cannot parse complex value {text!r}; use RE or RE,IM")
     im = _finite(parts[1], flag) if len(parts) == 2 else 0.0
-    return complex(_finite(parts[0], flag), im)
+    value = complex(_finite(parts[0], flag), im)
+    if abs(value) >= 1.0:
+        raise SymbolFileError(f"{flag}: {value!r} is not in the open unit disk")
+    return value
 
 
 def _time(value, where: str) -> float:
@@ -97,10 +101,10 @@ def _parse_times(text: str):
 
 
 def _check_flags(args) -> None:
-    """Reject a non-finite --tol, and an --h that the half-line grid of a
-    Wold/shift sample cannot use."""
-    if not math.isfinite(args.tol):
-        raise SymbolFileError(f"--tol: {args.tol!r} is not a finite number")
+    """Reject a --tol that is negative or not finite, and an --h that the
+    half-line grid of a Wold/shift sample cannot use."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise SymbolFileError(f"--tol: {args.tol!r} is not a finite nonnegative number")
     if getattr(args, "h", None) is not None:
         try:
             _grid_cells(args.h)
@@ -278,7 +282,7 @@ def _blaschke_symbol(parsed, command: str) -> BlaschkeProduct:
 def cmd_solve(args) -> int:
     parsed = load_symbol_file(args.input)
     sym = _blaschke_symbol(parsed, "solve")
-    beta = _parse_complex(args.beta, "--beta")
+    beta = _disk_point(args.beta, "--beta")
     pre = solve_blaschke_equation(sym, beta, tol=args.tol)
     doc = {
         "target": beta,
@@ -294,7 +298,7 @@ def cmd_solve(args) -> int:
 def cmd_frostman(args) -> int:
     parsed = load_symbol_file(args.input)
     sym = _blaschke_symbol(parsed, "frostman")
-    lam = _parse_complex(args.lam, "--lam")
+    lam = _disk_point(args.lam, "--lam")
     result, simple = frostman_transform(sym, lam, tol=args.tol)
     tau = MobiusMap.disk_involution(lam)
     grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)

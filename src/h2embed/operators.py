@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AutomorphismInput, IllConditioned, IsometryDefect
 from .symbols import (
@@ -75,11 +74,14 @@ def composition_matrix(phi, n: int) -> TruncatedOperator:
 
 def lower_toeplitz(c) -> TruncatedOperator:
     """The lower-triangular Toeplitz matrix with first column ``c``: the
-    compressed multiplication by the power series with those coefficients."""
+    compressed multiplication by the power series with those coefficients.
+
+    Entry (i, j) is indexed straight out of ``c`` as c[i - j], so every
+    entry is a copy of a coefficient, and +0.0 lies above the diagonal.
+    """
     c = np.asarray(c, dtype=complex)
-    first_row = np.zeros(c.size, dtype=complex)
-    first_row[0] = c[0]
-    return TruncatedOperator(c.size, scipy.linalg.toeplitz(c, first_row))
+    k = np.arange(c.size)
+    return TruncatedOperator(c.size, np.tril(c[k[:, None] - k]))
 
 
 def toeplitz_matrix(phi, n: int) -> TruncatedOperator:
@@ -198,7 +200,8 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
     U0 whose singular values are at most ``DEFAULT_RANK_TOL`` times the
     largest (which is 1) span the resolved wandering directions; none
     means the truncation cannot resolve W, and :class:`IllConditioned` is
-    raised.
+    raised.  The singular vectors come from :func:`numpy.linalg.svd`
+    (LAPACK gesdd, full matrices).
 
     Every basis here comes from one kernel, :func:`_gram_schmidt`.  The
     wandering basis is the kernel run in the coordinates of U0: the
@@ -234,7 +237,7 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
     if not isinstance(psi, BlaschkeProduct) and abs(c[1, 1]) >= 1.0 - 1e-9:
         raise AutomorphismInput("|psi'(0)| is not below 1: rotation-like symbol")
 
-    u, s, _ = scipy.linalg.svd(c)
+    u, s, _ = np.linalg.svd(c)
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     u0 = u[:, rank:]
     cand = u0.conj().T

@@ -2,7 +2,11 @@ import cmath
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -685,7 +689,7 @@ Z2_DOC ={"kind": "composition", "blaschke": {"origin_order": 2}}
 @pytest.mark.parametrize(
     "flag, value",
     [("--h", "0.3"), ("--h", "inf"), ("--times", "0,-0.25"), ("--times", "0,nan"),
-     ("--tol", "nan"), ("--tol", "inf")],
+     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")],
 )
 def test_exit_2_invalid_numeric_flag(tmp_path, capsys, flag, value):
     path = tmp_path / "sym.json"
@@ -693,6 +697,13 @@ def test_exit_2_invalid_numeric_flag(tmp_path, capsys, flag, value):
     rc, out, err = _run(["verify", "--input", str(path), "--n", "16", flag, value], capsys)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: malformed input: {flag}: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_zero_tol_is_accepted(tmp_path, capsys, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    assert _run([command, "--input", str(path), "--n", "16", "--tol", "0"], capsys)[0] == 0
 
 
 def test_exit_4_fractional_time(tmp_path, capsys):
@@ -748,7 +759,8 @@ def test_wold_moves_a_nonzero_fixed_point_to_0(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, flag, value",
     [("solve", "--beta", "-0.2,-0.5"), ("solve", "--beta", "-.2,0.1"),
-     ("frostman", "--lam", "-0.1,-0.2"), ("frostman", "--lam", "-1e-1,0.3")],
+     ("frostman", "--lam", "-0.1,-0.2"), ("frostman", "--lam", "-1e-1,0.3"),
+     ("solve", "--beta", "-0.99999999999,0")],
 )
 def test_complex_flag_with_a_negative_leading_part(tmp_path, capsys, command, flag, value):
     path = tmp_path / "psi.json"
@@ -761,7 +773,10 @@ def test_complex_flag_with_a_negative_leading_part(tmp_path, capsys, command, fl
 @pytest.mark.parametrize(
     "command, flag, value, words",
     [("solve", "--beta", "abc", "could not convert"), ("solve", "--beta", "nan", "nan is not"),
-     ("frostman", "--lam", "0.1,inf", "inf is not"), ("frostman", "--lam", "1,2,3", "RE or RE,IM")],
+     ("frostman", "--lam", "0.1,inf", "inf is not"), ("frostman", "--lam", "1,2,3", "RE or RE,IM"),
+     ("solve", "--beta", "1.5", "not in the open unit disk"),
+     ("frostman", "--lam", "1", "not in the open unit disk"),
+     ("solve", "--beta", "0.6,-0.8", "not in the open unit disk")],
 )
 def test_exit_2_malformed_complex_flag(tmp_path, capsys, command, flag, value, words):
     path = tmp_path / "psi.json"
@@ -824,3 +839,38 @@ def test_argparse_error_then_valid_call(tmp_path, capsys):
     assert stop.value.code == 2
     assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
     assert _run(argv, capsys) == before
+
+
+# --------------------------------------------------------------------------
+# the program runs on numpy alone; SciPy is only a test oracle
+# --------------------------------------------------------------------------
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+def test_cli_import_leaves_scipy_out():
+    done = _python("import sys, h2embed.cli; print([m for m in sys.modules if 'scipy' in m])")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "doc, argv", [(Z2_DOC, ["verify", "--n", "16"]), (PSI_DOC, ["wold", "--n", "32"])],
+    ids=["verify z^2", "wold psi"],
+)
+def test_cli_runs_with_scipy_blocked(tmp_path, capsys, doc, argv):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    argv = [*argv, "--input", str(path)]
+    in_process = _run(argv, capsys)
+    assert in_process[0] == 0 and in_process[2] == ""
+    # a None entry makes every `import scipy...` raise ImportError
+    blocked = "import sys; sys.modules['scipy'] = None; import h2embed.cli as c; sys.exit(c.main())"
+    done = _python(blocked, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == in_process

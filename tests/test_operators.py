@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals, toeplitz
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import svd, svdvals, toeplitz
 from scipy.special import eval_laguerre
 
 from h2embed.decisions import decide_lfm
@@ -12,6 +14,7 @@ from h2embed.operators import (
     TruncatedOperator,
     boundary_gram,
     composition_matrix,
+    lower_toeplitz,
     toeplitz_matrix,
     wold_decompose,
 )
@@ -274,6 +277,17 @@ class TestBoundaryGram:
         assert np.max(np.abs(boundary_gram(phi, 4) - want)) <= tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+def test_lower_toeplitz_is_bit_identical_to_scipy(column):
+    c = np.array(column, dtype=complex)
+    first_row = np.zeros(c.size, dtype=complex)
+    first_row[0] = c[0]
+    want = toeplitz(c, first_row)
+    # the float64 views tell -0.0 from 0.0 and keep subnormals apart
+    assert lower_toeplitz(c).matrix.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
 def _codim(op: TruncatedOperator, tol: float = 1e-8) -> int:
     """n minus the numerical rank (singular values below tol * sigma_max dropped)."""
     s = svdvals(op.matrix)
@@ -369,6 +383,28 @@ class TestWold:
             assert np.max(np.abs(got - want)) <= 1e-12
         for got, want in zip(w.chain_losses, chain_losses):
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize(
+        "psi",
+        [SQUARE, BlaschkeProduct(origin_order=3), PSI, DEG3],
+        ids=["z^2", "z^3", "psi", "deg3"],
+    )
+    def test_levels_match_scipy_svd(self, psi, n, monkeypatch):
+        """numpy's SVD and SciPy's (both LAPACK gesdd) give the same levels,
+        residual and 1e-8 supports."""
+
+        def supports(w):
+            return [
+                [np.flatnonzero(np.abs(level[:, j]) > 1e-8).tolist() for j in range(level.shape[1])]
+                for level in w.levels
+            ]
+
+        w = wold_decompose(psi, n)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        ref = wold_decompose(psi, n)
+        assert (w.level_dims, w.residual_dim) == (ref.level_dims, ref.residual_dim)
+        assert supports(w) == supports(ref)
 
     def test_square_dyadic_levels_at_n128(self):
         w = wold_decompose(SQUARE, 128)
