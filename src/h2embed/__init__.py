@@ -11,7 +11,6 @@ from .errors import (
     DegenerateSymbol,
     DomainError,
     ExhaustedRetries,
-    FractionalTime,
     H2EmbedError,
     HorizonOverflow,
     IllConditioned,

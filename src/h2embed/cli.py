@@ -49,7 +49,6 @@ from .operators import wold_decompose
 from .semigroups import (
     OperatorSemigroupSample,
     SpiralFlow,
-    _grid_cells,
     embed_isometric_composition,
     sample_multiplication_flow,
     sample_spiral_flow,
@@ -98,18 +97,6 @@ def _parse_times(text: str):
     if not times:
         raise SymbolFileError("--times: at least one time required")
     return times
-
-
-def _check_flags(args) -> None:
-    """Reject a --tol that is negative or not finite, and an --h that the
-    half-line grid of a Wold/shift sample cannot use."""
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise SymbolFileError(f"--tol: {args.tol!r} is not a finite nonnegative number")
-    if getattr(args, "h", None) is not None:
-        try:
-            _grid_cells(args.h)
-        except ValueError as exc:
-            raise SymbolFileError(f"--h: {exc}") from exc
 
 
 def _emit(doc: dict, args) -> None:
@@ -180,7 +167,7 @@ def _build_sample(parsed, report, args, times):
         return sample_multiplication_flow(flow, times, args.n), flow
     if parsed["kind"] == "composition" and "fixed_point" in report.details:
         psi = _fixing_origin(parsed["symbol"], lambda: report.details["fixed_point"])
-        return embed_isometric_composition(psi, times, args.n, args.h), None
+        return embed_isometric_composition(psi, times, args.n), None
     raise NoConstruction(report.governing_result)
 
 
@@ -385,7 +372,7 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
 
 
 def cmd_verify(args) -> int:
-    if args.sample:
+    if args.sample is not None:
         sample = _load_sample_dir(Path(args.sample))
         records = []
         pairs = _law_pairs(sample.times)
@@ -421,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=True):
-        p.add_argument("--input", required=input_required, help="symbol file (JSON)")
+    def options(p):
         p.add_argument("--n", type=int, default=32, help="truncation order (>= 4)")
         p.add_argument("--tol", type=float, default=1e-8, help="tolerance")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rng seed")
@@ -431,36 +417,38 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("report-doc", "csv"), default="report-doc"
         )
 
-    p = sub.add_parser("analyze", help="embeddability verdict for a symbol file")
-    common(p)
-    p.set_defaults(handler=cmd_analyze)
+    def common(p):
+        p.add_argument("--input", required=True, help="symbol file (JSON)")
+        options(p)
 
-    p = sub.add_parser("semigroup", help="sample the constructed semigroup")
+    def command(name, help_text, handler):
+        # No abbreviated flags: a prefix such as --h must not resolve to --help.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    common(command("analyze", "embeddability verdict for a symbol file", cmd_analyze))
+
+    p = command("semigroup", "sample the constructed semigroup", cmd_semigroup)
     common(p)
     p.add_argument("--times", default="0,0.5,1", help="comma-separated times")
-    p.add_argument("--h", type=float, default=0.5, help="half-line grid step")
-    p.set_defaults(handler=cmd_semigroup)
 
-    p = sub.add_parser("solve", help="preimages of beta under the Blaschke symbol")
+    p = command("solve", "preimages of beta under the Blaschke symbol", cmd_solve)
     common(p)
     p.add_argument("--beta", required=True, help="target value RE or RE,IM")
-    p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("frostman", help="Frostman transform of the Blaschke symbol")
+    p = command("frostman", "Frostman transform of the Blaschke symbol", cmd_frostman)
     common(p)
     p.add_argument("--lam", required=True, help="parameter RE or RE,IM")
-    p.set_defaults(handler=cmd_frostman)
 
-    p = sub.add_parser("wold", help="Wold decomposition of a composition symbol")
-    common(p)
-    p.set_defaults(handler=cmd_wold)
+    common(command("wold", "Wold decomposition of a composition symbol", cmd_wold))
 
-    p = sub.add_parser("verify", help="run the property checks")
-    common(p, input_required=False)
+    p = command("verify", "run the property checks", cmd_verify)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="symbol file (JSON)")
+    source.add_argument("--sample", help="verify a stored sample directory")
+    options(p)
     p.add_argument("--times", default="0,0.25,0.5,0.75,1", help="comma-separated times")
-    p.add_argument("--h", type=float, default=0.25, help="half-line grid step")
-    p.add_argument("--sample", default=None, help="verify a stored sample directory")
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -490,11 +478,9 @@ def main(argv=None) -> int:
     if args.n < 4:
         print("error: --n must be at least 4", file=sys.stderr)
         return EXIT_PARSE
-    if getattr(args, "command", None) == "verify" and not (args.input or args.sample):
-        print("error: verify needs --input or --sample", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        _check_flags(args)
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise SymbolFileError(f"--tol: {args.tol!r} is not a finite nonnegative number")
         return args.handler(args)
     except SymbolFileError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)

@@ -63,10 +63,6 @@ class HorizonOverflow(H2EmbedError):
     """A half-line shift would push mass past the discretisation horizon."""
 
 
-class FractionalTime(H2EmbedError):
-    """Shift time is not a grid multiple and interpolation was not requested."""
-
-
 class MissingTime(H2EmbedError):
     """A semigroup sample lacks an operator at a requested time."""
 

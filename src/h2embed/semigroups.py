@@ -47,7 +47,6 @@ import numpy as np
 from .errors import (
     BranchFailure,
     DomainError,
-    FractionalTime,
     HorizonOverflow,
     MissingTime,
     NonCommuting,
@@ -349,6 +348,7 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
     n)``, the first n Taylor coefficients of the time-t symbol in closed
     form; no symbol is sampled.  Truncation commutes with multiplication by
     analytic symbols, so V_t V_s = V_{t+s} holds to rounding at every n.
+    A time whose coefficients overflow raises :class:`DomainError`.
     """
     if not getattr(flow, "multiplicative", False):
         raise NonCommuting("expected a multiplication-type flow")
@@ -356,8 +356,15 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
     for t in times:
         if t == 0:
             ops.append(np.eye(n, dtype=complex))
-        else:
-            ops.append(lower_toeplitz(flow.coefficients(t, n)).matrix)
+            continue
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = flow.coefficients(t, n)
+        except OverflowError:
+            c = None
+        if c is None or not np.isfinite(c).all():
+            raise DomainError(f"the flow's Taylor coefficients at t = {t!r} are not finite")
+        ops.append(lower_toeplitz(c).matrix)
     return OperatorSemigroupSample(
         times=list(times),
         operators=ops,
@@ -403,15 +410,7 @@ def sample_spiral_flow(flow: SpiralFlow, times, n: int) -> OperatorSemigroupSamp
 sample_elliptic_flow = sample_spiral_flow
 
 
-def _grid_cells(h: float) -> int:
-    """The positive integer m with h = 1/m; ValueError for any other h."""
-    m = round(1.0 / h) if h > 0.0 and math.isfinite(1.0 / h) else 0
-    if m < 1 or abs(m * h - 1.0) > 1e-12:
-        raise ValueError(f"grid step {h!r} is not 1/m for a positive integer m")
-    return m
-
-
-def embed_isometric_composition(psi, times, n: int, h: float) -> OperatorSemigroupSample:
+def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
     """Embed C_psi (psi inner, psi(0) = 0, not an automorphism) into a
     strongly continuous semigroup sampled at the given times.
 
@@ -419,30 +418,35 @@ def embed_isometric_composition(psi, times, n: int, h: float) -> OperatorSemigro
     unitary part of the Wold decomposition is the constants, where the
     operator acts as the identity (the canonical phase, since C_psi fixes
     1), and the k-th image of a wandering vector rides as the indicator of
-    the k-th unit block of cells.  Times must be multiples of the grid
-    step h = 1/m; the operators then are exact cell translations, stored
+    the k-th unit block of cells.  The cell width is h = 1/m for the
+    smallest positive integer m <= 4 n that makes every t m an integer
+    (within 1e-9); the operators then are exact cell translations, stored
     as row-gather indices (see :class:`OperatorSemigroupSample`), so the
     semigroup law and isometry hold exactly, and the time-k operator
     reproduces the k-th power of the composition matrix on the resolved
     subspace.  No ``dim x dim`` array is built.  The levels take m cells
-    each and the largest shift adds t/h more; when they do not fit in the
-    4 n cells, :class:`HorizonOverflow` is raised.  The decomposition from
+    each and the largest shift adds t m more; both grow with m, so when no
+    such m exists or the smallest one does not fit in the 4 n cells,
+    :class:`HorizonOverflow` is raised.  The decomposition from
     :func:`wold_decompose` travels in ``meta["wold"]``.
     """
     wold = wold_decompose(psi, n)
     d = wold.level_dims[0]
-    m = _grid_cells(h)
-    ks = []
-    for t in times:
-        if t < 0:
-            raise DomainError("sample times are nonnegative")
-        k = t / h
-        if abs(k - round(k)) > 1e-9:
-            raise FractionalTime(
-                f"sample time {t} is not a multiple of the grid step {h}"
-            )
-        ks.append(int(round(k)))
+    if not all(0.0 <= t < math.inf for t in times):
+        raise DomainError("sample times are finite and nonnegative")
     horizon = 4 * n
+    m = next(
+        (m for m in range(1, horizon + 1)
+         if all(abs(t * m - round(t * m)) <= 1e-9 for t in times)),
+        None,
+    )
+    if m is None:
+        raise HorizonOverflow(
+            f"no cell width 1/m with m <= {horizon} makes each of the times "
+            f"{list(times)} a whole number of cells"
+        )
+    h = 1 / m
+    ks = [round(t * m) for t in times]
     used = len(wold.levels) * m
     kmax = max(ks, default=0)
     if used + kmax > horizon:

@@ -6,10 +6,12 @@ flag.  Thresholds are parameters, except the Wold check's wandering bound,
 the one its basis is built to, and the continuity check's monotonicity
 slack.  A check that does not apply to a sample (isometry of a
 non-isometric flow, Wold reconstruction of an automorphism) reports
-``applicable=False`` and never fails.
+``applicable=False`` and never fails.  A defect that is not finite (an
+operator holding NaN or infinity) counts as +inf, so its check fails.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
 _NORM_VECTORS = 9  # the lowest-degree resolved vectors, which truncation disturbs least
 _CONTINUITY_VECTORS = 4  # test vectors of the continuity check
 _MONOTONE_SLACK = 1e-10  # rise of ||V_t x - x|| toward t = 0 forgiven as rounding
-_WOLD_STEP = 0.5  # half-line grid step of the Wold check: the semigroup default
 
 
 @dataclass
@@ -46,6 +47,13 @@ class VerificationRecord:
     witnesses: list = field(default_factory=list)
     applicable: bool = True
     details: dict = field(default_factory=dict)
+
+
+def _worst(defects) -> float:
+    """The largest of ``defects``, or +inf when any is not finite: a NaN
+    loses every comparison, so ``max`` would let it pass."""
+    defects = np.asarray(defects, dtype=float)
+    return float(np.max(defects)) if np.isfinite(defects).all() else math.inf
 
 
 def _inapplicable(name: str, threshold: float, reason: str) -> VerificationRecord:
@@ -81,9 +89,12 @@ def check_semigroup_law(
         ):
             defect = 0.0
         else:
-            gap = sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))
-            # a dense rewrite of a shift sample also has an exactly zero gap
-            defect = float(np.linalg.norm(gap, 2)) if gap.any() else 0.0
+            with np.errstate(over="ignore", invalid="ignore"):  # judged by isfinite
+                gap = sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))
+            if not np.isfinite(gap).all():
+                defect = math.inf  # the SVD of a non-finite matrix does not converge
+            else:  # a dense rewrite of a shift sample also has an exactly zero gap
+                defect = float(np.linalg.norm(gap, 2)) if gap.any() else 0.0
         witnesses.append(((t, s), defect))
         worst = max(worst, defect)
     witnesses.sort(key=lambda w: -w[1])
@@ -103,8 +114,9 @@ def _column_norm_record(
     witnesses = []
     worst = 0.0
     for t in sample.times:
-        norms = np.linalg.norm(sample.apply(t, vecs), axis=0)
-        defect = float(np.max(defect_of(norms)))
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by _worst
+            norms = np.linalg.norm(sample.apply(t, vecs), axis=0)
+        defect = _worst(defect_of(norms))
         witnesses.append((f"t={t}", defect))
         worst = max(worst, defect)
     witnesses.sort(key=lambda w: -w[1])
@@ -140,13 +152,10 @@ def check_strong_continuity(sample: OperatorSemigroupSample, tol: float) -> Veri
     worst = 0.0
     for j in range(test_vectors.shape[1]):
         x = test_vectors[:, j]
-        defects = [float(np.linalg.norm(sample.apply(t, x) - x)) for t in times]
-        increase = max(
-            (defects[i + 1] - defects[i] for i in range(len(defects) - 1)),
-            default=0.0,
-        )
-        final = defects[-1]
-        defect = max(final, increase)
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by _worst
+            defects = [float(np.linalg.norm(sample.apply(t, x) - x)) for t in times]
+            increase = _worst(np.diff(defects))  # +inf when any defect is not finite
+        defect = _worst([defects[-1], increase])
         witnesses.append((f"vector {j}", defect))
         worst = max(worst, defect)
         if increase > _MONOTONE_SLACK:
@@ -167,9 +176,11 @@ def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
     distance of each w from W = H^2 (-) ran C_psi; it is held to
     ``DEFAULT_RANK_TOL``, the bound the basis is built to, and the other
     witnesses to ``tol``.  ``details`` says how many resolved columns the
-    time-1 comparison covered, out of all of them."""
+    time-1 comparison covered, out of all of them.  The sample holds times
+    0 and 1, so its grid, the coarsest that holds every time, has one cell
+    per unit of time (h = 1)."""
     try:
-        sample = embed_isometric_composition(psi, (0.0, 1.0), n, _WOLD_STEP)
+        sample = embed_isometric_composition(psi, (0.0, 1.0), n)
     except AutomorphismInput as exc:
         return _inapplicable("wold-reconstruction", tol, str(exc))
     wold = sample.meta["wold"]

@@ -24,6 +24,8 @@ from h2embed.fileio import (
     parse_symbol_document,
 )
 from h2embed.operators import wold_decompose
+from h2embed.semigroups import embed_isometric_composition
+from h2embed.symbols import BlaschkeProduct
 
 PSI_DOC = {
     "kind": "composition",
@@ -688,7 +690,7 @@ Z2_DOC ={"kind": "composition", "blaschke": {"origin_order": 2}}
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--h", "0.3"), ("--h", "inf"), ("--times", "0,-0.25"), ("--times", "0,nan"),
+    [("--times", "0,-0.25"), ("--times", "0,nan"),
      ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1")],
 )
 def test_exit_2_invalid_numeric_flag(tmp_path, capsys, flag, value):
@@ -706,13 +708,92 @@ def test_zero_tol_is_accepted(tmp_path, capsys, command):
     assert _run([command, "--input", str(path), "--n", "16", "--tol", "0"], capsys)[0] == 0
 
 
-def test_exit_4_fractional_time(tmp_path, capsys):
+def test_wold_grid_follows_the_times(tmp_path, capsys):
+    # 0.3 is three cells of width 1/10, the coarsest grid that holds it
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(Z2_DOC))
-    argv = ["verify", "--input", str(path), "--n", "16", "--times", "0,0.3,1", "--h", "0.25"]
+    argv = ["semigroup", "--input", str(path), "--n", "16", "--times", "0,0.3,1",
+            "--out", str(tmp_path / "s")]
+    assert _run(argv, capsys)[0] == 0
+    loaded = _load_sample_dir(tmp_path / "s")
+    built = embed_isometric_composition(BlaschkeProduct(origin_order=2), (0.0, 0.3, 1.0), 16)
+    assert built.meta["h"] == 0.1  # test_semigroups checks its 3- and 10-cell shifts
+    for t in (0.0, 0.3, 1.0):
+        assert np.array_equal(loaded.operator_at(t), built.operator_at(t))
+    argv = ["verify", "--input", str(path), "--n", "16", "--times", "0,0.3,1"]
+    assert _run(argv, capsys)[0] == 0
+
+
+def test_exit_4_times_that_no_grid_holds(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    argv = ["verify", "--input", str(path), "--n", "16", "--times", "0,0.0153846"]
     rc, out, err = _run(argv, capsys)
     assert (rc, out) == (4, "")
-    assert err.startswith("error: FractionalTime: ")
+    assert err.startswith("error: HorizonOverflow: ")
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "--h", "0.5"], ["verify", "--h", "0.25"]])
+def test_grid_step_is_no_flag(tmp_path, capsys, argv):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--input", str(path), "--n", "16"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sources", [[], ["--input", "sym.json", "--sample", "sample"]])
+def test_verify_takes_exactly_one_source(capsys, sources):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--n", "16"] + sources)
+    assert stop.value.code == 2
+    assert "--input" in capsys.readouterr().err
+
+
+def test_exit_1_sample_with_overflowing_entries(tmp_path, capsys):
+    # Every product and norm of these matrices overflows; the law gap is
+    # -inf and its SVD would not converge.  The record must fail, and the
+    # document must stay JSON: no NaN or Infinity literal.
+    out = tmp_path / "sample"
+    out.mkdir()
+    names = [f"matrix_{i:02d}.csv" for i in range(3)]
+    for name in names:
+        (out / name).write_bytes(b"re_ij,im_ij\r\n" + b"1e300,0.0\r\n" * 16)
+    meta = {"dim": 4, "times": [0.0, 0.5, 1.0], "matrices": names, "construction": "outer-flow"}
+    (out / "meta.json").write_text(json.dumps(meta))
+    rc, stdout, _ = _verify_sample(out, capsys)
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(stdout, parse_constant=no_constant)
+    assert rc == 1
+    (record,) = doc["records"]
+    assert record["check"] == "semigroup-law" and record["passed"] is False
+    assert record["max_defect"] == "infinity"
+    assert record["witnesses"] == [["(0.5, 0.5)", "infinity"]]
+
+
+@pytest.mark.parametrize(
+    "outer, times",
+    [({"constant": {"re": 2.0, "im": 0.0}, "exterior_zeros": [{"re": 2.0, "im": 0.0}]},
+      "0,1000,2000"),
+     ({"constant": {"re": 0.5, "im": 0.0}, "conjugate_factors": [{"re": 0.3, "im": 0.0}]},
+      "0,1e200,2e200")],
+    ids=["2(z-2)", "0.5(1-0.3z)"],
+)
+@pytest.mark.parametrize("command", ["semigroup", "verify"])
+def test_exit_4_flow_time_that_overflows(tmp_path, capsys, command, outer, times):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "toeplitz", "outer": outer}))
+    out = tmp_path / "s"
+    argv = [command, "--input", str(path), "--n", "8", "--times", times, "--out", str(out)]
+    rc, stdout, err = _run(argv, capsys)
+    t = times.split(",")[1]
+    assert (rc, stdout) == (4, "")
+    assert err.startswith("error: DomainError: ") and f"t = {float(t)!r}" in err
+    assert not out.exists()
 
 
 def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):
@@ -814,7 +895,7 @@ def test_same_argv_twice_prints_the_same_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("first", ["semigroup", "verify"])
 def test_semigroup_and_verify_interleaved(tmp_path, capsys, first):
-    """Their --times and --h defaults differ; neither call may see the other's."""
+    """Their --times defaults differ; neither call may see the other's."""
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(PSI_DOC))
     argv = {
@@ -874,3 +955,33 @@ def test_cli_runs_with_scipy_blocked(tmp_path, capsys, doc, argv):
     blocked = "import sys; sys.modules['scipy'] = None; import h2embed.cli as c; sys.exit(c.main())"
     done = _python(blocked, *argv)
     assert (done.returncode, done.stdout, done.stderr) == in_process
+
+
+def _mpmath_singular_fixed_point(atoms):
+    """The attracting fixed point of S = exp(-sum m (zeta + z)/(zeta - z)),
+    by iterating S from 0 in 30-digit arithmetic (Denjoy-Wolff)."""
+    with mpmath.workdps(30):
+        zetas = [(mpmath.expj(a["angle"]), a["mass"]) for a in atoms]
+        z = mpmath.mpc(0)
+        for _ in range(500):
+            z = mpmath.exp(-mpmath.fsum(m * (zeta + z) / (zeta - z) for zeta, m in zetas))
+        return complex(z)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[{"angle": 0.0, "mass": 1.0}], [{"angle": 1.0, "mass": 0.5}, {"angle": -2.0, "mass": 0.25}]],
+    ids=["one-atom", "two-atoms"],
+)
+def test_singular_inner_composition_is_decided(tmp_path, capsys, atoms):
+    # A singular inner function is inner by construction (positive masses
+    # on the circle); no boundary test stands between it and its verdict.
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "composition", "singular": {"atoms": atoms}}))
+    rc, out, _ = _run(["analyze", "--input", str(path)], capsys)
+    doc = json.loads(out)
+    assert rc == 0
+    assert (doc["verdict"], doc["governing_result"]) == (
+        "Embeddable", "similar-isometry-shift-embedding")
+    alpha = complex(doc["details"]["fixed_point"]["re"], doc["details"]["fixed_point"]["im"])
+    assert abs(alpha - _mpmath_singular_fixed_point(atoms)) <= 1e-12

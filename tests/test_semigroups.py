@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import re
 
 import mpmath
 import numpy as np
@@ -31,7 +33,7 @@ from h2embed.symbols import (
 )
 
 TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
-H = 0.25
+CELLS = 4  # cells per unit of time: the coarsest grid that holds TIMES
 SYMBOLS = {
     "z^2": BlaschkeProduct(origin_order=2),
     "z^3": BlaschkeProduct(origin_order=3),
@@ -51,15 +53,28 @@ def dense_shift(sample, k):
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("name", sorted(SYMBOLS))
 def test_wold_operators_are_cell_shifts(name, n):
-    sample = embed_isometric_composition(SYMBOLS[name], TIMES, n, H)
+    sample = embed_isometric_composition(SYMBOLS[name], TIMES, n)
+    assert sample.meta["h"] == 1 / CELLS
     for t in TIMES:
-        assert np.array_equal(sample.apply(t), dense_shift(sample, round(t / H)))
+        assert np.array_equal(sample.apply(t), dense_shift(sample, round(t * CELLS)))
+
+
+@pytest.mark.parametrize(
+    "times, cells",
+    [((0.0, 1.0), 1), ((0.0, 0.5, 1.0), 2), ((0.0, 0.3, 1.0), 10), ((0.0, 0.75, 1.5), 4),
+     ((0.0, 1 / 3), 3)],
+)
+def test_wold_grid_is_the_coarsest_that_holds_the_times(times, cells):
+    sample = embed_isometric_composition(SYMBOLS["z^2"], times, 16)
+    assert sample.meta["h"] == 1 / cells
+    for t in times:
+        assert np.array_equal(sample.apply(t), dense_shift(sample, round(t * cells)))
 
 
 @pytest.mark.parametrize(
     "sample",
     [
-        embed_isometric_composition(SYMBOLS["psi"], TIMES, 12, H),
+        embed_isometric_composition(SYMBOLS["psi"], TIMES, 12),
         sample_spiral_flow(SpiralFlow.elliptic(0.3, 1.0), TIMES, 12),
     ],
     ids=["wold", "elliptic-flow"],
@@ -74,7 +89,7 @@ def test_apply_to_vectors_matches_the_matrix(sample):
 
 
 def test_wold_sample_holds_no_square_matrix():
-    sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 32, H)
+    sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 32)
     assert all(op.ndim == 1 for op in sample.operators)
     assert sum(op.nbytes for op in sample.operators) <= 8 * sample.dim * len(TIMES)
 
@@ -277,13 +292,39 @@ def test_operator_at_an_unsampled_time():
 
 
 def test_horizon_too_small_for_the_levels_and_shifts():
-    # z^2 at n = 12 has 4 levels on a half line of 4 n = 48 cells.  With
-    # h = 1/12 they take 48 cells and t = 1 shifts 12 more; with h = 1/8
-    # they take 32 and t = 1 shifts 8 more.
-    sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, 1 / 8)
+    # z^2 at n = 12 has 4 levels on a half line of 4 n = 48 cells.  A time
+    # of 1/12 needs 12 cells per unit: the levels take 48 cells and t = 1
+    # shifts 12 more.  A time of 1/8 needs 8: they take 32 and t = 1
+    # shifts 8 more.
+    sample = embed_isometric_composition(SYMBOLS["z^2"], (0.0, 0.125, 1.0), 12)
     assert len(sample.meta["wold"].levels) == 4 and sample.meta["horizon"] == 48
+    assert sample.meta["h"] == 1 / 8
     with pytest.raises(HorizonOverflow):
-        embed_isometric_composition(SYMBOLS["z^2"], TIMES, 12, 1 / 12)
+        embed_isometric_composition(SYMBOLS["z^2"], (0.0, 1 / 12, 1.0), 12)
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.0153846), (0.0, math.pi), (0.0, 1 / 65)])
+def test_times_that_no_grid_of_the_horizon_holds(times):
+    # At n = 16 the horizon has 64 cells; none of these times is a whole
+    # number of cells of width 1/m for any m <= 64.
+    with pytest.raises(HorizonOverflow):
+        embed_isometric_composition(SYMBOLS["z^2"], times, 16)
+
+
+@pytest.mark.parametrize("times", [(0.0, -0.5), (0.0, math.inf), (0.0, math.nan)])
+def test_wold_times_are_finite_and_nonnegative(times):
+    with pytest.raises(DomainError):
+        embed_isometric_composition(SYMBOLS["z^2"], times, 16)
+
+
+@pytest.mark.parametrize(
+    "flow, t",
+    [(OuterFlow(RationalOuter(2.0, [], [2.0])), 1000.0),  # 2(z - 2): 4**t overflows
+     (OuterFlow(RationalOuter(0.5, [0.3], [])), 1e200)],  # binom(t, k) 0.3**k overflows
+)
+def test_multiplication_flow_refuses_a_time_whose_coefficients_overflow(flow, t):
+    with pytest.raises(DomainError, match=re.escape(f"t = {t!r}")):
+        sample_multiplication_flow(flow, (0.0, t, 2 * t), 8)
 
 
 def test_constant_flow_of_zero_has_no_logarithm():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from h2embed.errors import IllConditioned
 from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
 from h2embed.semigroups import OperatorSemigroupSample, embed_isometric_composition
 from h2embed.symbols import BlaschkeProduct
-from h2embed.verify import check_semigroup_law, check_wold_reconstruction
+from h2embed.verify import (
+    check_isometry,
+    check_noncompactness_proxy,
+    check_semigroup_law,
+    check_strong_continuity,
+    check_wold_reconstruction,
+)
 
 PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
 
@@ -43,7 +50,7 @@ def test_wold_reconstruction_fails_on_a_vector_of_the_range(monkeypatch):
 
 def test_embedding_of_an_unresolved_wandering_subspace_is_numeric_failure():
     with pytest.raises(IllConditioned):
-        embed_isometric_composition(PSI, (0.0, 1.0), 8, 0.5)
+        embed_isometric_composition(PSI, (0.0, 1.0), 8)
 
 
 def _loaded_z2_sample(tmp_path):
@@ -83,3 +90,22 @@ def test_corrupted_index_sample_fails_like_its_dense_rewrite(tmp_path, capsys):
     rec = check_semigroup_law(sample, pairs, 1e-8)
     assert not rec.passed
     assert rec.max_defect == check_semigroup_law(dense, pairs, 1e-8).max_defect > 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_a_non_finite_defect_fails_every_check(bad):
+    # 1e300 entries overflow the products and norms to inf, then inf - inf
+    # to NaN; max(0.0, nan) is 0.0, so a NaN defect must not reach max.
+    ops = [np.eye(4, dtype=complex)] + [np.full((4, 4), bad, dtype=complex)] * 2
+    sample = OperatorSemigroupSample([0.0, 0.5, 1.0], ops, "outer-flow", 4, True)
+    records = [
+        check_semigroup_law(sample, [(0.5, 0.5)], 1e-8),
+        check_isometry(sample, 1e-6),
+        check_noncompactness_proxy(sample, 1e-6),
+        check_strong_continuity(sample, 1.0),
+    ]
+    for rec in records:
+        assert rec.applicable and not rec.passed
+        assert rec.max_defect == math.inf
+        assert rec.witnesses[0][1] == math.inf
+        assert not any(math.isnan(defect) for _, defect in rec.witnesses)
