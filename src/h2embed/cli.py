@@ -2,8 +2,9 @@
 
 Subcommands: analyze, semigroup, solve, frostman, wold, verify.  Verdicts
 are data, never error exits.  Exit codes: 0 ok, 1 failed verification
-check, 2 malformed input, 3 verdict without a concrete construction,
-4 numeric failure inside a computation.
+check, 2 malformed input (also ``verify`` at times where no check
+applies), 3 verdict without a concrete construction, 4 numeric failure
+inside a computation.
 
 Reports are emitted as deterministic JSON (or key,value CSV with
 --format csv): identical input, configuration and seed give byte-identical
@@ -47,6 +48,7 @@ from .fileio import (
 )
 from .operators import wold_decompose
 from .semigroups import (
+    TIME_TOL,
     OperatorSemigroupSample,
     SpiralFlow,
     embed_isometric_composition,
@@ -84,16 +86,24 @@ def _disk_point(text: str, flag: str) -> complex:
     return value
 
 
-def _time(value, where: str) -> float:
-    """The finite nonnegative sample time at ``where``."""
-    t = _finite(value, where)
-    if t < 0.0:
-        raise SymbolFileError(f"{where}: {t!r} is not a finite nonnegative time")
-    return t
+def _times(values, where) -> list:
+    """The finite nonnegative, pairwise distinct sample times ``values``;
+    ``where(i)`` names the i-th in a diagnostic.  Times within ``TIME_TOL``
+    of each other are one time to a sample, so a repeat is refused."""
+    times = []
+    for i, value in enumerate(values):
+        t = _finite(value, where(i))
+        if t < 0.0:
+            raise SymbolFileError(f"{where(i)}: {t!r} is not a finite nonnegative time")
+        for u in times:
+            if math.isclose(t, u, rel_tol=0.0, abs_tol=TIME_TOL):
+                raise SymbolFileError(f"{where(i)}: {t!r} repeats the time {u!r}")
+        times.append(t)
+    return times
 
 
 def _parse_times(text: str):
-    times = [_time(t, "--times") for t in text.split(",") if t.strip() != ""]
+    times = _times([t for t in text.split(",") if t.strip() != ""], lambda i: "--times")
     if not times:
         raise SymbolFileError("--times: at least one time required")
     return times
@@ -193,7 +203,7 @@ def _law_pairs(times):
     pairs = []
     for i, t in enumerate(tset):
         for s in tset[i:]:
-            if t > 0 and s > 0 and any(abs(t + s - u) < 1e-12 for u in tset):
+            if t > 0 and s > 0 and any(abs(t + s - u) < TIME_TOL for u in tset):
                 pairs.append((t, s))
     return pairs
 
@@ -331,8 +341,8 @@ def cmd_wold(args) -> int:
 def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     """The sample a ``semigroup`` run wrote to ``path``.  ``meta.json`` is
     held to the rules of symbol files and flags: ``dim`` is a non-negative
-    integer, ``times`` is a nonempty list of finite nonnegative times (as
-    for --times), and ``isometric``, when present, is true or false."""
+    integer, ``times`` is a nonempty list of finite nonnegative, distinct
+    times (as for --times), and ``isometric``, when present, is true or false."""
     meta_path = path / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
@@ -348,7 +358,7 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     dim = _count(dim, f"{meta_path}: dim")
     if not isinstance(times, list) or not times or not isinstance(names, list):
         raise SymbolFileError(f"{meta_path}: times and matrices are lists, times nonempty")
-    times = [_time(t, f"{meta_path}: times[{i}]") for i, t in enumerate(times)]
+    times = _times(times, lambda i: f"{meta_path}: times[{i}]")
     names = [str(name) for name in names]
     isometric = meta.get("isometric", False)
     if not isinstance(isometric, bool):
@@ -388,6 +398,12 @@ def cmd_verify(args) -> int:
         sample, _ = _build_sample(parsed, report, args, times)
         records = _sample_records(sample, args)
         config = _config(args, parsed)
+    if not any(r.applicable for r in records):  # a run that checked nothing is no pass
+        field = "--times" if args.sample is None else f"{Path(args.sample) / 'meta.json'}: times"
+        raise SymbolFileError(
+            f"{field}: no check applies at the times {sample.times}; "
+            "the semigroup law needs t, s > 0 with t + s among them"
+        )
     doc = {
         "records": [record_document(r) for r in records],
         "config": config,

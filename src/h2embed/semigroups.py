@@ -74,6 +74,8 @@ __all__ = [
     "wold_comparison_defect",
 ]
 
+TIME_TOL = 1e-12  # sample times closer than this are one time
+
 
 # --------------------------------------------------------------------------
 # symbol-level flows
@@ -329,12 +331,12 @@ class OperatorSemigroupSample:
 
     def operator_at(self, t: float) -> np.ndarray:
         for tt, op in zip(self.times, self.operators):
-            if math.isclose(tt, t, rel_tol=0.0, abs_tol=1e-12):
+            if math.isclose(tt, t, rel_tol=0.0, abs_tol=TIME_TOL):
                 return op
         raise MissingTime(f"no operator sampled at t = {t}")
 
     def has_time(self, t: float) -> bool:
-        return any(math.isclose(tt, t, rel_tol=0.0, abs_tol=1e-12) for tt in self.times)
+        return any(math.isclose(tt, t, rel_tol=0.0, abs_tol=TIME_TOL) for tt in self.times)
 
     def test_vectors(self, count: int) -> np.ndarray:
         cols = np.eye(self.dim, dtype=complex) if self.embedding is None else self.embedding

@@ -7,7 +7,8 @@ the one its basis is built to, and the continuity check's monotonicity
 slack.  A check that does not apply to a sample (isometry of a
 non-isometric flow, Wold reconstruction of an automorphism) reports
 ``applicable=False`` and never fails.  A defect that is not finite (an
-operator holding NaN or infinity) counts as +inf, so its check fails.
+operator holding NaN or infinity) counts as +inf, so its check fails.  The
+law check takes the Frobenius norm, an upper bound of the operator norm.
 """
 from __future__ import annotations
 
@@ -70,8 +71,9 @@ def _inapplicable(name: str, threshold: float, reason: str) -> VerificationRecor
 def check_semigroup_law(
     sample: OperatorSemigroupSample, pairs, tol: float
 ) -> VerificationRecord:
-    """max over pairs (t, s) of the spectral norm of V(t+s) - V(t) V(s),
-    restricted to the resolved subspace for embedded samples.
+    """max over pairs (t, s) of the Frobenius norm, an upper bound of the
+    operator norm, of V(t+s) - V(t) V(s), restricted to the resolved
+    subspace for embedded samples; it costs O(n^2), the operator norm an SVD.
 
     Three index operators (row-gather arrays ``src``) compose as indices:
     V_t V_s reads row src_s[src_t[i]], or 0 where either is -1.  When that
@@ -89,12 +91,9 @@ def check_semigroup_law(
         ):
             defect = 0.0
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # judged by isfinite
+            with np.errstate(over="ignore", invalid="ignore"):  # judged by _worst
                 gap = sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))
-            if not np.isfinite(gap).all():
-                defect = math.inf  # the SVD of a non-finite matrix does not converge
-            else:  # a dense rewrite of a shift sample also has an exactly zero gap
-                defect = float(np.linalg.norm(gap, 2)) if gap.any() else 0.0
+                defect = _worst(np.linalg.norm(gap))
         witnesses.append(((t, s), defect))
         worst = max(worst, defect)
     witnesses.sort(key=lambda w: -w[1])

@@ -434,7 +434,9 @@ IDENTITY_CSV_SHA256 = OUTER_CSV_SHA256[0]  # the time-0 file of every flow sampl
 # and the spiral flow were two classes with two samplers; the one
 # linear-fractional flow that replaced them writes the same bytes.  The
 # trajectory.csv digests are of the files then written with each
-# np.float64(x) field read as x.
+# np.float64(x) field read as x.  The verify digests were re-recorded when
+# the law check moved from the spectral to the Frobenius norm; only the
+# semigroup-law record changed.
 MOBIUS_FLOW_SHA256 = {
     # tau_0.4 as a composition symbol: the rotation by pi about its fixed point
     "tau_0.4": (
@@ -445,7 +447,7 @@ MOBIUS_FLOW_SHA256 = {
             "matrix_02.csv": "768fb04c14979df6a1cb46d9289d5e434a8306a376c0083785d01ed2fc193565",
             "meta.json": "4554489d9bf16dbb5f0a0664d097e46e852c0584a841315b7f74cf1a3e718080",
             "trajectory.csv": "5b33a9f7ee26a26736d2b769842250e86388f09b4075c9a497d36fd31b1abc5b",
-            "verify": "9e6e97903184e2e9195dd36fa1dad53d91892b961f19ea57b045d5d6c2b105c5",
+            "verify": "d8b7d4b0ad959466f41fe2c63db422816b4fa14d7f9c6ac7e1e546dd27c5e107",
         },
     ),
     # tau_alpha . (z -> e^i z) . tau_alpha with alpha = 0.3 + 0.2i
@@ -460,7 +462,7 @@ MOBIUS_FLOW_SHA256 = {
             "matrix_02.csv": "fcbaf8685d9db2fd2ce0c6d6e7cbfc079eb4eb5e375eda5a493ba4097d491497",
             "meta.json": "f5e48c48adaff4ce470661959de13df1360f0e8a92dae9b3980b796e5aef3c18",
             "trajectory.csv": "16c760d13d9e64aa24aa76ff6773d3e78818f4523bf5957127b396294827ab2e",
-            "verify": "6e9edea09e0c001bfac8676d871cf5d5ceccbe0fcdc56f729715368a3d8d385e",
+            "verify": "bc484550d7eeaaf565ca90187b8d83aeb445ee3c2bd6f9aa55b2669296ecd997",
         },
     ),
     # z -> z/2 + 0.2: the Koenigs spiral between 0.4 and infinity
@@ -751,10 +753,50 @@ def test_verify_takes_exactly_one_source(capsys, sources):
     assert "--input" in capsys.readouterr().err
 
 
+def test_exit_2_verify_that_checks_nothing(tmp_path, capsys):
+    # one time: no law pair, no continuity, and the flow is not isometric
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(OUTER_DOC))
+    argv = ["verify", "--input", str(path), "--n", "8", "--times", "0.3"]
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: malformed input: --times: no check applies")
+    # times 0 and 1: 1 + 1 is not sampled, so the stored sample has no law pair
+    out = tmp_path / "sample"
+    argv = ["semigroup", "--input", str(path), "--n", "8", "--times", "0,1", "--out", str(out)]
+    assert _run(argv, capsys)[0] == 0
+    rc, stdout, err = _verify_sample(out, capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: malformed input: {out / 'meta.json'}: times: no check applies")
+
+
+@pytest.mark.parametrize("times, repeat", [("0,0.5,0.5,1", "0.5 repeats the time 0.5"),
+                                           ("0,1,1.0000000000001", "1.0000000000001 repeats")])
+@pytest.mark.parametrize("command", ["semigroup", "verify"])
+def test_exit_2_repeated_time(tmp_path, capsys, command, times, repeat):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(OUTER_DOC))
+    out = tmp_path / "s"
+    argv = [command, "--input", str(path), "--n", "8", "--times", times, "--out", str(out)]
+    rc, stdout, err = _run(argv, capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: malformed input: --times: {repeat}")
+    assert not out.exists()
+
+
+def test_exit_2_sample_with_a_repeated_time(tmp_path, capsys):
+    out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
+    meta["times"] = [0.0, 0.5, 0.5]
+    (out / "meta.json").write_text(json.dumps(meta))
+    rc, stdout, err = _verify_sample(out, capsys)
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: malformed input: {out / 'meta.json'}: times[2]: 0.5 repeats the time 0.5\n"
+
+
 def test_exit_1_sample_with_overflowing_entries(tmp_path, capsys):
     # Every product and norm of these matrices overflows; the law gap is
-    # -inf and its SVD would not converge.  The record must fail, and the
-    # document must stay JSON: no NaN or Infinity literal.
+    # -inf and its norm +inf.  The record must fail, and the document must
+    # stay JSON: no NaN or Infinity literal.
     out = tmp_path / "sample"
     out.mkdir()
     names = [f"matrix_{i:02d}.csv" for i in range(3)]

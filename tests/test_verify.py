@@ -1,12 +1,15 @@
 import json
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from h2embed import semigroups
-from h2embed.cli import _load_sample_dir, main
+from h2embed.cli import _analyze, _build_sample, _law_pairs, _load_sample_dir, main
 from h2embed.errors import IllConditioned
+from h2embed.fileio import parse_symbol_document
 from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
 from h2embed.semigroups import OperatorSemigroupSample, embed_isometric_composition
 from h2embed.symbols import BlaschkeProduct
@@ -109,3 +112,78 @@ def test_a_non_finite_defect_fails_every_check(bad):
         assert rec.max_defect == math.inf
         assert rec.witnesses[0][1] == math.inf
         assert not any(math.isnan(defect) for _, defect in rec.witnesses)
+
+
+# Flows whose samples are dense, so the law check forms every gap.
+DENSE_FLOWS = {
+    "outer": {"kind": "toeplitz", "outer": {"constant": {"re": 1.5, "im": -0.7},
+                                            "conjugate_factors": [{"re": 0.3, "im": 0.4}],
+                                            "exterior_zeros": [{"re": 1.2, "im": -0.9}]}},
+    "singular": {"kind": "toeplitz", "singular": {"atoms": [{"angle": 0.4, "mass": 0.4}]}},
+    "polynomial": {"kind": "polynomial",
+                   "polynomial": {"coeffs": [{"re": 3.0}, {"re": 1.0}, {"re": 0.5}]}},
+    "inner-outer": {"kind": "toeplitz", "singular": {"atoms": [{"angle": 0.4, "mass": 0.4}]},
+                    "outer": {"constant": {"re": -0.5},
+                              "exterior_zeros": [{"re": 2.1, "im": 0.3}]}},
+    # tau_0.4 = (0.4 - z)/(1 - 0.4 z) as a composition symbol, and z/2 + 0.2
+    "tau_0.4": {"kind": "composition", "mobius": {"a": {"re": -1.0}, "b": {"re": 0.4},
+                                                  "c": {"re": -0.4}, "d": {"re": 1.0}}},
+    "z/2+0.2": {"kind": "mobius", "mobius": {"a": {"re": 0.5}, "b": {"re": 0.2},
+                                             "c": {"re": 0.0}, "d": {"re": 1.0}}},
+}
+
+
+def _dense_flow_sample(name, n):
+    parsed = parse_symbol_document(DENSE_FLOWS[name])
+    args = SimpleNamespace(n=n, tol=1e-8)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]  # the times `verify` samples by default
+    return _build_sample(parsed, _analyze(parsed, args), args, times)[0]
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("name", sorted(DENSE_FLOWS))
+def test_law_witness_lies_between_the_operator_norm_and_sqrt_n_times_it(name, n):
+    sample = _dense_flow_sample(name, n)
+    assert all(op.ndim == 2 for op in sample.operators)
+    pairs = _law_pairs(sample.times)
+    rec = check_semigroup_law(sample, pairs, 1e-8)
+    assert sorted(pair for pair, _ in rec.witnesses) == sorted(pairs)
+    for (t, s), w in rec.witnesses:
+        gap = sample.apply(t + s) - sample.apply(t) @ sample.apply(s)
+        spectral = np.linalg.norm(gap, 2)
+        assert spectral > 0.0
+        # the two norms are computed apart, so each may be off by rounding
+        assert spectral * (1 - 1e-12) <= w <= math.sqrt(sample.dim) * spectral
+    assert rec.max_defect == max(w for _, w in rec.witnesses)
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_rank_one_gap_is_held_to_its_operator_norm(factor, passed):
+    # V_1 = c u v^* against V_1/2 = 0: the gap is exactly the rank-one c u v^*,
+    # whose Frobenius and operator norms are both c, one factor either side of tol.
+    tol = 1e-8
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    c = factor * tol
+    gap = c * np.outer(u / np.linalg.norm(u), (v / np.linalg.norm(v)).conj())
+    assert np.linalg.norm(gap, 2) == pytest.approx(c, rel=1e-12)
+    ops = [np.eye(6, dtype=complex), np.zeros((6, 6), dtype=complex), gap]
+    sample = OperatorSemigroupSample([0.0, 0.5, 1.0], ops, "outer-flow", 6, False)
+    rec = check_semigroup_law(sample, [(0.5, 0.5)], tol)
+    assert rec.passed is passed
+    assert rec.max_defect == pytest.approx(c, rel=1e-12)
+
+
+def test_law_check_takes_no_svd(tmp_path, capsys, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the law check of a flow needs no SVD")
+
+    # np.linalg.norm(x, 2) calls svd through the module that defines it
+    monkeypatch.setattr(sys.modules[np.linalg.svd.__wrapped__.__module__], "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(DENSE_FLOWS["outer"]))
+    assert main(["verify", "--input", str(path), "--n", "64"]) == 0
+    (law,) = [r for r in json.loads(capsys.readouterr().out)["records"]
+              if r["check"] == "semigroup-law"]
+    assert law["applicable"] and 0.0 < law["max_defect"] <= 1e-8
