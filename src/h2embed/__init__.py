@@ -10,14 +10,12 @@ from .errors import (
     DegenerateMap,
     DegenerateSymbol,
     DomainError,
-    ExhaustedRetries,
     H2EmbedError,
     HorizonOverflow,
     IllConditioned,
     IsometryDefect,
     MissingTime,
     NonCommuting,
-    NotContractive,
     NotInner,
     PoleHit,
     ResidualFailure,
@@ -50,15 +48,11 @@ from .symbols import (
     taylor_coefficients,
 )
 from .blaschke import (
-    OrbitRecord,
     PreimageSet,
     conjugate_by_automorphism,
-    critical_values,
-    dw_orbit,
     fixed_points_in_disk,
     frostman_transform,
     interior_fixed_point,
-    sample_regular_value,
     solve_blaschke_equation,
 )
 from .operators import (
@@ -66,6 +60,7 @@ from .operators import (
     WoldDecomposition,
     boundary_gram,
     composition_matrix,
+    lower_toeplitz,
     toeplitz_matrix,
     wold_decompose,
 )

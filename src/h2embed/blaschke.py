@@ -1,6 +1,6 @@
 """Solving B(z) = beta for finite Blaschke products, and what hangs off it:
-critical values, regular-value sampling, Frostman transforms, fixed points
-in the disk, and forward orbits toward the attracting fixed point.
+Frostman transforms, conjugation by a disk automorphism, and fixed points
+in the disk.
 
 A finite Blaschke product of degree N takes every value of the disk exactly
 N times; writing B = P/Q turns B(z) = beta into the polynomial equation
@@ -8,47 +8,33 @@ P - beta Q = 0, which is how everything here is computed.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSymbol,
-    DomainError,
-    ExhaustedRetries,
-    NotContractive,
-    ResidualFailure,
-)
+from .errors import DegenerateSymbol, DomainError, ResidualFailure
 from .polynomials import (
     DEFAULT_BOUNDARY_TOL,
     Polynomial,
     RootSet,
-    poly_derivative,
     poly_mul,
     poly_roots,
     poly_scale,
     poly_sub,
 )
-from .symbols import BlaschkeProduct, MobiusMap, taylor_coefficients
+from .symbols import BlaschkeProduct, MobiusMap
 
 __all__ = [
     "PreimageSet",
-    "OrbitRecord",
     "solve_blaschke_equation",
-    "critical_values",
-    "sample_regular_value",
     "frostman_transform",
     "conjugate_by_automorphism",
     "fixed_points_in_disk",
     "interior_fixed_point",
-    "dw_orbit",
 ]
 
 _CONJUGATION_RESIDUAL = 1e-9  # looser than solve's 1e-10: alpha is itself a computed root
-_REGULAR_MARGIN = 1e-4  # keeps beta far above the rounding of the critical values
-_REGULAR_TRIES = 1000  # the discs the margin excludes cover about 1e-7 of the disk
 _ORIGIN_TOL = 1e-9  # far above the rounding of a merged root at the origin
 # interior_fixed_point: orbits to an interior point converge geometrically
 _ORBIT_STEPS, _ORBIT_TOL, _ORBIT_MARGIN = 400, 1e-12, 1e-6
@@ -63,11 +49,6 @@ class PreimageSet:
     all_distinct: bool
 
 
-def _equation_polynomial(b: BlaschkeProduct, beta: complex) -> Polynomial:
-    p, q = b.numerator_denominator()
-    return poly_sub(p, poly_scale(q, beta))
-
-
 def solve_blaschke_equation(b: BlaschkeProduct, beta, tol: float = 1e-10) -> PreimageSet:
     """All deg(B) preimages of ``beta`` under ``b``, with multiplicities.
 
@@ -78,8 +59,8 @@ def solve_blaschke_equation(b: BlaschkeProduct, beta, tol: float = 1e-10) -> Pre
         raise DegenerateSymbol("preimages need a nonconstant Blaschke product")
     if abs(beta) >= 1.0:
         raise DomainError("target values must lie in the open disk")
-    eq = _equation_polynomial(b, beta)
-    rs = poly_roots(eq)
+    p, q = b.numerator_denominator()
+    rs = poly_roots(poly_sub(p, poly_scale(q, beta)))
     if rs.total_multiplicity != b.degree:
         raise ResidualFailure(
             f"expected {b.degree} preimages, root finder produced "
@@ -91,42 +72,6 @@ def solve_blaschke_equation(b: BlaschkeProduct, beta, tol: float = 1e-10) -> Pre
             f"preimage residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )
     return PreimageSet(beta, rs, all(m == 1 for _, m in rs.roots))
-
-
-def critical_values(b: BlaschkeProduct) -> list:
-    """Values of ``b`` at its critical points in the closed disk.
-
-    Critical points are the roots of P'Q - PQ'; points outside the closed
-    disk, widened by ``DEFAULT_BOUNDARY_TOL``, are discarded.
-    """
-    if b.degree < 1:
-        raise DegenerateSymbol("critical values need a nonconstant Blaschke product")
-    p, q = b.numerator_denominator()
-    num = poly_sub(poly_mul(poly_derivative(p), q), poly_mul(p, poly_derivative(q)))
-    if num.is_zero:
-        raise DegenerateSymbol("derivative numerator vanished identically")
-    if num.degree == 0:
-        return []
-    rs = poly_roots(num)
-    vals = [complex(b(v)) for v, _ in rs.roots if abs(v) <= 1.0 + DEFAULT_BOUNDARY_TOL]
-    vals.sort(key=lambda w: (w.real, w.imag))
-    return vals
-
-
-def sample_regular_value(b: BlaschkeProduct, seed: int) -> complex:
-    """Deterministically draw beta in the disk, away from every critical value,
-    from the origin and from the boundary by at least ``_REGULAR_MARGIN``."""
-    crit = critical_values(b)
-    rng = np.random.default_rng(seed)
-    for _ in range(_REGULAR_TRIES):
-        r = math.sqrt(rng.uniform()) * (1.0 - 2.0 * _REGULAR_MARGIN)
-        beta = r * np.exp(2j * np.pi * rng.uniform())
-        beta = complex(beta)
-        if abs(beta) <= _REGULAR_MARGIN:
-            continue
-        if all(abs(beta - c) > _REGULAR_MARGIN for c in crit):
-            return beta
-    raise ExhaustedRetries(f"no regular value found in {_REGULAR_TRIES} draws")
 
 
 def _fit_rotation(origin_order, zeros, target) -> BlaschkeProduct:
@@ -256,39 +201,3 @@ def interior_fixed_point(f, derivative):
     if abs(complex(np.asarray(f(z))) - z) > 1e3 * _ORBIT_TOL:
         return None
     return z
-
-
-@dataclass
-class OrbitRecord:
-    """Forward orbit of a point under iteration of a symbol fixing 0."""
-
-    start: complex
-    iterates: np.ndarray
-    moduli: np.ndarray
-
-
-def dw_orbit(psi, z0, n_max: int = 60) -> OrbitRecord:
-    """Iterate psi from z0; requires psi(0) = 0 and |psi'(0)| < 1.
-
-    The moduli are nonincreasing (Schwarz lemma) and tend to 0, the
-    attracting fixed point of any such non-rotation.  Rotation-like
-    symbols (|psi'(0)| within 1e-12 of 1) are refused.
-    """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise DomainError("orbit start must lie in the open disk")
-    f0 = complex(np.asarray(psi(0.0 + 0.0j)))
-    if abs(f0) > 1e-12:
-        raise DomainError("orbit iteration requires a symbol fixing the origin")
-    c = taylor_coefficients(psi, 2, radius=0.5)
-    if abs(c[1]) >= 1.0 - 1e-12:
-        raise NotContractive(
-            "|psi'(0)| is not below 1: rotation-like symbol, orbit does not converge"
-        )
-    pts = [z0]
-    z = z0
-    for _ in range(n_max):
-        z = complex(np.asarray(psi(z)))
-        pts.append(z)
-    iterates = np.array(pts, dtype=complex)
-    return OrbitRecord(z0, iterates, np.abs(iterates))

@@ -2,12 +2,12 @@
 
 Subcommands: analyze, semigroup, solve, frostman, wold, verify.  Verdicts
 are data, never error exits.  Exit codes: 0 ok, 1 failed verification
-check, 2 malformed input (also ``verify`` at times where no check
-applies), 3 verdict without a concrete construction, 4 numeric failure
-inside a computation.
+check, 2 malformed input (also ``semigroup`` and ``verify`` at times
+where no check applies), 3 verdict without a concrete construction,
+4 numeric failure inside a computation.
 
 Reports are emitted as deterministic JSON (or key,value CSV with
---format csv): identical input, configuration and seed give byte-identical
+--format csv): identical input and configuration give byte-identical
 output.
 
 ``main`` is re-entrant: the process builds its argument parser once, at
@@ -63,7 +63,6 @@ from .verify import (
     check_strong_continuity,
 )
 
-DEFAULT_SEED = 1729
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NO_CONSTRUCTION = 3
@@ -141,7 +140,6 @@ def _config(args, parsed) -> dict:
         "input_hash": parsed.get("hash"),
         "n": args.n,
         "tol": args.tol,
-        "seed": args.seed,
     }
 
 
@@ -220,11 +218,23 @@ def _sample_records(sample, args):
     return records
 
 
+def _checked(records, times, field: str):
+    """``records``, unless none of them applies: a run that checked nothing
+    is no pass, so it is refused as malformed ``field``."""
+    if not any(r.applicable for r in records):
+        raise SymbolFileError(
+            f"{field}: no check applies at the times {times}; "
+            "the semigroup law needs t, s > 0 with t + s among them"
+        )
+    return records
+
+
 def cmd_semigroup(args) -> int:
     parsed = load_symbol_file(args.input)
     report = _analyze(parsed, args)
     times = _parse_times(args.times)
     sample, flow = _build_sample(parsed, report, args, times)
+    records = _checked(_sample_records(sample, args), sample.times, "--times")
     outdir = Path(args.out or "h2embed-semigroup-out")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +245,6 @@ def cmd_semigroup(args) -> int:
         name = f"matrix_{i:02d}.csv"
         dump_matrix_csv(outdir / name, sample.operator_at(t))
         matrix_files.append(name)
-    records = _sample_records(sample, args)
     trajectory_file = None
     if flow is not None and hasattr(flow, "at"):
         grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -390,20 +399,15 @@ def cmd_verify(args) -> int:
             records.append(check_semigroup_law(sample, pairs, args.tol))
         if sample.isometric and sample.construction != "wold-shift":
             records.append(check_isometry(sample, max(args.tol, 1e-6)))
-        config = {"sample": args.sample, "tol": args.tol, "seed": args.seed}
+        records = _checked(records, sample.times, f"{Path(args.sample) / 'meta.json'}: times")
+        config = {"sample": args.sample, "tol": args.tol}
     else:
         parsed = load_symbol_file(args.input)
         report = _analyze(parsed, args)
         times = _parse_times(args.times)
         sample, _ = _build_sample(parsed, report, args, times)
-        records = _sample_records(sample, args)
+        records = _checked(_sample_records(sample, args), sample.times, "--times")
         config = _config(args, parsed)
-    if not any(r.applicable for r in records):  # a run that checked nothing is no pass
-        field = "--times" if args.sample is None else f"{Path(args.sample) / 'meta.json'}: times"
-        raise SymbolFileError(
-            f"{field}: no check applies at the times {sample.times}; "
-            "the semigroup law needs t, s > 0 with t + s among them"
-        )
     doc = {
         "records": [record_document(r) for r in records],
         "config": config,
@@ -427,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     def options(p):
         p.add_argument("--n", type=int, default=32, help="truncation order (>= 4)")
         p.add_argument("--tol", type=float, default=1e-8, help="tolerance")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rng seed")
         p.add_argument("--out", default=None, help="output path (stdout by default)")
         p.add_argument(
             "--format", choices=("report-doc", "csv"), default="report-doc"

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the library."""
 
+__all__ = [
+    "H2EmbedError", "ZeroPolynomial", "PoleHit", "DomainError", "DegenerateMap",
+    "DegenerateSymbol", "IllConditioned", "ResidualFailure", "IsometryDefect",
+    "AutomorphismInput", "NonCommuting", "BranchFailure", "HorizonOverflow", "MissingTime",
+    "NotInner", "BoundaryZeroWarning",
+]
+
 
 class H2EmbedError(Exception):
     """Base class for every library-specific failure."""
@@ -33,14 +40,6 @@ class IllConditioned(H2EmbedError):
 
 class ResidualFailure(H2EmbedError):
     """A claimed root fails its residual check; the root finder broke down."""
-
-
-class ExhaustedRetries(H2EmbedError):
-    """Rejection sampling hit its retry budget."""
-
-
-class NotContractive(H2EmbedError):
-    """Orbit iteration requires a strictly contractive symbol at the origin."""
 
 
 class IsometryDefect(H2EmbedError):

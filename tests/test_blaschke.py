@@ -3,15 +3,12 @@ import pytest
 
 from h2embed.blaschke import (
     conjugate_by_automorphism,
-    critical_values,
-    dw_orbit,
     fixed_points_in_disk,
     frostman_transform,
     interior_fixed_point,
-    sample_regular_value,
     solve_blaschke_equation,
 )
-from h2embed.errors import DomainError, ExhaustedRetries, NotContractive
+from h2embed.errors import DomainError
 from h2embed.symbols import BlaschkeProduct, MobiusMap, SingularInner, SingularMeasure
 
 
@@ -21,6 +18,11 @@ def random_blaschke(rng, degree):
         r = rng.uniform(0.1, 0.85)
         zeros.append((r * np.exp(2j * np.pi * rng.uniform()), 1))
     return BlaschkeProduct(zeros=zeros)
+
+
+def random_disk_point(rng):
+    """A point of the disk of radius 0.9, uniform in area."""
+    return complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
 
 
 class TestSolve:
@@ -48,49 +50,6 @@ class TestSolve:
             solve_blaschke_equation(BlaschkeProduct(origin_order=2), 1.5)
 
 
-class TestCriticalValues:
-    def test_square(self):
-        vals = critical_values(BlaschkeProduct(origin_order=2))
-        assert len(vals) == 1 and abs(vals[0]) < 1e-12
-
-    def test_degree_one_empty(self):
-        assert critical_values(BlaschkeProduct(origin_order=1)) == []
-
-    def test_symmetric_zeros(self):
-        b = BlaschkeProduct(zeros=[(0.5, 1), (-0.5, 1)])
-        vals = critical_values(b)
-        assert len(vals) >= 1
-        # by symmetry the interior critical point is 0; check |B'| there
-        assert abs(complex(b.derivative(0.0))) < 1e-10
-        assert any(abs(v - complex(b(0.0))) < 1e-10 for v in vals)
-
-
-class TestRegularValue:
-    def test_closed_loop_with_solver(self):
-        b = BlaschkeProduct(origin_order=2)
-        beta = sample_regular_value(b, seed=42)
-        assert 1e-4 < abs(beta) < 1
-        pre = solve_blaschke_equation(b, beta)
-        assert pre.all_distinct and pre.solutions.total_multiplicity == 2
-
-    def test_degree_one_any_seed(self):
-        beta = sample_regular_value(BlaschkeProduct(origin_order=1), seed=0)
-        assert abs(beta) < 1
-
-    def test_deterministic(self):
-        b = BlaschkeProduct(zeros=[(0.4, 1)])
-        assert sample_regular_value(b, seed=9) == sample_regular_value(b, seed=9)
-
-    def test_draws_within_the_margin_exhaust_the_retries(self, monkeypatch):
-        class Origin:  # every draw lands on the origin, within the margin
-            def uniform(self):
-                return 0.0
-
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Origin())
-        with pytest.raises(ExhaustedRetries):
-            sample_regular_value(BlaschkeProduct(origin_order=2), seed=0)
-
-
 class TestFrostman:
     def test_square_quarter(self):
         result, simple = frostman_transform(BlaschkeProduct(origin_order=2), 0.25)
@@ -105,7 +64,7 @@ class TestFrostman:
     def test_random_grid_match(self):
         rng = np.random.default_rng(17)
         b = random_blaschke(rng, 3)
-        lam = sample_regular_value(b, seed=5)
+        lam = random_disk_point(rng)
         result, simple = frostman_transform(b, lam)
         assert simple and result.degree == 3
         tau = MobiusMap.disk_involution(lam)
@@ -126,7 +85,7 @@ class TestFrostman:
         for trial in range(50):
             deg = 2 + trial % 5
             b = random_blaschke(rng, deg)
-            beta = sample_regular_value(b, seed=trial)
+            beta = random_disk_point(rng)
             pre = solve_blaschke_equation(b, beta)
             assert pre.solutions.total_multiplicity == deg
             assert pre.all_distinct
@@ -164,32 +123,6 @@ class TestConjugate:
         grid = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
         assert np.max(np.abs(tau(phi(tau(grid))) - psi(grid))) < 1e-9
         assert abs(complex(psi(0.0))) < 1e-12
-
-
-class TestOrbit:
-    def test_square_moduli_decrease(self):
-        rec = dw_orbit(BlaschkeProduct(origin_order=2), 0.9, n_max=6)
-        assert rec.moduli[1] == pytest.approx(0.81)
-        assert rec.moduli[2] == pytest.approx(0.6561)
-        assert np.all(np.diff(rec.moduli) <= 1e-12)
-
-    def test_zero_start_constant(self):
-        rec = dw_orbit(BlaschkeProduct(origin_order=2), 0.0, n_max=5)
-        assert np.all(rec.moduli == 0)
-
-    def test_blaschke_orbit_converges(self):
-        psi = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
-        rec = dw_orbit(psi, 0.7, n_max=30)
-        assert rec.moduli[-1] < 1e-3
-        assert np.all(np.diff(rec.moduli) <= 1e-12)
-
-    def test_rotation_refused(self):
-        with pytest.raises(NotContractive):
-            dw_orbit(BlaschkeProduct(rotation=0.5, origin_order=1), 0.3)
-
-    def test_nonvanishing_origin_refused(self):
-        with pytest.raises(DomainError):
-            dw_orbit(BlaschkeProduct(zeros=[(0.5, 1)]), 0.3)
 
 
 def test_interior_fixed_point_of_singular_inner():

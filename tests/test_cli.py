@@ -87,7 +87,7 @@ def test_verify_document_unchanged(tmp_path, capsys, name):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(path), "--n", "16"]) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "config": {"input_hash": input_hash, "n": 16, "seed": 1729, "tol": 1e-08},
+        "config": {"input_hash": input_hash, "n": 16, "tol": 1e-08},
         "records": VERIFY_RECORDS_N16,
     }
 
@@ -399,7 +399,7 @@ def test_rounded_automorphisms_are_self_maps():
 ANALYZE_GOLDEN = {
     "tau_0.4": (
         _mobius_doc(-1.0, 0.4, -0.4, 1.0, kind="composition"),
-        {"config": {"input_hash": "da46e0ff5bfd0607", "n": 32, "seed": 1729, "tol": 1e-08},
+        {"config": {"input_hash": "da46e0ff5bfd0607", "n": 32, "tol": 1e-08},
          "details": {"fixed_point": {"im": 0.0, "re": 0.20871215252207995},
                      "multiplier": {"im": 0.0, "re": -1.0}, "theta": 3.141592653589793},
          "governing_result": "elliptic-automorphism-semiflow",
@@ -408,7 +408,7 @@ ANALYZE_GOLDEN = {
     ),
     "z/2+0.2": (
         _mobius_doc(0.5, 0.2, 0.0, 1.0),
-        {"config": {"input_hash": "1cac72aca69e23ce", "n": 32, "seed": 1729, "tol": 1e-08},
+        {"config": {"input_hash": "1cac72aca69e23ce", "n": 32, "tol": 1e-08},
          "details": {"alpha": {"im": 0.0, "re": 0.4}, "beta": "infinity", "lhs": 0.4,
                      "multiplier": {"im": 0.0, "re": 0.5}, "rhs": 0.5, "spiral_length": 1.0},
          "governing_result": "attractive-elliptic-spiral-condition",
@@ -436,7 +436,9 @@ IDENTITY_CSV_SHA256 = OUTER_CSV_SHA256[0]  # the time-0 file of every flow sampl
 # trajectory.csv digests are of the files then written with each
 # np.float64(x) field read as x.  The verify digests were re-recorded when
 # the law check moved from the spectral to the Frobenius norm; only the
-# semigroup-law record changed.
+# semigroup-law record changed.  The meta.json and verify digests were
+# re-recorded again when the unread "seed" key left every config; only
+# that line went.
 MOBIUS_FLOW_SHA256 = {
     # tau_0.4 as a composition symbol: the rotation by pi about its fixed point
     "tau_0.4": (
@@ -445,9 +447,9 @@ MOBIUS_FLOW_SHA256 = {
             "matrix_00.csv": IDENTITY_CSV_SHA256,
             "matrix_01.csv": "95242e4572606e156bc26838e3c04f2d3b290632015067607e38e8f2e60dc8ba",
             "matrix_02.csv": "768fb04c14979df6a1cb46d9289d5e434a8306a376c0083785d01ed2fc193565",
-            "meta.json": "4554489d9bf16dbb5f0a0664d097e46e852c0584a841315b7f74cf1a3e718080",
+            "meta.json": "1c1334d0cd655d3e7157691ad1fa6f6cd96a6f78f5e2cadcf8686dc0c7b1f3b9",
             "trajectory.csv": "5b33a9f7ee26a26736d2b769842250e86388f09b4075c9a497d36fd31b1abc5b",
-            "verify": "d8b7d4b0ad959466f41fe2c63db422816b4fa14d7f9c6ac7e1e546dd27c5e107",
+            "verify": "9aa9f6500e38a7352af880ade22b7ec3d52524c87cc65fbdf9dbd176d07a3b8f",
         },
     ),
     # tau_alpha . (z -> e^i z) . tau_alpha with alpha = 0.3 + 0.2i
@@ -460,9 +462,9 @@ MOBIUS_FLOW_SHA256 = {
             "matrix_00.csv": IDENTITY_CSV_SHA256,
             "matrix_01.csv": "dc718869b358d0d07b73ddf73e2132f8aaee2b8eb6993077d665f2dbddbd6332",
             "matrix_02.csv": "fcbaf8685d9db2fd2ce0c6d6e7cbfc079eb4eb5e375eda5a493ba4097d491497",
-            "meta.json": "f5e48c48adaff4ce470661959de13df1360f0e8a92dae9b3980b796e5aef3c18",
+            "meta.json": "f7588fd2374d127537ee78f6f925019528b9f642c930457e664b1a848e98bbb1",
             "trajectory.csv": "16c760d13d9e64aa24aa76ff6773d3e78818f4523bf5957127b396294827ab2e",
-            "verify": "bc484550d7eeaaf565ca90187b8d83aeb445ee3c2bd6f9aa55b2669296ecd997",
+            "verify": "ff298b73b0161dab85df32405e7898ee074da8e5ef67291d3681155be307c0ff",
         },
     ),
     # z -> z/2 + 0.2: the Koenigs spiral between 0.4 and infinity
@@ -472,7 +474,7 @@ MOBIUS_FLOW_SHA256 = {
             "matrix_00.csv": IDENTITY_CSV_SHA256,
             "matrix_01.csv": "f13370deeff8265a1296b08f9beb7efb8402b0fce0a01a1846de6fc545d3b5d2",
             "matrix_02.csv": "0c01e84c6373d9ee93c8d25f1bd94ebbaff73b3e5415e3926799e775936020a4",
-            "meta.json": "f2b5eb2c79d8e97a69591582c23202e4bda65733bddebebc68f1d35ef0e72c6d",
+            "meta.json": "15ff88de670c2ed3c1586d5129e9ee68353fe89d97ec8033e044b55ef53721d5",
             "trajectory.csv": "360e9b0c26d7d902702f7c1173154b82548757a9468fe301f2885dba2c164af9",
         },
     ),
@@ -745,6 +747,21 @@ def test_grid_step_is_no_flag(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["semigroup"], ["solve", "--beta", "0.3"], ["frostman", "--lam", "0.3"],
+     ["wold"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_no_flag(tmp_path, capsys, argv):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(PSI_DOC))
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--input", str(path), "--seed", "1"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sources", [[], ["--input", "sym.json", "--sample", "sample"]])
 def test_verify_takes_exactly_one_source(capsys, sources):
     with pytest.raises(SystemExit) as stop:
@@ -762,12 +779,24 @@ def test_exit_2_verify_that_checks_nothing(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: malformed input: --times: no check applies")
     # times 0 and 1: 1 + 1 is not sampled, so the stored sample has no law pair
-    out = tmp_path / "sample"
-    argv = ["semigroup", "--input", str(path), "--n", "8", "--times", "0,1", "--out", str(out)]
-    assert _run(argv, capsys)[0] == 0
+    out, meta = _write_sample(tmp_path, capsys, OUTER_DOC, n=8)
+    meta["times"], meta["matrices"] = [0.0, 1.0], [meta["matrices"][0], meta["matrices"][2]]
+    (out / "meta.json").write_text(json.dumps(meta))
     rc, stdout, err = _verify_sample(out, capsys)
     assert (rc, stdout) == (2, "")
     assert err.startswith(f"error: malformed input: {out / 'meta.json'}: times: no check applies")
+
+
+def test_exit_2_semigroup_that_checks_nothing(tmp_path, capsys):
+    # the sample `verify --sample` would refuse is not written
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(OUTER_DOC))
+    out = tmp_path / "s"
+    argv = ["semigroup", "--input", str(path), "--n", "16", "--times", "0,1", "--out", str(out)]
+    rc, stdout, err = _run(argv, capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: malformed input: --times: no check applies at the times [0.0, 1.0]")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("times, repeat", [("0,0.5,0.5,1", "0.5 repeats the time 0.5"),
@@ -844,6 +873,40 @@ def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):
     rc, out, err = _run(["verify", "--input", str(path)], capsys)
     assert (rc, out) == (3, "")
     assert err == "error: verdict carries no concrete construction (inner-toeplitz-dichotomy)\n"
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [(_mobius_doc(0.5, 0.2, 0.0, 1.0, kind="composition"),
+      "NotInner: Mobius symbols must be disk automorphisms to be inner"),
+     ({"kind": "toeplitz", "blaschke": {"rotation": 0.3}},
+      "DegenerateSymbol: constant symbols have no embedding content")],
+    ids=["composition z/2+0.2", "constant toeplitz"],
+)
+def test_exit_4_symbol_the_decision_refuses(tmp_path, capsys, doc, error):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["verify", "--input", str(path), "--n", "16"], capsys)
+    assert (rc, out) == (4, "")
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "coeffs, token",
+    [((1.0, 0.5, 0.5, 1.0), "automorphism-semiflow"),
+     ((0.0, 1.0, -1.0, 2.0), "boundary-fixed-point-unscoped"),
+     ((0.5, 0.5, 0.0, 1.0), "boundary-fixed-point-unscoped")],
+    ids=["(z+1/2)/(1+z/2)", "1/(2-z)", "(1+z)/2"],
+)
+def test_exit_3_mobius_verdict_without_a_construction(tmp_path, capsys, coeffs, token):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(_mobius_doc(*coeffs)))
+    rc, out, err = _run(["analyze", "--input", str(path), "--n", "16"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["governing_result"] == token
+    rc, out, err = _run(["verify", "--input", str(path), "--n", "16"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == f"error: verdict carries no concrete construction ({token})\n"
 
 
 def test_exit_4_residual_failure(tmp_path, capsys):
