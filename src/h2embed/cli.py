@@ -330,11 +330,8 @@ def cmd_wold(args) -> int:
         sym, lambda: decide_composition(sym, tol=args.tol).details.get("fixed_point")
     )
     wold = wold_decompose(psi, args.n)
-    levels = []
-    for basis in wold.levels:
-        levels.append(
-            [np.flatnonzero(np.abs(basis[:, j]) > 1e-8).tolist() for j in range(basis.shape[1])]
-        )
+    rows = np.arange(args.n)
+    levels = [[rows[keep].tolist() for keep in np.abs(basis.T) > 1e-8] for basis in wold.levels]
     doc = {
         "n": args.n,
         "level_dims": wold.level_dims,

@@ -43,12 +43,24 @@ distinct values (2 for the identity at t = 0).  A dense file whose entries
 are all distinct costs what it did per entry.  Entries must be finite: a
 NaN or infinite part is refused, naming the first line that holds one,
 as a symbol file refuses a non-finite number.
+
+Report documents are, byte for byte, the text that ``json.dumps`` gives
+for ``_jsonable(doc)`` with ``sort_keys`` and an ``indent`` of 2, plus a
+final newline: keys sorted, two-space indentation, ASCII-only strings,
+floats as their ``repr`` (NaN, Infinity and -Infinity as the json module
+writes them).  ``json_dumps`` writes that text itself rather than
+calling ``json.dumps``, because any ``indent`` sends ``json.dumps`` to
+its pure-Python encoder; the writer covers only the types ``_jsonable``
+returns, writes a list of ints in one join, and leaves strings to the
+json module's C escaper.  Anything else raises ``TypeError``, as
+``json.dumps`` does.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +372,13 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def _jsonable(value):
+    """``value`` as the JSON types: dicts with str keys, lists, str, int,
+    float, bool and None.  Complex numbers become {"re", "im"} objects and an
+    infinite float the string "infinity"; a list of plain ints is returned
+    as it is."""
     if value is None or isinstance(value, (int, str)):  # bool is an int
+        return value
+    if type(value) is list and set(map(type, value)) == {int}:
         return value
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
@@ -373,7 +391,7 @@ def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "infinity"
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -381,8 +399,63 @@ def _jsonable(value):
     return value
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append to ``out`` the JSON text of ``value``, a value ``_jsonable``
+    returned, as ``json.dumps`` with ``sort_keys`` and an ``indent`` of 2
+    lays it out at the indentation ``pad``."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)))
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def json_dumps(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """The report document of ``obj`` (see the module docstring)."""
+    out = []
+    _write(_jsonable(obj), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def report_document(report, *, config: dict | None = None) -> dict:

@@ -163,19 +163,30 @@ def _gram_schmidt(cand: np.ndarray, block: np.ndarray, threshold: float):
     Math. Appl. 50, 2005).  The sweep stops once the block and the taken
     columns span the space.  Returns the taken columns, their candidate
     indices and their remaining norms.
+
+    The sweep skips every candidate whose norm after the block projection
+    is already below ``threshold``.  Projecting out the taken columns
+    cannot raise a norm, so such a candidate would be rejected, and a
+    rejected candidate changes neither the taken columns nor the count
+    that stops the sweep.  Rounding can raise a norm by a relative few
+    n * eps, so the skip could differ from a full sweep only for a
+    candidate within that distance of ``threshold``, where rounding decides
+    either way.  For z^k the skip drops every candidate that the
+    composition sends out of H^2_n, half of the sweep for z^2.
     """
     u = cand - block @ (block.conj().T @ cand)
     u -= block @ (block.conj().T @ u)
     limit = min(u.shape[0] - block.shape[1], u.shape[1])
     taken = np.empty((u.shape[0], limit), dtype=complex)
     idx, norms = [], []
-    for j in range(u.shape[1]):
+    for j in np.flatnonzero(np.linalg.norm(u, axis=0) >= threshold).tolist():
         m = len(idx)
         if m == limit:
             break
         v = u[:, j]
+        t = taken[:, :m]
         for _ in range(2):
-            v = v - taken[:, :m] @ (taken[:, :m].conj().T @ v)
+            v = v - t @ (v.conj() @ t).conj()
         nrm = float(np.linalg.norm(v))
         if nrm >= threshold:
             taken[:, m] = v / nrm

@@ -56,6 +56,38 @@ def test_semigroup_out_names_the_sample_directory(tmp_path, capsys):
     assert capsys.readouterr().out == (out / "meta.json").read_text()
 
 
+def _canonical(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["solve", "--beta", "0.2"],
+        ["frostman", "--lam", "0.2"],
+        ["wold", "--n", "16"],
+        ["wold", "--n", "128"],
+        ["verify", "--n", "16"],
+        ["semigroup", "--n", "16"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_documents_are_indented_sorted_json(tmp_path, capsys, argv):
+    """Every document the CLI prints or writes is laid out as
+    ``json.dumps(..., sort_keys=True, indent=2)`` lays it out."""
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    out = tmp_path / "sample"
+    extra = ["--out", str(out)] if argv[0] == "semigroup" else []
+    assert main([*argv, "--input", str(path), *extra]) == 0
+    texts = [capsys.readouterr().out]
+    if argv[0] == "semigroup":
+        texts += [(out / name).read_text() for name in ("meta.json", "verification.json")]
+    for text in texts:
+        assert text == _canonical(text)
+
+
 # `verify --n 16` documents printed by the dense-matrix Wold/shift sample
 # that the row-gather sample replaced; the three differ only in the hash.
 VERIFY_RECORDS_N16 = json.loads(

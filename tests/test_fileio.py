@@ -1,6 +1,8 @@
 """Dense operator files: the writer and the reader convert each distinct
 entry once, and give the bytes and values of the per-entry code they
-replaced (kept below as references)."""
+replaced (kept below as references).  Report documents: ``json_dumps``
+gives the bytes of ``json.dumps(..., sort_keys=True, indent=2)``."""
+import json
 import math
 
 import numpy as np
@@ -8,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2embed.fileio import MATRIX_HEADER, SymbolFileError, dump_matrix_csv, load_matrix_csv
+from h2embed.fileio import (
+    MATRIX_HEADER,
+    SymbolFileError,
+    _jsonable,
+    dump_matrix_csv,
+    json_dumps,
+    load_matrix_csv,
+)
 
 
 def per_entry_dump(path, matrix):
@@ -107,3 +116,53 @@ def test_non_finite_entry_is_refused(tmp_path, text, message):
     with pytest.raises(SymbolFileError) as err:
         load_matrix_csv(path)
     assert str(err.value) == f"{path}, line 41: {message}"
+
+
+# Every code point, lone surrogates and control characters included.
+TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, categories=None), max_size=6)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]
+)
+INTS = st.integers(-(2**200), 2**200)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | INTS
+    | FLOATS
+    | TEXT
+    | st.builds(complex, FLOATS, FLOATS)
+    | st.builds(np.float64, FLOATS)
+    | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+    | st.builds(np.complex128, st.builds(complex, FLOATS, FLOATS))
+    | st.lists(INTS | st.booleans(), max_size=5)
+    | st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(np.array)
+    | st.lists(FLOATS, max_size=4).map(lambda xs: np.array(xs, dtype=float))
+    | st.lists(st.builds(complex, FLOATS, FLOATS), max_size=3).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(-1, 1)
+    )
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT | INTS | FLOATS | st.booleans() | st.none(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(VALUES)
+def test_report_writer_gives_the_bytes_of_json_dumps(value):
+    assert json_dumps(value) == json.dumps(_jsonable(value), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a": {1, 2}}, [1, object()], np.bool_(True), {"x": [np.datetime64("2024-01-01")]}],
+    ids=["set", "object", "numpy-bool", "datetime64"],
+)
+def test_report_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(_jsonable(value), sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json_dumps(value)

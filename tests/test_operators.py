@@ -10,8 +10,11 @@ from scipy.special import eval_laguerre
 from h2embed.decisions import decide_lfm
 from h2embed.errors import AutomorphismInput, IllConditioned, IsometryDefect
 from h2embed.operators import (
+    _RETENTION,
+    _WANDERING_TAKE,
     DEFAULT_RANK_TOL,
     TruncatedOperator,
+    _gram_schmidt,
     boundary_gram,
     composition_matrix,
     lower_toeplitz,
@@ -99,6 +102,62 @@ def sequential_levels(c, w, retention=0.5):
         current = nxt
     residual = n - 1 - sum(lv.shape[1] for lv in levels)
     return levels, chain_ids, chain_losses, residual
+
+
+def full_sweep_gram_schmidt(cand, block, threshold):
+    """Reference for ``_gram_schmidt``: the same two-pass sweep over every
+    candidate, projecting with a conjugated copy of the taken columns."""
+    u = cand - block @ (block.conj().T @ cand)
+    u -= block @ (block.conj().T @ u)
+    limit = min(u.shape[0] - block.shape[1], u.shape[1])
+    taken = np.empty((u.shape[0], limit), dtype=complex)
+    idx, norms = [], []
+    for j in range(u.shape[1]):
+        m = len(idx)
+        if m == limit:
+            break
+        v = u[:, j]
+        for _ in range(2):
+            v = v - taken[:, :m] @ (taken[:, :m].conj().T @ v)
+        nrm = float(np.linalg.norm(v))
+        if nrm >= threshold:
+            taken[:, m] = v / nrm
+            idx.append(j)
+            norms.append(nrm)
+    return taken[:, : len(idx)], idx, norms
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("threshold", [_RETENTION, _WANDERING_TAKE])
+def test_gram_schmidt_matches_full_sweep(threshold, k, seed):
+    """Skipping the candidates below the threshold after the block
+    projection takes the columns the full sweep takes: candidates 0.999x
+    and 1.001x the threshold away from the block, a zero column, a
+    duplicate, an empty block (k = 0) and a sweep that fills the space
+    before its last candidates."""
+    rng = np.random.default_rng(seed)
+    n = 10
+    block = np.linalg.qr(_gaussian(rng, n, k))[0]
+    near = []
+    for scale in (0.999, 1.001):
+        v = _gaussian(rng, n)
+        for _ in range(2):
+            v -= block @ (block.conj().T @ v)
+        near.append(scale * threshold * v / np.linalg.norm(v) + block @ _gaussian(rng, k))
+    rest = _gaussian(rng, n, 2 * n)
+    cand = np.column_stack([*near, rest[:, :2], np.zeros(n), rest[:, 1], rest[:, 2:]])
+    cols, idx, norms = _gram_schmidt(cand, block, threshold)
+    want_cols, want_idx, want_norms = full_sweep_gram_schmidt(cand, block, threshold)
+    assert idx == want_idx
+    assert idx[0] == 1 and 4 not in idx and 5 not in idx
+    assert len(idx) == n - k and idx[-1] < cand.shape[1] - 1
+    assert np.max(np.abs(np.subtract(norms, want_norms))) <= 1e-14
+    assert np.max(np.abs(cols - want_cols)) <= 1e-13
 
 
 class TestCompositionMatrix:
