@@ -56,7 +56,6 @@ from .blaschke import (
     solve_blaschke_equation,
 )
 from .operators import (
-    TruncatedOperator,
     WoldDecomposition,
     boundary_gram,
     composition_matrix,

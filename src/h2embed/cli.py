@@ -246,7 +246,7 @@ def cmd_semigroup(args) -> int:
         dump_matrix_csv(outdir / name, sample.operator_at(t))
         matrix_files.append(name)
     trajectory_file = None
-    if flow is not None and hasattr(flow, "at"):
+    if flow is not None:
         grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
         rows = ["t,re_z,im_z,re_val,im_val"]
         for t in times:
@@ -383,7 +383,6 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
         construction=meta.get("construction", "loaded"),
         dim=dim,
         isometric=isometric,
-        meta={"loaded_from": str(path)},
     )
 
 

@@ -1,14 +1,14 @@
 """Truncated matrix models of operators on H^2_N = span{1, z, ..., z^(N-1)}.
 
-All operators are written in the monomial coordinate basis, where the H^2
-inner product is the plain l^2 dot product of coefficient vectors.  A
-composition operator is stored compressed, P_N C_phi restricted to H^2_N;
+Every operator is an N x N complex array in the monomial coordinate basis,
+where the H^2 inner product is the l^2 dot product of coefficient vectors.
+A composition operator is stored compressed, P_N C_phi restricted to H^2_N;
 isometry is never asserted through the compressed matrix but through the
 truncation-free boundary Gram matrix of the symbol powers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "TruncatedOperator",
     "WoldDecomposition",
     "composition_matrix",
     "toeplitz_matrix",
@@ -38,20 +37,7 @@ DEFAULT_RANK_TOL = 1e-8
 _GRAM_POINTS = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
 
 
-@dataclass
-class TruncatedOperator:
-    """N x N matrix acting on Taylor coefficient vectors of length N."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.n, self.n):
-            raise ValueError("matrix shape does not match the truncation order")
-
-
-def composition_matrix(phi, n: int) -> TruncatedOperator:
+def composition_matrix(phi, n: int) -> np.ndarray:
     """Compressed composition operator: column j holds the Taylor
     coefficients (below degree n) of phi**j.
 
@@ -69,10 +55,10 @@ def composition_matrix(phi, n: int) -> TruncatedOperator:
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
     out[:, 1:] = coeffs.T
-    return TruncatedOperator(n, out)
+    return out
 
 
-def lower_toeplitz(c) -> TruncatedOperator:
+def lower_toeplitz(c) -> np.ndarray:
     """The lower-triangular Toeplitz matrix with first column ``c``: the
     compressed multiplication by the power series with those coefficients.
 
@@ -81,10 +67,10 @@ def lower_toeplitz(c) -> TruncatedOperator:
     """
     c = np.asarray(c, dtype=complex)
     k = np.arange(c.size)
-    return TruncatedOperator(c.size, np.tril(c[k[:, None] - k]))
+    return np.tril(c[k[:, None] - k])
 
 
-def toeplitz_matrix(phi, n: int) -> TruncatedOperator:
+def toeplitz_matrix(phi, n: int) -> np.ndarray:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with
     first column the Taylor coefficients of phi, extracted by
     :func:`taylor_coefficients` at ``DEFAULT_RADIUS``."""
@@ -111,36 +97,34 @@ class WoldDecomposition:
     """Wandering-subspace picture of an isometric composition operator at
     truncation order n.
 
-    ``comp`` is the compressed composition matrix the levels were built
-    from.  The unitary part is the constants; ``levels[k]`` holds an
-    orthonormal basis of the k-th image of the wandering subspace that is
-    still resolvable inside H^2_n (``levels[0]`` is the wandering basis
-    itself).  ``chain_ids[k]`` records which wandering vector each column
-    continues, and ``chain_losses[k]`` the cumulative norm lost to
-    truncation along that chain.  Directions that fell below the retention
-    threshold are counted in ``residual_dim``.
-    """
+    ``comp`` is the compressed composition matrix it was built from, and
+    ``basis`` one orthonormal n x k basis: the constant (the unitary part),
+    then ``level_dims[l]`` columns for each level l, the l-th image of the
+    wandering subspace still resolvable inside H^2_n (level 0 is the
+    wandering basis).  Aligned with ``basis[:, 1:]``, ``chain`` says which
+    wandering vector each column continues and ``loss`` the cumulative norm
+    lost to truncation along that chain.  ``residual_dim`` counts the
+    directions that fell below the retention threshold."""
 
-    n: int
-    comp: TruncatedOperator
-    unitary_basis: np.ndarray
-    levels: list
-    chain_ids: list
-    chain_losses: list
-    residual_dim: int
+    comp: np.ndarray
+    basis: np.ndarray
+    level_dims: list
+    chain: np.ndarray
+    loss: np.ndarray
     orthonormality_defect: float
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def levels(self) -> list:
+        ends = np.cumsum([1] + self.level_dims).tolist()
+        return [self.basis[:, a:b] for a, b in zip(ends, ends[1:])]
 
     @property
     def wandering_basis(self) -> np.ndarray:
-        return self.levels[0]
+        return self.basis[:, 1 : 1 + self.level_dims[0]]
 
     @property
-    def level_dims(self) -> list:
-        return [lv.shape[1] for lv in self.levels]
-
-    def collected_basis(self) -> np.ndarray:
-        return np.column_stack([self.unitary_basis] + list(self.levels))
+    def residual_dim(self) -> int:
+        return self.comp.shape[0] - self.basis.shape[1]
 
 
 # Thresholds of wold_decompose; its docstring says why they are constants.
@@ -243,8 +227,7 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
         )
     if isinstance(psi, BlaschkeProduct) and psi.degree == 1:
         raise AutomorphismInput("degree-1 Blaschke products are automorphisms")
-    comp = composition_matrix(psi, n)
-    c = comp.matrix
+    c = composition_matrix(psi, n)
     if not isinstance(psi, BlaschkeProduct) and abs(c[1, 1]) >= 1.0 - 1e-9:
         raise AutomorphismInput("|psi'(0)| is not below 1: rotation-like symbol")
 
@@ -261,37 +244,34 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
         )
 
     # q holds, in order, the constant, the wandering basis and every kept
-    # column; level l is the block q[:, starts[l]:starts[l + 1]].
+    # column; chain and loss describe the columns q[:, 1:].
     q = np.zeros((n, n), dtype=complex)
+    chain = np.zeros(n - 1, dtype=int)
+    loss = np.zeros(n - 1)
     q[0, 0] = 1.0
     q[:, 1 : 1 + d] = u0 @ y
+    chain[:d] = np.arange(d)
     k = 1 + d
-    starts = [1]
-    chain_ids = [list(range(d))]
-    chain_losses = [[0.0] * d]
-    while len(starts) < n:
-        cols, idx, norms = _gram_schmidt(c @ q[:, starts[-1] : k], q[:, :k], _RETENTION)
+    dims = [d]
+    while len(dims) < n:
+        a = k - dims[-1]
+        cols, idx, norms = _gram_schmidt(c @ q[:, a:k], q[:, :k], _RETENTION)
         if not idx:
             break
-        starts.append(k)
+        prev = a - 1 + np.array(idx)  # the continued columns, as positions in chain
+        chain[k - 1 : k - 1 + len(idx)] = chain[prev]
+        loss[k - 1 : k - 1 + len(idx)] = 1.0 - (1.0 - loss[prev]) * np.minimum(1.0, norms)
         q[:, k : k + len(idx)] = cols
         k += len(idx)
-        chain_ids.append([chain_ids[-1][j] for j in idx])
-        chain_losses.append(
-            [1.0 - (1.0 - chain_losses[-1][j]) * min(1.0, nrm) for j, nrm in zip(idx, norms)]
-        )
+        dims.append(len(idx))
 
-    levels = [q[:, a:b] for a, b in zip(starts, starts[1:] + [k])]
     q = q[:, :k]
     ortho_defect = float(np.max(np.abs(q.conj().T @ q - np.eye(k))))
     return WoldDecomposition(
-        n=n,
-        comp=comp,
-        unitary_basis=q[:, :1],
-        levels=levels,
-        chain_ids=chain_ids,
-        chain_losses=chain_losses,
-        residual_dim=n - k,
+        comp=c,
+        basis=q,
+        level_dims=dims,
+        chain=chain[: k - 1],
+        loss=loss[: k - 1],
         orthonormality_defect=ortho_defect,
-        meta={"gram_defect": defect},
     )

@@ -32,9 +32,9 @@ Wold decomposition: constants stay put, and the wandering levels ride a
 right-translation semigroup on a discretised half line.  Those operators
 act on the space constants (+) cells x wandering-fiber, not on H^2_N
 itself.  The sample carries the isometric embedding of the resolved part of
-H^2_N into that space, and the Wold decomposition itself (with its
-composition matrix) in ``meta["wold"]``, so checks compare against
-composition matrices without rebuilding anything.
+H^2_N into that space, one column per column of the Wold basis, and the
+decomposition itself (with its composition matrix) in ``meta["wold"]``, so
+checks compare against composition matrices without rebuilding anything.
 """
 from __future__ import annotations
 
@@ -305,8 +305,8 @@ class OperatorSemigroupSample:
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
-    H^2_N into the sample's own space; its columns are the images of
-    ``meta["wold"].collected_basis()``, the Wold decomposition the sample
+    H^2_N into the sample's own space; its columns are the images of the
+    columns of ``meta["wold"].basis``, the Wold decomposition the sample
     was built from.  Flow samples act on H^2_N directly and carry neither.
     """
 
@@ -334,9 +334,6 @@ class OperatorSemigroupSample:
             if math.isclose(tt, t, rel_tol=0.0, abs_tol=TIME_TOL):
                 return op
         raise MissingTime(f"no operator sampled at t = {t}")
-
-    def has_time(self, t: float) -> bool:
-        return any(math.isclose(tt, t, rel_tol=0.0, abs_tol=TIME_TOL) for tt in self.times)
 
     def test_vectors(self, count: int) -> np.ndarray:
         cols = np.eye(self.dim, dtype=complex) if self.embedding is None else self.embedding
@@ -366,14 +363,14 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
             c = None
         if c is None or not np.isfinite(c).all():
             raise DomainError(f"the flow's Taylor coefficients at t = {t!r} are not finite")
-        ops.append(lower_toeplitz(c).matrix)
+        ops.append(lower_toeplitz(c))
     return OperatorSemigroupSample(
         times=list(times),
         operators=ops,
         construction=flow.descriptor,
         dim=n,
         isometric=flow.isometric,
-        meta={"n": n, "flow": flow},
+        meta={"n": n},
     )
 
 
@@ -389,7 +386,7 @@ def sample_spiral_flow(flow: SpiralFlow, times, n: int) -> OperatorSemigroupSamp
     """
     b = b_inv = None
     if flow.conjugator is not None:
-        b = composition_matrix(flow.conjugator, n).matrix
+        b = composition_matrix(flow.conjugator, n)
         b_inv = np.linalg.inv(b)
     ops = []
     for t in times:
@@ -449,7 +446,7 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
         )
     h = 1 / m
     ks = [round(t * m) for t in times]
-    used = len(wold.levels) * m
+    used = len(wold.level_dims) * m
     kmax = max(ks, default=0)
     if used + kmax > horizon:
         raise HorizonOverflow(
@@ -457,16 +454,14 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
             f"horizon {horizon} is too small"
         )
 
-    # Column j of the embedding is column j of wold.collected_basis():
-    # the constant, then each level's columns in chain order.
+    # Column j of the embedding is the image of column j of wold.basis: for
+    # j >= 1, on level lv and chain i, sqrt(h) on the rows of level lv's cells.
     dim = 1 + horizon * d
-    embedding = np.zeros((dim, 1 + sum(wold.level_dims)), dtype=complex)
+    embedding = np.zeros((dim, wold.basis.shape[1]), dtype=complex)
     embedding[0, 0] = 1.0
-    cidx = 1
-    for lv, ids in enumerate(wold.chain_ids):
-        for i in ids:
-            embedding[1 + np.arange(lv * m, (lv + 1) * m) * d + i, cidx] = math.sqrt(h)
-            cidx += 1
+    lv = np.repeat(np.arange(len(wold.level_dims)), wold.level_dims)[:, None]
+    rows = 1 + (lv * m + np.arange(m)) * d + wold.chain[:, None]
+    embedding[rows, 1 + np.arange(wold.chain.size)[:, None]] = math.sqrt(h)
 
     # Row 1 + c d + i reads row 1 + (c - k) d + i; the first k cells fill
     # with zeros and the constants stay put.
@@ -499,18 +494,21 @@ def wold_comparison_defect(sample: OperatorSemigroupSample, k: int) -> tuple[flo
     makes the two sides differ by design.
     """
     wold = sample.meta["wold"]
-    p = wold.collected_basis()
-    ck = np.linalg.matrix_power(wold.comp.matrix, k)
-    loss = {
-        (lv, i): x
-        for lv, (ids, losses) in enumerate(zip(wold.chain_ids, wold.chain_losses))
-        for i, x in zip(ids, losses)
-    }
-    covered = [0]  # the constant; the keys of loss follow the columns of p
-    for cidx, (lv, i) in enumerate(loss, start=1):
-        alive = loss[(lv, i)] <= 1e-8 and loss.get((lv + k, i), 1.0) <= 1e-8
-        if alive or float(np.linalg.norm(ck @ p[:, cidx])) <= 1e-9:
-            covered.append(cidx)
+    p = wold.basis
+    ck = np.linalg.matrix_power(wold.comp, k)
+    covered = _covered_columns(wold, ck, k)
     e = sample.embedding
     diff = (e.conj().T @ sample.apply(float(k), e) - p.conj().T @ ck @ p)[:, covered]
     return float(np.linalg.norm(diff, 2)), len(covered)
+
+
+def _covered_columns(wold, ck: np.ndarray, k: int) -> np.ndarray:
+    """The columns of ``wold.basis`` that :func:`wold_comparison_defect`
+    compares, with ``ck`` the k-th power of ``wold.comp``.  The losses sit
+    in an (L + k) x d table, level by chain, that is 1.0 where no column is."""
+    lv = np.repeat(np.arange(len(wold.level_dims)), wold.level_dims)
+    table = np.ones((len(wold.level_dims) + k, wold.level_dims[0]))
+    table[lv, wold.chain] = wold.loss
+    alive = (wold.loss <= 1e-8) & (table[lv + k, wold.chain] <= 1e-8)
+    dead = np.linalg.norm(ck @ wold.basis[:, 1:], axis=0) <= 1e-9
+    return np.concatenate([[0], 1 + np.flatnonzero(alive | dead)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AutomorphismInput, MissingTime
+from .errors import AutomorphismInput
 from .operators import DEFAULT_RANK_TOL
 from .semigroups import (
     OperatorSemigroupSample,
@@ -57,6 +57,16 @@ def _worst(defects) -> float:
     return float(np.max(defects)) if np.isfinite(defects).all() else math.inf
 
 
+def _record(name: str, witnesses: list, tol: float, worst: float = 0.0) -> VerificationRecord:
+    """The record of ``witnesses`` (label, defect) held to ``tol``, with the
+    five worst witnesses, worst first.  Its defect is the largest witness
+    defect floored at ``worst``: 0.0 unless given, as a noncompactness
+    defect can be negative."""
+    worst = max([worst] + [defect for _, defect in witnesses])
+    witnesses = sorted(witnesses, key=lambda w: -w[1])[:5]
+    return VerificationRecord(name, worst, tol, worst <= tol, witnesses)
+
+
 def _inapplicable(name: str, threshold: float, reason: str) -> VerificationRecord:
     return VerificationRecord(
         name=name,
@@ -77,14 +87,11 @@ def check_semigroup_law(
 
     Three index operators (row-gather arrays ``src``) compose as indices:
     V_t V_s reads row src_s[src_t[i]], or 0 where either is -1.  When that
-    equals src_{t+s} the gap is exactly 0 and no matrix is formed."""
+    equals src_{t+s} the gap is exactly 0 and no matrix is formed.  A time
+    the sample does not hold raises :class:`MissingTime`."""
     e = sample.embedding
     witnesses = []
-    worst = 0.0
     for t, s in pairs:
-        for needed in (t, s, t + s):
-            if not sample.has_time(needed):
-                raise MissingTime(f"law check needs an operator at t = {needed}")
         op_t, op_s, op_ts = (sample.operator_at(x) for x in (t, s, t + s))
         if op_t.ndim == op_s.ndim == op_ts.ndim == 1 and np.array_equal(
             np.where(op_t >= 0, op_s[op_t], -1), op_ts
@@ -95,11 +102,7 @@ def check_semigroup_law(
                 gap = sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))
                 defect = _worst(np.linalg.norm(gap))
         witnesses.append(((t, s), defect))
-        worst = max(worst, defect)
-    witnesses.sort(key=lambda w: -w[1])
-    return VerificationRecord(
-        "semigroup-law", worst, tol, worst <= tol, witnesses[:5]
-    )
+    return _record("semigroup-law", witnesses, tol)
 
 
 def _column_norm_record(
@@ -111,15 +114,11 @@ def _column_norm_record(
         return _inapplicable(name, tol, "sample is not isometric by construction")
     vecs = sample.test_vectors(_NORM_VECTORS)
     witnesses = []
-    worst = 0.0
     for t in sample.times:
         with np.errstate(over="ignore", invalid="ignore"):  # judged by _worst
             norms = np.linalg.norm(sample.apply(t, vecs), axis=0)
-        defect = _worst(defect_of(norms))
-        witnesses.append((f"t={t}", defect))
-        worst = max(worst, defect)
-    witnesses.sort(key=lambda w: -w[1])
-    return VerificationRecord(name, worst, tol, worst <= tol, witnesses[:5])
+        witnesses.append((f"t={t}", _worst(defect_of(norms))))
+    return _record(name, witnesses, tol)
 
 
 def check_isometry(sample: OperatorSemigroupSample, tol: float) -> VerificationRecord:
@@ -154,15 +153,10 @@ def check_strong_continuity(sample: OperatorSemigroupSample, tol: float) -> Veri
         with np.errstate(over="ignore", invalid="ignore"):  # judged by _worst
             defects = [float(np.linalg.norm(sample.apply(t, x) - x)) for t in times]
             increase = _worst(np.diff(defects))  # +inf when any defect is not finite
-        defect = _worst([defects[-1], increase])
-        witnesses.append((f"vector {j}", defect))
-        worst = max(worst, defect)
+        witnesses.append((f"vector {j}", _worst([defects[-1], increase])))
         if increase > _MONOTONE_SLACK:
             worst = max(worst, tol + increase)  # monotonicity violation fails outright
-    witnesses.sort(key=lambda w: -w[1])
-    return VerificationRecord(
-        "strong-continuity", worst, tol, worst <= tol, witnesses[:5]
-    )
+    return _record("strong-continuity", witnesses, tol, worst)
 
 
 def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
@@ -185,7 +179,7 @@ def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
     wold = sample.meta["wold"]
     completeness_gap = float(abs(n - (1 + sum(wold.level_dims) + wold.residual_dim)))
     ortho = wold.orthonormality_defect
-    c, w = wold.comp.matrix, wold.wandering_basis
+    c, w = wold.comp, wold.wandering_basis
     wandering = float(np.max(np.linalg.norm(c.conj().T @ w, axis=0)))
     agree, compared = wold_comparison_defect(sample, 1)
     worst = max(completeness_gap, ortho, agree)

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import h2embed
 
@@ -21,3 +23,18 @@ def test_package_exports_are_the_modules_all():
     }
     assert public == declared
 
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py binds these names with getattr; a missing one
+    # breaks only the traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"h2embed.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+    outer = importlib.import_module("h2embed.semigroups").OuterFlow
+    assert {"__init__", "at"} <= set(vars(outer))

@@ -14,15 +14,19 @@ from h2embed.errors import (
     MissingTime,
     NonCommuting,
 )
+from h2embed.blaschke import conjugate_by_automorphism
+from h2embed.decisions import decide_composition
 from h2embed.semigroups import (
     ConstantFlow,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
     SpiralFlow,
+    _covered_columns,
     embed_isometric_composition,
     sample_multiplication_flow,
     sample_spiral_flow,
+    wold_comparison_defect,
 )
 from h2embed.symbols import (
     BlaschkeProduct,
@@ -92,6 +96,90 @@ def test_wold_sample_holds_no_square_matrix():
     sample = embed_isometric_composition(SYMBOLS["z^2"], TIMES, 32)
     assert all(op.ndim == 1 for op in sample.operators)
     assert sum(op.nbytes for op in sample.operators) <= 8 * sample.dim * len(TIMES)
+
+
+def _conj_square():
+    """(z - 0.3)^2/(1 - 0.3 z)^2 moved by tau_alpha to fix 0, alpha its
+    interior fixed point (0.0598)."""
+    b = BlaschkeProduct(zeros=[(0.3, 2)])
+    return conjugate_by_automorphism(b, decide_composition(b).details["fixed_point"])
+
+
+EMBEDDED = dict(
+    SYMBOLS,
+    deg3=BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)]),
+    conj_square=_conj_square(),
+)
+
+
+def _by_level(wold, values):
+    """``values``, aligned with ``wold.basis[:, 1:]``, as one list per level."""
+    return [v.tolist() for v in np.split(values, np.cumsum(wold.level_dims)[:-1])]
+
+
+def nested_loop_embedding(sample):
+    """Reference embedding: one column at a time, level by level and chain
+    by chain, each the indicator of its level's m cells scaled by sqrt(h)."""
+    wold, h, d = sample.meta["wold"], sample.meta["h"], sample.meta["fiber_dim"]
+    m = round(1 / h)
+    embedding = np.zeros((sample.dim, 1 + sum(wold.level_dims)), dtype=complex)
+    embedding[0, 0] = 1.0
+    cidx = 1
+    for lv, ids in enumerate(_by_level(wold, wold.chain)):
+        for i in ids:
+            embedding[1 + np.arange(lv * m, (lv + 1) * m) * d + i, cidx] = math.sqrt(h)
+            cidx += 1
+    return embedding
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.5, 1.0), TIMES])
+@pytest.mark.parametrize("n", [12, 16, 24, 32])
+@pytest.mark.parametrize("name", sorted(EMBEDDED))
+def test_embedding_scatter_matches_the_nested_loop(name, n, times):
+    sample = embed_isometric_composition(EMBEDDED[name], times, n)
+    assert np.array_equal(sample.embedding, nested_loop_embedding(sample))
+
+
+def dict_loop_comparison(sample, k):
+    """Reference for ``wold_comparison_defect``: losses in a dict keyed by
+    (level, chain), whose insertion order is the order of the basis columns,
+    and one column at a time."""
+    wold = sample.meta["wold"]
+    p = wold.basis
+    ck = np.linalg.matrix_power(wold.comp, k)
+    levels = zip(_by_level(wold, wold.chain), _by_level(wold, wold.loss))
+    loss = {(lv, i): x for lv, (ids, xs) in enumerate(levels) for i, x in zip(ids, xs)}
+    covered = [0]
+    for cidx, (lv, i) in enumerate(loss, start=1):
+        alive = loss[(lv, i)] <= 1e-8 and loss.get((lv + k, i), 1.0) <= 1e-8
+        if alive or float(np.linalg.norm(ck @ p[:, cidx])) <= 1e-9:
+            covered.append(cidx)
+    e = sample.embedding
+    diff = (e.conj().T @ sample.apply(float(k), e) - p.conj().T @ ck @ p)[:, covered]
+    return float(np.linalg.norm(diff, 2)), covered
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize(
+    "psi",
+    [
+        SYMBOLS["psi"],
+        BlaschkeProduct(rotation=math.pi, origin_order=1, zeros=[(0.5, 1)]),
+        EMBEDDED["deg3"],
+        SYMBOLS["z^2"],
+    ],
+    ids=["psi", "psi-rotated-by-pi", "deg3", "z^2"],
+)
+def test_comparison_table_matches_the_dict_loop(psi, n, k):
+    sample = embed_isometric_composition(psi, tuple(float(t) for t in range(k + 1)), n)
+    wold = sample.meta["wold"]
+    defect, count = wold_comparison_defect(sample, k)
+    want_defect, want_covered = dict_loop_comparison(sample, k)
+    ck = np.linalg.matrix_power(wold.comp, k)
+    assert _covered_columns(wold, ck, k).tolist() == want_covered
+    assert count == len(want_covered)
+    assert abs(defect - want_defect) <= 1e-12
 
 
 # --------------------------------------------------------------------------

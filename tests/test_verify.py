@@ -8,12 +8,18 @@ import pytest
 
 from h2embed import semigroups
 from h2embed.cli import _analyze, _build_sample, _law_pairs, _load_sample_dir, main
-from h2embed.errors import IllConditioned
+from h2embed.errors import IllConditioned, MissingTime
 from h2embed.fileio import parse_symbol_document
 from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
-from h2embed.semigroups import OperatorSemigroupSample, embed_isometric_composition
+from h2embed.semigroups import (
+    OperatorSemigroupSample,
+    SpiralFlow,
+    embed_isometric_composition,
+    sample_spiral_flow,
+)
 from h2embed.symbols import BlaschkeProduct
 from h2embed.verify import (
+    _record,
     check_isometry,
     check_noncompactness_proxy,
     check_semigroup_law,
@@ -37,11 +43,27 @@ def test_wold_reconstruction_applies_to_generic_blaschke():
     assert dict(rec.witnesses)["wandering"] <= DEFAULT_RANK_TOL
 
 
+def test_wold_reconstruction_passes_for_psi_rotated_by_pi_at_n128():
+    psi = BlaschkeProduct(rotation=math.pi, origin_order=1, zeros=[(0.5, 1)])
+    rec = check_wold_reconstruction(psi, 128, 1e-8)
+    assert rec.passed
+    assert (rec.details["compared_columns"], rec.details["resolved_columns"]) == (5, 119)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a correct construction fails; the time-1 agreement of psi "
+    "(rotation 0) at n = 128 is 3.5e-6 over 12 of 122 columns",
+)
+def test_wold_reconstruction_passes_for_psi_at_n128():
+    assert check_wold_reconstruction(PSI, 128, 1e-8).passed
+
+
 def test_wold_reconstruction_fails_on_a_vector_of_the_range(monkeypatch):
     # Swap one wandering vector for psi itself, a unit vector of ran C_psi.
     def leaky(psi, n):
         wold = wold_decompose(psi, n)
-        c = wold.comp.matrix
+        c = wold.comp
         wold.wandering_basis[:, 0] = c[:, 1] / np.linalg.norm(c[:, 1])
         return wold
 
@@ -93,6 +115,22 @@ def test_corrupted_index_sample_fails_like_its_dense_rewrite(tmp_path, capsys):
     rec = check_semigroup_law(sample, pairs, 1e-8)
     assert not rec.passed
     assert rec.max_defect == check_semigroup_law(dense, pairs, 1e-8).max_defect > 1e-8
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.25), (1.0, 0.5)], ids=["s", "t+s"])
+def test_law_pair_with_an_unsampled_time_raises_missing_time(pair):
+    sample = sample_spiral_flow(SpiralFlow.elliptic(0.3, 1.0), (0.0, 0.5, 1.0), 8)
+    with pytest.raises(MissingTime):
+        check_semigroup_law(sample, [(0.5, 0.5), pair], 1e-8)
+
+
+def test_record_keeps_the_five_worst_and_floors_the_defect():
+    witnesses = [(f"w{i}", -1e-3 * i) for i in range(7)]
+    rec = _record("noncompactness-proxy", witnesses, 1e-6)
+    assert rec.max_defect == 0.0 and rec.passed
+    assert rec.witnesses == witnesses[:5]
+    rec = _record("strong-continuity", [("vector 0", 0.5)], 1.0, worst=1.25)
+    assert rec.max_defect == 1.25 and not rec.passed
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
