@@ -5,7 +5,6 @@ verification on truncated operator matrices."""
 
 from .errors import (
     AutomorphismInput,
-    BoundaryZeroWarning,
     BranchFailure,
     DegenerateMap,
     DegenerateSymbol,
@@ -44,7 +43,6 @@ from .symbols import (
     SingularInner,
     SingularMeasure,
     circle_eval,
-    factor_polynomial,
     taylor_coefficients,
 )
 from .blaschke import (

@@ -138,30 +138,25 @@ def conjugate_by_automorphism(b: BlaschkeProduct, alpha) -> BlaschkeProduct:
     return _fit_rotation(origin, zeros, lambda z: tau(b(tau(z))))
 
 
-def fixed_points_in_disk(phi):
+def fixed_points_in_disk(phi: BlaschkeProduct):
     """Solutions of phi(z) = z inside the disk, off the ``DEFAULT_BOUNDARY_TOL``
     band at the circle, with phi'(z) at each.
 
-    ``phi`` is a Blaschke product or a Mobius map; either reduces to
-    polynomial roots.  A holomorphic self-map has at most one interior
-    fixed point; more than one signals a numerical anomaly and is warned.
+    ``phi`` is a Blaschke product, so the fixed points are polynomial
+    roots.  A holomorphic self-map has at most one interior fixed point;
+    more than one signals a numerical anomaly and is warned.
     """
-    if isinstance(phi, MobiusMap):
-        fp = phi.fixed_point_polynomial()
-        deriv = phi.derivative
-    elif isinstance(phi, BlaschkeProduct):
-        p, q = phi.numerator_denominator()
-        fp = poly_sub(p, poly_mul(Polynomial([0.0, 1.0]), q))
-        deriv = phi.derivative
-    else:
-        raise TypeError("fixed points are computed for Blaschke products or Mobius maps")
+    if not isinstance(phi, BlaschkeProduct):
+        raise TypeError("fixed points are computed for Blaschke products")
+    p, q = phi.numerator_denominator()
+    fp = poly_sub(p, poly_mul(Polynomial([0.0, 1.0]), q))
     if fp.is_zero:
         raise DegenerateSymbol("identity map: every point is fixed")
     if fp.degree == 0:
         return []
     rs = poly_roots(fp)
     out = [
-        (v, complex(deriv(v)))
+        (v, complex(phi.derivative(v)))
         for v, _ in rs.roots
         if abs(v) < 1.0 - DEFAULT_BOUNDARY_TOL
     ]

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,11 +61,12 @@ from .errors import (
 )
 from .polynomials import Polynomial, poly_roots, roots_in_disk
 from .symbols import (
+    _OUTER_MODULUS_SLACK,
     BlaschkeProduct,
     FactoredSymbol,
     MobiusMap,
+    RationalOuter,
     SingularInner,
-    factor_polynomial,
 )
 from .semigroups import (
     ConstantFlow,
@@ -281,7 +281,8 @@ def decide_toeplitz(
 def decide_polynomial_toeplitz(p, tol: float = 1e-9) -> EmbeddabilityReport:
     """Embeddability of a polynomial Toeplitz operator: yes iff no zero
     lies strictly inside the disk.  Boundary-band zeros count as outside
-    (they belong to the outer factor) but are flagged for caution."""
+    (they belong to the outer factor) but are flagged for caution; a band
+    wider than the outer factor admits raises DomainError."""
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.degree < 1:
         raise DegenerateSymbol("polynomial symbols of degree at least 1 only")
@@ -297,9 +298,16 @@ def decide_polynomial_toeplitz(p, tol: float = 1e-9) -> EmbeddabilityReport:
             notes=["zeros inside the disk give a finite nonzero image codimension"],
             details=details,
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, outer = factor_polynomial(p, tol)
+    deep = [v for v, _ in part.boundary if abs(v) < 1.0 - _OUTER_MODULUS_SLACK]
+    if deep:
+        raise DomainError(
+            f"boundary-band zeros {deep} (band ||z| - 1| <= {tol!r}) lie more than "
+            f"{_OUTER_MODULUS_SLACK!r} inside the circle, where an outer factor cannot vanish"
+        )
+    outer = RationalOuter(
+        constant=p.coeffs[-1],
+        exterior_zeros=[v for v, m in part.boundary + part.outside for _ in range(m)],
+    )
     notes = []
     if part.boundary:
         notes.append(
@@ -343,14 +351,17 @@ def _shift_embedding_report(alpha, multiplier) -> EmbeddabilityReport:
 def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
     """Embeddability of the composition operator of an inner symbol.
 
-    The decidable class is the symbols similar to an isometry: inner with
-    an interior fixed point.  Elliptic automorphisms embed into their
-    rotation flow (a composition semigroup); any other inner symbol with
-    an interior fixed point embeds through the Wold/shift construction,
-    which is never a semigroup of composition operators.  Inner symbols
-    without an interior fixed point are out of the decided scope.
-    Blaschke products and singular inner functions (positive masses on the
-    circle) are inner by construction; only a Mobius symbol is tested.
+    A Mobius symbol must be a disk automorphism, and is decided by
+    :func:`decide_lfm`, as is a degree-1 Blaschke product: every
+    automorphism lies in a one-parameter automorphism group (Berkson-Porta,
+    Michigan Math. J. 25, 1978), an elliptic one in the rotation flow about
+    its fixed point.  Any other inner symbol is decided when it is similar
+    to an isometry, that is when it has an interior fixed point: it embeds
+    through the Wold/shift construction, which is never a semigroup of
+    composition operators.  Without an interior fixed point it is out of
+    the decided scope.  Blaschke products and singular inner functions
+    (positive masses on the circle) are inner by construction; only a
+    Mobius symbol is tested.
 
     This function only decides: a shift-embedding report carries no
     semigroup.  The construction is :func:`embed_isometric_composition`
@@ -359,18 +370,7 @@ def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
     if isinstance(phi, MobiusMap):
         if not phi.is_disk_automorphism(tol=max(tol, 1e-9)):
             raise NotInner("Mobius symbols must be disk automorphisms to be inner")
-        fps = fixed_points_in_disk(phi)
-        if not fps:
-            return EmbeddabilityReport(
-                Verdict.OUT_OF_SCOPE,
-                "automorphism-semiflow",
-                notes=[
-                    "automorphism without interior fixed point: semiflow exists, "
-                    "construction referenced to the automorphism-flow literature"
-                ],
-            )
-        alpha, mult = fps[0]
-        return _automorphism_report(alpha, mult)
+        return decide_lfm(phi, tol)
 
     if isinstance(phi, BlaschkeProduct):
         if phi.degree == 0:
@@ -436,9 +436,9 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
         )
 
     finite_fixed = [v for v, _ in poly_roots(fp).roots] if fp.degree >= 1 else []
+    interior = [v for v in finite_fixed if abs(v) < 1.0 - tol]
 
     if m.is_disk_automorphism(tol=max(tol, 1e-9)):
-        interior = [v for v in finite_fixed if abs(v) < 1.0 - tol]
         if interior:
             alpha = interior[0]
             return _automorphism_report(alpha, complex(m.derivative(alpha)))
@@ -451,7 +451,6 @@ def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
             ],
         )
 
-    interior = [v for v in finite_fixed if abs(v) < 1.0 - tol]
     if not interior:
         return EmbeddabilityReport(
             Verdict.OUT_OF_SCOPE,

@@ -1,10 +1,10 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 __all__ = [
     "H2EmbedError", "ZeroPolynomial", "PoleHit", "DomainError", "DegenerateMap",
     "DegenerateSymbol", "IllConditioned", "ResidualFailure", "IsometryDefect",
     "AutomorphismInput", "NonCommuting", "BranchFailure", "HorizonOverflow", "MissingTime",
-    "NotInner", "BoundaryZeroWarning",
+    "NotInner",
 ]
 
 
@@ -68,7 +68,3 @@ class MissingTime(H2EmbedError):
 
 class NotInner(H2EmbedError):
     """Symbol claimed inner but its boundary modulus/Gram test fails."""
-
-
-class BoundaryZeroWarning(UserWarning):
-    """A zero sits in the boundary tolerance band; classification may be fragile."""

@@ -13,28 +13,22 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import (
-    BoundaryZeroWarning,
     DegenerateMap,
     DomainError,
     IllConditioned,
     PoleHit,
-    ZeroPolynomial,
 )
 from .polynomials import (
-    DEFAULT_BOUNDARY_TOL,
     Polynomial,
     poly_derivative,
     poly_mul,
     poly_pow,
-    poly_roots,
-    roots_in_disk,
 )
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "ProductSymbol",
     "ConjugatedSymbol",
     "circle_eval",
-    "factor_polynomial",
     "taylor_coefficients",
 ]
 
@@ -420,54 +413,6 @@ def circle_eval(sym, z):
         tau = MobiusMap.disk_involution(sym.alpha)
         return tau(circle_eval(sym.core, tau(z)))
     return sym(z)
-
-
-def factor_polynomial(p, tol: float = DEFAULT_BOUNDARY_TOL):
-    """Split a polynomial as Blaschke part times rational outer part.
-
-    Zeros strictly inside the disk become Blaschke zeros, with the
-    compensating reflected factors absorbed into the outer part so that
-    the product reproduces ``p``.  Zeros in the boundary band go to the
-    outer part and a :class:`BoundaryZeroWarning` is emitted.
-    """
-    p = p if isinstance(p, Polynomial) else Polynomial(p)
-    if p.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    leading = complex(p.coeffs[-1])
-    if p.degree == 0:
-        return BlaschkeProduct(), RationalOuter(constant=leading)
-
-    rs = poly_roots(p)
-    part = roots_in_disk(rs, tol)
-    if part.boundary:
-        warnings.warn(
-            f"zeros in the boundary band assigned to the outer part: "
-            f"{[v for v, _ in part.boundary]}",
-            BoundaryZeroWarning,
-        )
-
-    origin_order = 0
-    blaschke_zeros = []
-    conjugate_factors = []
-    sign_flips = 0
-    for v, m in part.inside:
-        if abs(v) < 1e-9:
-            origin_order += m
-        else:
-            blaschke_zeros.append((v, m))
-            conjugate_factors.extend([v] * m)
-            sign_flips += m
-    exterior = []
-    for v, m in part.boundary + part.outside:
-        exterior.extend([v] * m)
-
-    blaschke = BlaschkeProduct(origin_order=origin_order, zeros=blaschke_zeros)
-    outer = RationalOuter(
-        constant=leading * (-1.0) ** sign_flips,
-        conjugate_factors=conjugate_factors,
-        exterior_zeros=exterior,
-    )
-    return blaschke, outer
 
 
 def _next_pow2(n: int) -> int:

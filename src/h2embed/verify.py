@@ -160,7 +160,7 @@ def check_strong_continuity(sample: OperatorSemigroupSample, tol: float) -> Veri
 
 
 def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
-    """Completeness, orthonormality, wandering and time-1 agreement of the
+    """Orthonormality, wandering and time-1 agreement of the
     Wold/shift embedding of C_psi.  Automorphism symbols are inapplicable
     (their composition operator is unitary: no wandering part to
     reconstruct).
@@ -177,19 +177,17 @@ def check_wold_reconstruction(psi, n: int, tol: float) -> VerificationRecord:
     except AutomorphismInput as exc:
         return _inapplicable("wold-reconstruction", tol, str(exc))
     wold = sample.meta["wold"]
-    completeness_gap = float(abs(n - (1 + sum(wold.level_dims) + wold.residual_dim)))
     ortho = wold.orthonormality_defect
     c, w = wold.comp, wold.wandering_basis
     wandering = float(np.max(np.linalg.norm(c.conj().T @ w, axis=0)))
     agree, compared = wold_comparison_defect(sample, 1)
-    worst = max(completeness_gap, ortho, agree)
+    worst = max(ortho, agree)
     return VerificationRecord(
         "wold-reconstruction",
         worst,
         tol,
         worst <= tol and wandering <= DEFAULT_RANK_TOL,
         witnesses=[
-            ("completeness", completeness_gap),
             ("orthonormality", ortho),
             ("wandering", wandering),
             ("time-1 agreement", agree),

@@ -98,14 +98,6 @@ class TestFixedPoints:
         alpha, deriv = fps[0]
         assert abs(alpha) < 1e-12 and abs(deriv) < 1e-12
 
-    def test_attractive_elliptic_mobius(self):
-        m = MobiusMap(1.0, 0.0, 1.0, -2.0)  # z/(z-2)
-        fps = fixed_points_in_disk(m)
-        assert len(fps) == 1
-        alpha, deriv = fps[0]
-        assert abs(alpha) < 1e-12
-        assert deriv == pytest.approx(-0.5)
-
     def test_conjugated_square_fixes_center(self):
         b = conjugate_by_automorphism(BlaschkeProduct(origin_order=2), 0.5)
         assert abs(complex(b(0.5)) - 0.5) < 1e-12

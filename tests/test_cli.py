@@ -1,8 +1,10 @@
 import cmath
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from h2embed import cli
+from h2embed import cli, decisions
 from h2embed.blaschke import conjugate_by_automorphism
 from h2embed.cli import _load_sample_dir, main
 from h2embed.decisions import decide_composition, decide_lfm, decide_toeplitz
@@ -458,6 +460,209 @@ def test_self_maps_analyze_unchanged(tmp_path, capsys, name):
     rc, out, err = _run(["analyze", "--input", str(path)], capsys)
     assert (rc, err) == (0, "")
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def _load_oracles():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+ORC = _load_oracles()
+
+
+def _lfm_rule(a, b, c, d):
+    """The verdict for z -> (az + b)/(cz + d) by the paper's rules.  Every
+    disk automorphism lies in a one-parameter automorphism group
+    (Berkson-Porta, Michigan Math. J. 25, 1978): elliptic ones, with an
+    interior fixed point, in the rotation group about it.  Any other self-map
+    with an interior fixed point embeds iff the spiral condition holds, and
+    one without is out of scope."""
+    interior = [v for v in ORC.mobius_fixed_points(a, b, c, d) if abs(v) < 1.0 - ORC.TOL]
+    if ORC.is_self_map(d, -b, -c, a, margin=-1e-12):  # the inverse is a self-map too
+        return "Embeddable", ("elliptic-automorphism-semiflow" if interior
+                              else "automorphism-semiflow")
+    if interior:
+        return ORC.lfm_verdict(a, b, c, d)
+    return "OutOfScope", "boundary-fixed-point-unscoped"
+
+
+def _composition_rule(doc):
+    """A Möbius or degree-1 Blaschke symbol, an automorphism (a composition
+    file refuses any other Möbius map), takes the rule above.  Any other
+    inner symbol with an interior fixed point gives a composition operator
+    similar to an isometry, which embeds through the Wold/shift
+    construction; without one it is out of scope."""
+    if "mobius" in doc:
+        return _lfm_rule(*(ORC.cplx(doc["mobius"][k]) for k in "abcd"))
+    if "singular" in doc:
+        fixed = ORC.singular_inner_fixed_point(doc["singular"]["atoms"])
+        interior = [] if fixed is None else [fixed]
+    else:
+        num, den = ORC.blaschke_num_den(doc["blaschke"])
+        if ORC.blaschke_degree(doc["blaschke"]) == 1:
+            return _lfm_rule(num[1], num[0], den[-1] if len(den) > 1 else 0.0, den[0])
+        z_den = [0j] + den + [0j] * (len(num) - len(den))  # z Q, one longer than P
+        fixed_point_poly = [p - q for p, q in zip(num + [0j], z_den)]
+        interior = [v for v in ORC.poly_roots(fixed_point_poly) if abs(v) < 1.0 - ORC.TOL]
+    if interior:
+        return "Embeddable", "similar-isometry-shift-embedding"
+    return "OutOfScope", "boundary-fixed-point-unscoped"
+
+
+def _polynomial_rule(doc):
+    verdict, token, _ = ORC.polynomial_verdict([ORC.cplx(c) for c in doc["polynomial"]["coeffs"]])
+    return verdict, token
+
+
+def _rule(doc):
+    if doc["kind"] == "toeplitz":
+        return ORC.toeplitz_verdict(doc)
+    if doc["kind"] == "polynomial":
+        return _polynomial_rule(doc)
+    return _composition_rule(doc)
+
+
+def _blaschke_doc(origin_order=0, zeros=(), rotation=0.0):
+    return {"rotation": rotation, "origin_order": origin_order,
+            "zeros": [{"re": complex(a).real, "im": complex(a).imag, "mult": m} for a, m in zeros]}
+
+
+def _toeplitz_doc(blaschke=None, singular=None, outer=None, infinite=False):
+    return {"kind": "toeplitz", "blaschke": blaschke, "singular": singular, "outer": outer,
+            "declared_infinite_blaschke": infinite}
+
+
+def _polynomial_doc(*coeffs):
+    return {"kind": "polynomial",
+            "polynomial": {"coeffs": [{"re": complex(c).real, "im": complex(c).imag}
+                                      for c in coeffs]}}
+
+
+_ATOM = {"atoms": [{"angle": 0.0, "mass": 1.0}]}
+_TWO_Z_MINUS_4 = {"constant": {"re": 2.0, "im": 0.0}, "exterior_zeros": [{"re": 2.0, "im": 0.0}]}
+_PARABOLIC = (2 - 1j, 1j, -1j, 2 + 1j)  # fixes only 1, with multiplier 1
+
+# One symbol file per route through the decisions: name -> (document,
+# sha256 of the `analyze` document).  The verdicts come from _rule, never
+# from the program.  The digests were recorded before a Möbius composition
+# symbol was decided by decide_lfm; only the two automorphisms without an
+# interior fixed point changed then, from OutOfScope to Embeddable.
+ANALYZE_CORPUS = {
+    "toeplitz finite Blaschke": (_toeplitz_doc(blaschke=_blaschke_doc(2)),
+        "3dfcb6338847a924caa8e994f9dbbbfa8c6fb9ea80a11227111f496d8fa735c4"),
+    "toeplitz singular": (_toeplitz_doc(singular=_ATOM),
+        "fd1807a32b825e534ed25f86845d83e107c8e7717dac74d92202d519413b31be"),
+    "toeplitz Blaschke times singular": (
+        _toeplitz_doc(blaschke=_blaschke_doc(1), singular=_ATOM),
+        "a3d351267cb0d4ef2986c864d67f53e0a66c73ecd79ec73f10b6a637802f41c4"),
+    "toeplitz outer": (_toeplitz_doc(outer=_TWO_Z_MINUS_4),
+        "fff321280f28b009423f57d71b9bf529919730df7d7c932f31000897fb89bfea"),
+    "toeplitz singular times outer": (_toeplitz_doc(singular=_ATOM, outer=_TWO_Z_MINUS_4),
+        "82b7cb76abe91c5dcb9932754608bfa1bf09c6f264c520b7de37474aaed8e70d"),
+    "toeplitz Blaschke times outer": (
+        _toeplitz_doc(blaschke=_blaschke_doc(2), outer=_TWO_Z_MINUS_4),
+        "4a2851b1e613d7b6c0d67b1e16a9b8af4faf92a956f44f07c4793a78283cb262"),
+    "toeplitz Blaschke, singular and outer": (
+        _toeplitz_doc(blaschke=_blaschke_doc(2), singular=_ATOM, outer=_TWO_Z_MINUS_4),
+        "ad4d3cd2bcc8e63f0620a7bb9e0ebadb68ba4d032fcdf45ba6bd6f7aefdf8519"),
+    "toeplitz declared infinite Blaschke": (_toeplitz_doc(infinite=True),
+        "b72caf304922f1499fbdaf9e6a914751efbf8d5d2453485c3d414be2189c6515"),
+    "toeplitz declared infinite Blaschke times outer": (
+        _toeplitz_doc(outer=_TWO_Z_MINUS_4, infinite=True),
+        "bf133d90a9f7090596551cac4270539fcb33dbe90c5b0972900e02ef6bbc3919"),
+    "polynomial interior zero": (_polynomial_doc(-0.5, 1.0),
+        "24d4eb6d222fb02fc59bf9db2ae81931f38a6b223a51ba1bd1f3ddafaefd825b"),
+    # (z + 2)(z - 3i)
+    "polynomial exterior zeros": (_polynomial_doc(-6j, 2.0 - 3j, 1.0),
+        "43501e9815f59233cdd412d17fb15856fd4df7ab83a285b285723cbd92d3b7c9"),
+    "polynomial boundary zero": (_polynomial_doc(-1.0, 1.0),
+        "39f87f116cfef9440f532a395d8b8ee666e9799f3bd9bad2cab000ffe9586c6b"),
+    "mobius identity": (_mobius_doc(1.0, 0.0, 0.0, 1.0),
+        "09e0fe03b8e7699dae4da6f7f96fa440a0a96ec31f116e33e5ebef1f2fbf9bee"),
+    "mobius elliptic": (_mobius_doc(-1.0, 0.4, -0.4, 1.0),
+        "1e718e46c1fa7a45347b8e1acc8dc5a57b50fc5098d3f1d4a2992387c9d9ff15"),
+    "mobius hyperbolic": (_mobius_doc(1.0, 0.5, 0.5, 1.0),
+        "3a2e664e21ff9adefc445ca216671d69b59bf0620678f33e014002f0c0e62182"),
+    "mobius parabolic": (_mobius_doc(*_PARABOLIC),
+        "94b6307cebbf9bd48d6dd31f422080a537b22ea5a1b3bbb930e6fc1821fb7069"),
+    "mobius spiral holds": (_mobius_doc(0.5, 0.2, 0.0, 1.0),
+        "5cba5a96d41386e11f26bcc4c7618788622998413091eba2d171b134d1d8bc72"),
+    # z -> lam z + 0.3 (1 - lam), lam = e^{2.5i}/2: the spiral is too long
+    "mobius spiral fails": (
+        _mobius_doc(0.5 * cmath.exp(2.5j), 0.3 * (1 - 0.5 * cmath.exp(2.5j)), 0.0, 1.0),
+        "1813bc0bdd59f7df04e5944fecb668cc87e26673999123fd9a7b5a02800ed8d7"),
+    "mobius boundary fixed point": (_mobius_doc(0.5, 0.5, 0.0, 1.0),
+        "7ff4fafaa4ff33be5ef9fa469e839b1b58aa35783700fe7a9da9e40d36838360"),
+    "composition z^2": ({"kind": "composition", "blaschke": _blaschke_doc(2)},
+        "d025850fd5d75c1110371f374c996787fa96c4b6720767478456a78d09627d8f"),
+    "composition psi": (PSI_DOC,
+        "518a549ea834ea74446d7c6e1ec30051e95adf1bba6177f1c0933b517e4b5845"),
+    # ((z + 1/2)/(1 + z/2))^2 fixes 1 with derivative 2/3 there: no interior fixed point
+    "composition Blaschke without interior fixed point": (
+        {"kind": "composition", "blaschke": _blaschke_doc(zeros=[(-0.5, 2)])},
+        "d98c83f4c5caa36c0dfe579c8d7fa0073a2e0097f6d51b3dd20e159f424d6066"),
+    "composition degree-1 Blaschke": (
+        {"kind": "composition", "blaschke": _blaschke_doc(zeros=[(0.3, 1)])},
+        "c5d3f31952249a6267a6305bd2c4fdbd58c725b234c83e5a05a2559a280d39a3"),
+    "composition singular inner": ({"kind": "composition", "singular": _ATOM},
+        "c39988f7d3d105b8103787551867bfede34f9101b03cc9331bd07c11e46201bf"),
+    "composition elliptic": (_mobius_doc(-1.0, 0.4, -0.4, 1.0, kind="composition"),
+        "a9602941d3d1e77440938945f73bbd6bc42f5ab01cac4ce24a70bcf4f569a634"),
+    "composition hyperbolic": (_mobius_doc(1.0, 0.5, 0.5, 1.0, kind="composition"),
+        "c05695aae9914a55229d9cff1ba43d7ccdb5bc37a177d05d872826dfccc366bf"),
+    "composition parabolic": (_mobius_doc(*_PARABOLIC, kind="composition"),
+        "839d2a2c8e41fba1ff37e8fb7628ee03245695a96fb36cad16ba2429b2014fa0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CORPUS))
+def test_analyze_corpus(tmp_path, capsys, name):
+    doc, digest = ANALYZE_CORPUS[name]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["verdict"], report["governing_result"]) == _rule(doc)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_analyze_corpus_covers_every_token():
+    documented = set(re.findall(r"^([a-z]+(?:-[a-z]+)+)\s", decisions.__doc__, re.M))
+    assert {_rule(doc)[1] for doc, _ in ANALYZE_CORPUS.values()} == documented
+
+
+# (Möbius coefficients, the composition document of the same map)
+SAME_MAP = {
+    "identity": ((1.0, 0.0, 0.0, 1.0), None),
+    "rotation": ((cmath.exp(0.7j), 0.0, 0.0, 1.0), None),
+    "tau_0.4": ((-1.0, 0.4, -0.4, 1.0), None),
+    "hyperbolic": ((1.0, 0.5, 0.5, 1.0), None),
+    "parabolic": (_PARABOLIC, None),
+    "degree-1 Blaschke": ((-1.0, 0.3, -0.3, 1.0),
+                          {"kind": "composition", "blaschke": _blaschke_doc(zeros=[(0.3, 1)])}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_MAP))
+def test_a_map_gets_one_answer_in_either_kind(tmp_path, capsys, name):
+    coeffs, composition = SAME_MAP[name]
+    docs = {"mobius": _mobius_doc(*coeffs),
+            "composition": composition or _mobius_doc(*coeffs, kind="composition")}
+    answers = {}
+    for kind, doc in docs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+        assert (rc, err) == (0, "")
+        report = json.loads(out)
+        del report["config"]["input_hash"]
+        rc, _, verify_err = _run(["verify", "--input", str(path), "--n", "16"], capsys)
+        answers[kind] = (json.dumps(report, sort_keys=True), rc, verify_err)
+    assert answers["composition"] == answers["mobius"]
 
 
 IDENTITY_CSV_SHA256 = OUTER_CSV_SHA256[0]  # the time-0 file of every flow sample: I_16
@@ -908,19 +1113,24 @@ def test_exit_3_finite_blaschke_toeplitz(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, error",
-    [(_mobius_doc(0.5, 0.2, 0.0, 1.0, kind="composition"),
+    "doc, flags, error",
+    [(_mobius_doc(0.5, 0.2, 0.0, 1.0, kind="composition"), [],
       "NotInner: Mobius symbols must be disk automorphisms to be inner"),
-     ({"kind": "toeplitz", "blaschke": {"rotation": 0.3}},
-      "DegenerateSymbol: constant symbols have no embedding content")],
-    ids=["composition z/2+0.2", "constant toeplitz"],
+     ({"kind": "toeplitz", "blaschke": {"rotation": 0.3}}, [],
+      "DegenerateSymbol: constant symbols have no embedding content"),
+     # z - (1 - 5e-7): the band of --tol 1e-6 holds a zero inside the disk
+     (_polynomial_doc(-(1 - 5e-7), 1.0), ["--tol", "1e-6"],
+      "DomainError: boundary-band zeros [(0.9999995+0j)] (band ||z| - 1| <= 1e-06) lie "
+      "more than 1e-08 inside the circle, where an outer factor cannot vanish")],
+    ids=["composition z/2+0.2", "constant toeplitz", "polynomial zero in a loose band"],
 )
-def test_exit_4_symbol_the_decision_refuses(tmp_path, capsys, doc, error):
+def test_exit_4_symbol_the_decision_refuses(tmp_path, capsys, doc, flags, error):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(doc))
-    rc, out, err = _run(["verify", "--input", str(path), "--n", "16"], capsys)
-    assert (rc, out) == (4, "")
-    assert err == f"error: {error}\n"
+    for command in ("analyze", "verify"):
+        rc, out, err = _run([command, "--input", str(path), "--n", "16", *flags], capsys)
+        assert (rc, out) == (4, "")
+        assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ never from the program's own output.
 """
 import cmath
 import re
+import sys
 
+import numpy as np
 import pytest
 
-from h2embed import decisions
+from h2embed import decisions, polynomials
 from h2embed.decisions import (
     Verdict,
     decide_composition,
@@ -16,6 +18,8 @@ from h2embed.decisions import (
     decide_polynomial_toeplitz,
     decide_toeplitz,
 )
+from h2embed.errors import DomainError
+from h2embed.polynomials import Polynomial, poly_mul
 from h2embed.semigroups import OuterFlow, ProductFlow, SingularInnerFlow, SpiralFlow
 from h2embed.symbols import (
     BlaschkeProduct,
@@ -83,10 +87,12 @@ CASES = [
     ("similar-isometry-shift-embedding", lambda: decide_composition(Z2),
      Verdict.EMBEDDABLE, None),
     # (z + 1/2)/(1 + z/2) is hyperbolic: fixed points -1 and 1, none inside.
+    # Every automorphism lies in a one-parameter automorphism group
+    # (Berkson-Porta, Michigan Math. J. 25, 1978).
     ("automorphism-semiflow", lambda: decide_lfm(MobiusMap(1.0, 0.5, 0.5, 1.0)),
      Verdict.EMBEDDABLE, None),
     ("automorphism-semiflow", lambda: decide_composition(MobiusMap(1.0, 0.5, 0.5, 1.0)),
-     Verdict.OUT_OF_SCOPE, None),
+     Verdict.EMBEDDABLE, None),
     # alpha = 0.4, beta = infinity, lam = 1/2: |alpha| l = 0.4 <= |lam| = 0.5 (l = 1).
     ("attractive-elliptic-spiral-condition", lambda: decide_lfm(affine(0.5, 0.4)),
      Verdict.EMBEDDABLE, SpiralFlow),
@@ -125,3 +131,58 @@ def test_shift_embedding_details_are_closed_forms():
     report = decide_composition(BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)]))
     assert report.semigroup is None
     assert report.details == {"fixed_point": 0j, "multiplier": pytest.approx(0.5)}
+
+
+def test_lfm_details_of_an_attractive_elliptic_map():
+    # z/(z - 2) fixes 0 and 3; its derivative -2/(z - 2)^2 is -1/2 at 0.
+    details = decide_lfm(MobiusMap(1.0, 0.0, 1.0, -2.0)).details
+    assert abs(details["alpha"]) < 1e-12
+    assert details["beta"] == pytest.approx(3.0)
+    assert details["multiplier"] == pytest.approx(-0.5)
+
+
+def test_polynomial_outer_factor_of_z_minus_2():
+    outer = decide_polynomial_toeplitz([-2.0, 1.0]).semigroup.outer
+    assert outer.conjugate_factors == [] and outer.exterior_zeros == [pytest.approx(2.0)]
+    assert complex(outer(0.3)) == pytest.approx(0.3 - 2)
+
+
+def test_polynomial_boundary_zero_goes_to_the_outer_factor():
+    report = decide_polynomial_toeplitz([-1.0, 1.0])  # z - 1
+    assert report.verdict == Verdict.EMBEDDABLE
+    assert report.notes[0].startswith("boundary-band zeros assigned to the outer factor")
+    (zero,) = report.semigroup.outer.exterior_zeros
+    assert abs(zero - 1.0) < 1e-12
+
+
+def test_polynomial_boundary_zero_deeper_than_the_outer_factor_admits():
+    # A band of 1e-6 holds the zero 1 - 5e-7, which lies inside the disk.
+    with pytest.raises(DomainError, match=r"boundary-band zeros \[\(0\.9999995"):
+        decide_polynomial_toeplitz([-(1 - 5e-7), 1.0], tol=1e-6)
+
+
+def test_polynomial_outer_factor_reproduces_a_zero_free_polynomial():
+    rng = np.random.default_rng(23)
+    grid = 0.75 * np.exp(2j * np.pi * np.arange(64) / 64)
+    for _ in range(10):
+        p = Polynomial([rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())])
+        for _ in range(int(rng.integers(1, 9))):
+            zero = rng.uniform(1.15, 2.5) * np.exp(2j * np.pi * rng.uniform())
+            p = poly_mul(p, Polynomial([-zero, 1]))
+        outer = decide_polynomial_toeplitz(p).semigroup.outer
+        assert np.max(np.abs(p(grid) - outer(grid))) < 1e-9
+
+
+def test_polynomial_decision_solves_for_the_roots_once(monkeypatch):
+    real = polynomials.poly_roots
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("h2embed") and getattr(module, "poly_roots", None) is real:
+            monkeypatch.setattr(module, "poly_roots", counted)
+    decide_polynomial_toeplitz([2.0, 1.0])
+    assert len(calls) == 1

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from h2embed.errors import (
-    BoundaryZeroWarning,
     DegenerateMap,
     DomainError,
     IllConditioned,
     PoleHit,
 )
-from h2embed.polynomials import Polynomial, poly_mul
 from h2embed.symbols import (
     BlaschkeProduct,
     FactoredSymbol,
@@ -17,7 +15,6 @@ from h2embed.symbols import (
     SingularInner,
     SingularMeasure,
     circle_eval,
-    factor_polynomial,
     taylor_coefficients,
 )
 
@@ -161,48 +158,6 @@ class TestRationalOuter:
         rng = np.random.default_rng(1)
         z = 0.999 * np.sqrt(rng.uniform(0, 1, 128)) * np.exp(2j * np.pi * rng.uniform(0, 1, 128))
         assert np.all(np.abs(f(z)) > 0)
-
-
-class TestFactorPolynomial:
-    def test_no_interior_zero(self):
-        b, f = factor_polynomial(Polynomial([-2, 1]))  # z - 2
-        assert b.is_trivial
-        assert complex(f(0.3)) == pytest.approx(0.3 - 2)
-
-    def test_pure_monomial(self):
-        b, f = factor_polynomial(Polynomial([0, 1]))  # z
-        assert b.origin_order == 1 and b.zeros == []
-        assert f.is_constant and f.constant == pytest.approx(1.0)
-
-    def test_mixed_zeros_grid_oracle(self):
-        p = poly_mul(Polynomial([-0.5, 1]), Polynomial([-3, 1]))
-        b, f = factor_polynomial(p)
-        assert [round(abs(a), 6) for a, _ in b.zeros] == [0.5]
-        grid = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64)
-        assert np.max(np.abs(p(grid) - b(grid) * f(grid))) < 1e-10
-
-    def test_boundary_zero_warns_and_goes_outer(self):
-        p = Polynomial([-1, 1])  # z - 1
-        with pytest.warns(BoundaryZeroWarning):
-            b, f = factor_polynomial(p)
-        assert b.is_trivial
-        assert any(abs(abs(bz) - 1) < 1e-8 for bz in f.exterior_zeros)
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(23)
-        grid = 0.75 * np.exp(2j * np.pi * np.arange(64) / 64)
-        for _ in range(10):
-            deg = int(rng.integers(1, 9))
-            roots = []
-            for _ in range(deg):
-                # keep clear of the boundary band on both sides
-                r = rng.uniform(0.05, 0.85) if rng.uniform() < 0.5 else rng.uniform(1.15, 2.5)
-                roots.append(r * np.exp(2j * np.pi * rng.uniform()))
-            p = Polynomial([1.0])
-            for r in roots:
-                p = poly_mul(p, Polynomial([-r, 1]))
-            b, f = factor_polynomial(p)
-            assert np.max(np.abs(p(grid) - b(grid) * f(grid))) < 1e-9
 
 
 class TestTaylor:

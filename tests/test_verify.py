@@ -40,6 +40,8 @@ def test_wold_reconstruction_applies_to_generic_blaschke():
         "compared_columns": 1,
         "resolved_columns": 12,
     }
+    assert [name for name, _ in rec.witnesses] == [
+        "orthonormality", "wandering", "time-1 agreement"]
     assert dict(rec.witnesses)["wandering"] <= DEFAULT_RANK_TOL
 
 
