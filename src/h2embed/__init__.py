@@ -63,11 +63,13 @@ from .operators import (
 )
 from .semigroups import (
     ConstantFlow,
+    MultiplicationFlow,
     OperatorSemigroupSample,
     OuterFlow,
     ProductFlow,
     SingularInnerFlow,
     SpiralFlow,
+    WoldShiftFlow,
     embed_isometric_composition,
     sample_multiplication_flow,
     sample_spiral_flow,

@@ -3,8 +3,8 @@
 Subcommands: analyze, semigroup, solve, frostman, wold, verify.  Verdicts
 are data, never error exits.  Exit codes: 0 ok, 1 failed verification
 check, 2 malformed input (also ``semigroup`` and ``verify`` at times
-where no check applies), 3 verdict without a concrete construction,
-4 numeric failure inside a computation.
+where no check applies), 3 verdict without a concrete construction (for
+``wold``, without the Wold/shift one), 4 numeric failure in a computation.
 
 Reports are emitted as deterministic JSON (or key,value CSV with
 --format csv): identical input and configuration give byte-identical
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blaschke import conjugate_by_automorphism, frostman_transform, solve_blaschke_equation
+from .blaschke import frostman_transform, solve_blaschke_equation
 from .decisions import (
     decide_composition,
     decide_lfm,
@@ -47,15 +47,8 @@ from .fileio import (
     report_document,
 )
 from .operators import wold_decompose
-from .semigroups import (
-    TIME_TOL,
-    OperatorSemigroupSample,
-    SpiralFlow,
-    embed_isometric_composition,
-    sample_multiplication_flow,
-    sample_spiral_flow,
-)
-from .symbols import BlaschkeProduct, ConjugatedSymbol, MobiusMap
+from .semigroups import TIME_TOL, OperatorSemigroupSample, WoldShiftFlow
+from .symbols import BlaschkeProduct, MobiusMap
 from .verify import (
     check_isometry,
     check_noncompactness_proxy,
@@ -164,36 +157,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _build_sample(parsed, report, args, times):
-    """Concrete operator sample for an embeddable verdict, or NoConstruction."""
-    if report.verdict.value != "Embeddable":
+def _sample(report, times, n: int) -> OperatorSemigroupSample:
+    """The report's semigroup sampled at ``times``, or NoConstruction."""
+    if report.semigroup is None:
         raise NoConstruction(report.governing_result)
-    flow = report.semigroup
-    if isinstance(flow, SpiralFlow):
-        return sample_spiral_flow(flow, times, args.n), flow
-    if getattr(flow, "multiplicative", False):
-        return sample_multiplication_flow(flow, times, args.n), flow
-    if parsed["kind"] == "composition" and "fixed_point" in report.details:
-        psi = _fixing_origin(parsed["symbol"], lambda: report.details["fixed_point"])
-        return embed_isometric_composition(psi, times, args.n), None
-    raise NoConstruction(report.governing_result)
-
-
-def _fixing_origin(sym, fixed_point):
-    """The composition symbol whose Wold decomposition the Wold/shift
-    construction uses: ``sym`` itself when it fixes 0, else
-    tau_alpha . sym . tau_alpha, which moves its interior fixed point alpha
-    to 0.  ``fixed_point()`` gives alpha, or None when there is none (then
-    ``sym`` is returned, and ``wold_decompose`` refuses it); it is called
-    only when sym(0) != 0."""
-    if complex(np.asarray(sym(0.0))) == 0:
-        return sym
-    alpha = fixed_point()
-    if alpha is None or abs(alpha) < 1e-12:
-        return sym
-    if isinstance(sym, BlaschkeProduct):
-        return conjugate_by_automorphism(sym, alpha)
-    return ConjugatedSymbol(sym, alpha)
+    return report.semigroup.sample(times, n)
 
 
 def _law_pairs(times):
@@ -233,7 +201,7 @@ def cmd_semigroup(args) -> int:
     parsed = load_symbol_file(args.input)
     report = _analyze(parsed, args)
     times = _parse_times(args.times)
-    sample, flow = _build_sample(parsed, report, args, times)
+    sample = _sample(report, times, args.n)
     records = _checked(_sample_records(sample, args), sample.times, "--times")
     outdir = Path(args.out or "h2embed-semigroup-out")
     try:
@@ -246,11 +214,11 @@ def cmd_semigroup(args) -> int:
         dump_matrix_csv(outdir / name, sample.operator_at(t))
         matrix_files.append(name)
     trajectory_file = None
-    if flow is not None:
+    if report.semigroup.descriptor is not None:
         grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
         rows = ["t,re_z,im_z,re_val,im_val"]
         for t in times:
-            sym = flow.at(t)
+            sym = report.semigroup.at(t)
             vals = np.asarray(sym(grid))
             for z, v in zip(grid.tolist(), vals.tolist()):
                 rows.append(f"{t!r},{z.real!r},{z.imag!r},{v.real!r},{v.imag!r}")
@@ -325,11 +293,10 @@ def cmd_wold(args) -> int:
     parsed = load_symbol_file(args.input)
     if parsed["kind"] != "composition":
         raise SymbolFileError("wold needs a composition symbol file")
-    sym = parsed["symbol"]
-    psi = _fixing_origin(
-        sym, lambda: decide_composition(sym, tol=args.tol).details.get("fixed_point")
-    )
-    wold = wold_decompose(psi, args.n)
+    report = decide_composition(parsed["symbol"], tol=args.tol)
+    if not isinstance(report.semigroup, WoldShiftFlow):
+        raise NoConstruction(f"{report.governing_result}: no Wold/shift construction")
+    wold = wold_decompose(report.semigroup.fixing_origin(), args.n)
     rows = np.arange(args.n)
     levels = [[rows[keep].tolist() for keep in np.abs(basis.T) > 1e-8] for basis in wold.levels]
     doc = {
@@ -401,7 +368,7 @@ def cmd_verify(args) -> int:
         parsed = load_symbol_file(args.input)
         report = _analyze(parsed, args)
         times = _parse_times(args.times)
-        sample, _ = _build_sample(parsed, report, args, times)
+        sample = _sample(report, times, args.n)
         records = _checked(_sample_records(sample, args), sample.times, "--times")
         config = _config(args, parsed)
     doc = {

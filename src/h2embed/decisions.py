@@ -3,7 +3,7 @@
 Each decision function returns an :class:`EmbeddabilityReport` carrying a
 verdict, a stable governing-result token naming the mathematical fact the
 verdict rests on, optional notes and numeric details, and — whenever the
-construction is concrete — a handle to the semigroup itself.
+construction is concrete — a handle to the semigroup, with ``sample(times, n)``.
 
 Governing-result tokens:
 
@@ -74,6 +74,7 @@ from .semigroups import (
     ProductFlow,
     SingularInnerFlow,
     SpiralFlow,
+    WoldShiftFlow,
 )
 
 __all__ = [
@@ -105,7 +106,8 @@ class EmbeddabilityReport:
 
     @property
     def semigroup_descriptor(self) -> str | None:
-        """The ``descriptor`` of the constructed flow, None without one."""
+        """The ``descriptor`` of the constructed flow; None without one, or when
+        the construction is not a flow of symbols (the Wold/shift embedding)."""
         return None if self.semigroup is None else self.semigroup.descriptor
 
 
@@ -339,10 +341,11 @@ def _automorphism_report(alpha, multiplier) -> EmbeddabilityReport:
     )
 
 
-def _shift_embedding_report(alpha, multiplier) -> EmbeddabilityReport:
+def _shift_embedding_report(phi, alpha, multiplier) -> EmbeddabilityReport:
     return EmbeddabilityReport(
         Verdict.EMBEDDABLE,
         "similar-isometry-shift-embedding",
+        semigroup=WoldShiftFlow(phi, alpha),
         notes=["not a semigroup of composition operators", "symbol is not injective"],
         details={"fixed_point": alpha, "multiplier": multiplier},
     )
@@ -362,10 +365,6 @@ def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
     the decided scope.  Blaschke products and singular inner functions
     (positive masses on the circle) are inner by construction; only a
     Mobius symbol is tested.
-
-    This function only decides: a shift-embedding report carries no
-    semigroup.  The construction is :func:`embed_isometric_composition`
-    of the symbol conjugated to fix the origin, which the CLI calls.
     """
     if isinstance(phi, MobiusMap):
         if not phi.is_disk_automorphism(tol=max(tol, 1e-9)):
@@ -384,7 +383,7 @@ def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
                 "boundary-fixed-point-unscoped",
                 notes=["no interior fixed point: not similar to an isometry"],
             )
-        return _shift_embedding_report(*fps[0])
+        return _shift_embedding_report(phi, *fps[0])
 
     if isinstance(phi, SingularInner):
         alpha = interior_fixed_point(phi, phi.derivative)
@@ -394,7 +393,7 @@ def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
                 "boundary-fixed-point-unscoped",
                 notes=["no interior fixed point found: not similar to an isometry"],
             )
-        return _shift_embedding_report(alpha, complex(np.asarray(phi.derivative(alpha))))
+        return _shift_embedding_report(phi, alpha, complex(np.asarray(phi.derivative(alpha))))
 
     raise TypeError(
         "composition verdicts cover Blaschke products, Mobius automorphisms "

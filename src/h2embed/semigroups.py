@@ -16,7 +16,7 @@ each time-t symbol's first n Taylor coefficients in closed form through
 
 Their operators are the lower-triangular Toeplitz matrices of those
 coefficients and obey the semigroup law to rounding at every truncation
-order.
+order.  They derive from :class:`MultiplicationFlow`.
 
 Composition flows are linear-fractional semiflows
 phi_t = m^-1 . (z -> exp(t L) z) . m: a Mobius change of variable m turns
@@ -35,6 +35,7 @@ itself.  The sample carries the isometric embedding of the resolved part of
 H^2_N into that space, one column per column of the Wold basis, and the
 decomposition itself (with its composition matrix) in ``meta["wold"]``, so
 checks compare against composition matrices without rebuilding anything.
+Every semigroup here, :class:`WoldShiftFlow` too, samples itself: ``sample(times, n)``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blaschke import conjugate_by_automorphism
 from .errors import (
     BranchFailure,
     DomainError,
@@ -53,6 +55,8 @@ from .errors import (
 )
 from .operators import composition_matrix, lower_toeplitz, wold_decompose
 from .symbols import (
+    BlaschkeProduct,
+    ConjugatedSymbol,
     MobiusMap,
     PowerSeries,
     ProductSymbol,
@@ -63,11 +67,13 @@ from .symbols import (
 
 __all__ = [
     "OperatorSemigroupSample",
+    "MultiplicationFlow",
     "ConstantFlow",
     "SingularInnerFlow",
     "OuterFlow",
     "SpiralFlow",
     "ProductFlow",
+    "WoldShiftFlow",
     "sample_multiplication_flow",
     "sample_spiral_flow",
     "embed_isometric_composition",
@@ -117,10 +123,15 @@ def _truncated_product(series, n: int) -> np.ndarray:
     return out
 
 
-class ConstantFlow:
-    """t -> c**t for a nonzero constant, via the principal logarithm."""
+class MultiplicationFlow:
+    """A flow of multiplication symbols with closed-form ``coefficients(t, n)``."""
 
-    multiplicative = True
+    def sample(self, times, n: int) -> OperatorSemigroupSample:
+        return sample_multiplication_flow(self, times, n)
+
+
+class ConstantFlow(MultiplicationFlow):
+    """t -> c**t for a nonzero constant, via the principal logarithm."""
 
     def __init__(self, value):
         self.value = complex(value)
@@ -140,7 +151,7 @@ class ConstantFlow:
         return out
 
 
-class SingularInnerFlow:
+class SingularInnerFlow(MultiplicationFlow):
     """t -> the singular inner function of the measure scaled by t.
 
     Its time-t symbol is the product over atoms (zeta, m) of
@@ -148,7 +159,6 @@ class SingularInnerFlow:
     are exp(-x) L_k^(-1)(2x) conj(zeta)**k in closed form.
     """
 
-    multiplicative = True
     isometric = True
     descriptor = "singular-inner-flow"
 
@@ -186,7 +196,7 @@ class OuterPower:
         return np.exp(log)
 
 
-class OuterFlow:
+class OuterFlow(MultiplicationFlow):
     """t -> F**t for a rational outer F = c prod (1 - conj(a) z) prod (z - beta).
 
     In closed form, F**t = exp(t Log F(0)) prod (1 - conj(a) z)**t
@@ -197,7 +207,6 @@ class OuterFlow:
     0; it is analytic on the disk because |w| <= 1.
     """
 
-    multiplicative = True
     isometric = False
     descriptor = "outer-flow"
 
@@ -231,8 +240,6 @@ class SpiralFlow:
     default ``conjugator.inverse()``.  ``log_multiplier`` is L.
     """
 
-    multiplicative = False
-
     def __init__(self, conjugator, log_multiplier, descriptor: str, inverse=None):
         if inverse is None and conjugator is not None:
             inverse = conjugator.inverse()
@@ -258,16 +265,18 @@ class SpiralFlow:
             return scale
         return self.inverse.compose(scale).compose(self.conjugator)
 
+    def sample(self, times, n: int) -> OperatorSemigroupSample:
+        return sample_spiral_flow(self, times, n)
 
-class ProductFlow:
+
+class ProductFlow(MultiplicationFlow):
     """Pointwise product of commuting multiplication flows."""
 
-    multiplicative = True
     descriptor = "product-flow"
 
     def __init__(self, parts):
         for p in parts:
-            if not getattr(p, "multiplicative", False):
+            if not isinstance(p, MultiplicationFlow):
                 raise NonCommuting(
                     "product flows combine multiplication-type flows only; "
                     "composition flows do not commute with them"
@@ -285,6 +294,31 @@ class ProductFlow:
     def coefficients(self, t: float, n: int) -> np.ndarray:
         """Truncated convolution of the parts' coefficients."""
         return _truncated_product((p.coefficients(t, n) for p in self.parts), n)
+
+
+class WoldShiftFlow:
+    """The Wold/shift embedding of C_phi, phi inner with interior fixed point
+    alpha (Eisner, Arch. Math. 92, 2009): :func:`embed_isometric_composition`
+    of phi conjugated to fix 0, computed only when :meth:`fixing_origin` is
+    called.  It is no flow of symbols, so its ``descriptor`` is None."""
+
+    descriptor = None
+
+    def __init__(self, phi, alpha):
+        self.phi = phi
+        self.alpha = alpha
+
+    def fixing_origin(self):
+        """phi, or tau_alpha . phi . tau_alpha when phi(0) != 0 and alpha != 0."""
+        phi = self.phi
+        if complex(np.asarray(phi(0.0))) == 0 or abs(self.alpha) < 1e-12:
+            return phi
+        if isinstance(phi, BlaschkeProduct):
+            return conjugate_by_automorphism(phi, self.alpha)
+        return ConjugatedSymbol(phi, self.alpha)
+
+    def sample(self, times, n: int) -> OperatorSemigroupSample:
+        return embed_isometric_composition(self.fixing_origin(), times, n)
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +383,7 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
     analytic symbols, so V_t V_s = V_{t+s} holds to rounding at every n.
     A time whose coefficients overflow raises :class:`DomainError`.
     """
-    if not getattr(flow, "multiplicative", False):
+    if not isinstance(flow, MultiplicationFlow):
         raise NonCommuting("expected a multiplication-type flow")
     ops = []
     for t in times:
@@ -370,7 +404,6 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
         construction=flow.descriptor,
         dim=n,
         isometric=flow.isometric,
-        meta={"n": n},
     )
 
 
@@ -401,7 +434,6 @@ def sample_spiral_flow(flow: SpiralFlow, times, n: int) -> OperatorSemigroupSamp
         construction=flow.descriptor,
         dim=n,
         isometric=flow.isometric,
-        meta={"n": n},
     )
 
 
@@ -479,7 +511,7 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
         dim=dim,
         isometric=True,
         embedding=embedding,
-        meta={"n": n, "h": h, "horizon": horizon, "fiber_dim": d, "wold": wold},
+        meta={"h": h, "horizon": horizon, "fiber_dim": d, "wold": wold},
     )
 
 

@@ -17,8 +17,13 @@ import pytest
 from h2embed import cli, decisions
 from h2embed.blaschke import conjugate_by_automorphism
 from h2embed.cli import _load_sample_dir, main
-from h2embed.decisions import decide_composition, decide_lfm, decide_toeplitz
-from h2embed.errors import IllConditioned
+from h2embed.decisions import (
+    decide_composition,
+    decide_lfm,
+    decide_polynomial_toeplitz,
+    decide_toeplitz,
+)
+from h2embed.errors import IllConditioned, IsometryDefect
 from h2embed.fileio import (
     SymbolFileError,
     dump_matrix_csv,
@@ -635,6 +640,60 @@ def test_analyze_corpus_covers_every_token():
     assert {_rule(doc)[1] for doc, _ in ANALYZE_CORPUS.values()} == documented
 
 
+# Embeddable entries of the corpus whose report carries no semigroup: name -> token.
+NO_SAMPLE = {
+    "toeplitz declared infinite Blaschke": "inner-toeplitz-dichotomy",
+    "toeplitz Blaschke times singular": "inner-toeplitz-dichotomy",
+    "mobius hyperbolic": "automorphism-semiflow",
+    "mobius parabolic": "automorphism-semiflow",
+    "composition hyperbolic": "automorphism-semiflow",
+    "composition parabolic": "automorphism-semiflow",
+}
+
+
+def _library_report(parsed):
+    """The decision of a parsed symbol file from the library alone, at the
+    CLI's default --tol."""
+    sym, kind = parsed["symbol"], parsed["kind"]
+    if kind == "toeplitz":
+        return decide_toeplitz(sym, declared_infinite_blaschke=parsed["declared_infinite_blaschke"])
+    if kind == "polynomial":
+        return decide_polynomial_toeplitz(sym, tol=1e-8)
+    if kind == "mobius":
+        return decide_lfm(sym, tol=1e-8)
+    return decide_composition(sym, tol=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CORPUS))
+def test_library_samples_what_the_cli_writes(tmp_path, capsys, name):
+    """Every report's semigroup samples itself, and the library's sample is
+    byte for byte the one `semigroup --n 16` writes."""
+    doc = ANALYZE_CORPUS[name][0]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    report = _library_report(parse_symbol_document(doc))
+    rc, out, err = _run(["semigroup", "--input", str(path), "--n", "16",
+                         "--out", str(tmp_path / "cli")], capsys)
+    if report.verdict.value != "Embeddable" or name in NO_SAMPLE:
+        assert report.semigroup is None
+        assert (rc, out) == (3, "")
+        assert err == f"error: verdict carries no concrete construction ({report.governing_result})\n"
+        assert (name in NO_SAMPLE) == (report.verdict.value == "Embeddable")
+        assert NO_SAMPLE.get(name, report.governing_result) == report.governing_result
+        return
+    if name == "composition singular inner":  # F5: the Wold gate refuses the atom
+        with pytest.raises(IsometryDefect):
+            report.semigroup.sample((0.0, 0.5, 1.0), 16)
+        assert (rc, out) == (4, "") and err.startswith("error: IsometryDefect: ")
+        return
+    assert (rc, err) == (0, "")
+    sample = report.semigroup.sample((0.0, 0.5, 1.0), 16)
+    for i, t in enumerate(sample.times):
+        matrix = f"matrix_{i:02d}.csv"
+        dump_matrix_csv(tmp_path / matrix, sample.operator_at(t))
+        assert (tmp_path / matrix).read_bytes() == (tmp_path / "cli" / matrix).read_bytes()
+
+
 # (Möbius coefficients, the composition document of the same map)
 SAME_MAP = {
     "identity": ((1.0, 0.0, 0.0, 1.0), None),
@@ -1159,9 +1218,33 @@ def test_exit_4_residual_failure(tmp_path, capsys):
     assert err.startswith("error: ResidualFailure: preimage residual ")
 
 
+@pytest.mark.parametrize(
+    "doc, token",
+    [(ANALYZE_CORPUS["composition hyperbolic"][0], "automorphism-semiflow"),
+     (ANALYZE_CORPUS["composition parabolic"][0], "automorphism-semiflow"),
+     (ANALYZE_CORPUS["composition elliptic"][0], "elliptic-automorphism-semiflow"),
+     (_mobius_doc(1.0, 0.0, 0.0, 1.0, kind="composition"), "automorphism-semiflow"),
+     (_mobius_doc(cmath.exp(0.7j), 0.0, 0.0, 1.0, kind="composition"),
+      "elliptic-automorphism-semiflow"),
+     (ANALYZE_CORPUS["composition degree-1 Blaschke"][0], "elliptic-automorphism-semiflow"),
+     (ANALYZE_CORPUS["composition Blaschke without interior fixed point"][0],
+      "boundary-fixed-point-unscoped")],
+    ids=["hyperbolic", "parabolic", "tau0.4", "identity", "rotation", "degree-1 Blaschke",
+         "Blaschke without interior fixed point"],
+)
+def test_wold_exit_3_without_the_wold_shift_construction(tmp_path, capsys, doc, token):
+    """wold refuses by the verdict: only a shift-embedding report has a
+    symbol to decompose."""
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["wold", "--input", str(path), "--n", "16"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == f"error: verdict carries no concrete construction ({token}: no Wold/shift construction)\n"
+
+
 def test_wold_moves_a_nonzero_fixed_point_to_0(tmp_path, capsys, monkeypatch):
-    """wold decomposes tau_alpha . phi . tau_alpha, as verify builds it, and
-    solves for the fixed point alpha only when phi(0) != 0."""
+    """wold decides phi once and decomposes tau_alpha . phi . tau_alpha, as
+    verify builds it; a phi fixing 0 is decomposed as it is."""
     calls = []
 
     def counted(phi, tol):
@@ -1172,11 +1255,11 @@ def test_wold_moves_a_nonzero_fixed_point_to_0(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(PSI_DOC))
     assert _run(["wold", "--input", str(path), "--n", "16"], capsys)[0] == 0
-    assert calls == []
+    assert len(calls) == 1
     sym = parse_symbol_document(VERIFY_GOLDEN["conj-square"][0])["symbol"]
     path.write_text(json.dumps(VERIFY_GOLDEN["conj-square"][0]))
     rc, out, err = _run(["wold", "--input", str(path), "--n", "16"], capsys)
-    assert (rc, err, len(calls)) == (0, "", 1)
+    assert (rc, err, len(calls)) == (0, "", 2)
     alpha = decide_composition(sym).details["fixed_point"]
     assert abs(alpha - 0.0598) < 1e-4
     wold = wold_decompose(conjugate_by_automorphism(sym, alpha), 16)

@@ -20,7 +20,7 @@ from h2embed.decisions import (
 )
 from h2embed.errors import DomainError
 from h2embed.polynomials import Polynomial, poly_mul
-from h2embed.semigroups import OuterFlow, ProductFlow, SingularInnerFlow, SpiralFlow
+from h2embed.semigroups import OuterFlow, ProductFlow, SingularInnerFlow, SpiralFlow, WoldShiftFlow
 from h2embed.symbols import (
     BlaschkeProduct,
     FactoredSymbol,
@@ -85,7 +85,7 @@ CASES = [
      Verdict.EMBEDDABLE, SpiralFlow),
     # z^2 is inner, fixes 0 and is not an automorphism: C_phi is an isometry.
     ("similar-isometry-shift-embedding", lambda: decide_composition(Z2),
-     Verdict.EMBEDDABLE, None),
+     Verdict.EMBEDDABLE, WoldShiftFlow),
     # (z + 1/2)/(1 + z/2) is hyperbolic: fixed points -1 and 1, none inside.
     # Every automorphism lies in a one-parameter automorphism group
     # (Berkson-Porta, Michigan Math. J. 25, 1978).
@@ -128,8 +128,10 @@ def test_every_documented_token_has_a_case():
 
 def test_shift_embedding_details_are_closed_forms():
     # psi = z (1/2 - z)/(1 - z/2) fixes 0 with psi'(0) = 1/2.
-    report = decide_composition(BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)]))
-    assert report.semigroup is None
+    psi = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
+    report = decide_composition(psi)
+    assert isinstance(report.semigroup, WoldShiftFlow) and report.semigroup_descriptor is None
+    assert report.semigroup.fixing_origin() is psi
     assert report.details == {"fixed_point": 0j, "multiplier": pytest.approx(0.5)}
 
 

@@ -352,7 +352,7 @@ def test_koenigs_flow_is_the_affine_spiral_about_its_fixed_point():
 @pytest.mark.parametrize("theta", [0.0, 0.7])
 def test_spiral_sample_without_conjugator_is_the_exact_diagonal(theta):
     sample = sample_spiral_flow(SpiralFlow.elliptic(0.0, theta), TIMES, 8)
-    assert sample.isometric and sample.meta == {"n": 8}
+    assert sample.isometric and sample.meta == {}
     assert sample.construction == "elliptic-flow"
     for t in TIMES:
         assert np.array_equal(sample.apply(t), np.diag(np.exp(1j * theta * t * np.arange(8))))

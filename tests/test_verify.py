@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from h2embed import semigroups
-from h2embed.cli import _analyze, _build_sample, _law_pairs, _load_sample_dir, main
+from h2embed.cli import _analyze, _law_pairs, _load_sample_dir, main
 from h2embed.errors import IllConditioned, MissingTime
 from h2embed.fileio import parse_symbol_document
 from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
@@ -177,7 +177,7 @@ def _dense_flow_sample(name, n):
     parsed = parse_symbol_document(DENSE_FLOWS[name])
     args = SimpleNamespace(n=n, tol=1e-8)
     times = [0.0, 0.25, 0.5, 0.75, 1.0]  # the times `verify` samples by default
-    return _build_sample(parsed, _analyze(parsed, args), args, times)[0]
+    return _analyze(parsed, args).semigroup.sample(times, n)
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
