@@ -12,7 +12,6 @@ from .errors import (
     H2EmbedError,
     HorizonOverflow,
     IllConditioned,
-    IsometryDefect,
     MissingTime,
     NonCommuting,
     NotInner,

@@ -38,6 +38,7 @@ _CONJUGATION_RESIDUAL = 1e-9  # looser than solve's 1e-10: alpha is itself a com
 _ORIGIN_TOL = 1e-9  # far above the rounding of a merged root at the origin
 # interior_fixed_point: orbits to an interior point converge geometrically
 _ORBIT_STEPS, _ORBIT_TOL, _ORBIT_MARGIN = 400, 1e-12, 1e-6
+_FIXED_POINT_RESIDUAL = 1e3 * _ORBIT_TOL  # |f(z) - z| accepted after the Newton polish
 
 
 @dataclass
@@ -193,6 +194,6 @@ def interior_fixed_point(f, derivative):
         if abs(denom) < 1e-14:
             break
         z = z - (fz - z) / denom
-    if abs(complex(np.asarray(f(z))) - z) > 1e3 * _ORBIT_TOL:
+    if abs(complex(np.asarray(f(z))) - z) > _FIXED_POINT_RESIDUAL:
         return None
     return z

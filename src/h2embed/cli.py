@@ -28,6 +28,7 @@ import numpy as np
 
 from .blaschke import frostman_transform, solve_blaschke_equation
 from .decisions import (
+    DEFAULT_TOL,
     decide_composition,
     decide_lfm,
     decide_polynomial_toeplitz,
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def options(p):
         p.add_argument("--n", type=int, default=32, help="truncation order (>= 4)")
-        p.add_argument("--tol", type=float, default=1e-8, help="tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
         p.add_argument("--out", default=None, help="output path (stdout by default)")
         p.add_argument(
             "--format", choices=("report-doc", "csv"), default="report-doc"

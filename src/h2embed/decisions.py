@@ -77,6 +77,7 @@ from .semigroups import (
     WoldShiftFlow,
 )
 
+DEFAULT_TOL = 1e-8  # every decision's default tolerance, and the CLI's --tol
 __all__ = [
     "Verdict",
     "EmbeddabilityReport",
@@ -280,7 +281,7 @@ def decide_toeplitz(
     )
 
 
-def decide_polynomial_toeplitz(p, tol: float = 1e-9) -> EmbeddabilityReport:
+def decide_polynomial_toeplitz(p, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     """Embeddability of a polynomial Toeplitz operator: yes iff no zero
     lies strictly inside the disk.  Boundary-band zeros count as outside
     (they belong to the outer factor) but are flagged for caution; a band
@@ -351,7 +352,7 @@ def _shift_embedding_report(phi, alpha, multiplier) -> EmbeddabilityReport:
     )
 
 
-def decide_composition(phi, tol: float = 1e-8) -> EmbeddabilityReport:
+def decide_composition(phi, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     """Embeddability of the composition operator of an inner symbol.
 
     A Mobius symbol must be a disk automorphism, and is decided by
@@ -415,7 +416,7 @@ def _mobius_of_degree_one(b: BlaschkeProduct):
 # --------------------------------------------------------------------------
 
 
-def decide_lfm(m: MobiusMap, tol: float = 1e-9) -> EmbeddabilityReport:
+def decide_lfm(m: MobiusMap, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     """Embeddability of a linear fractional self-map into a semiflow of
     analytic self-maps.
 

@@ -2,9 +2,8 @@
 
 __all__ = [
     "H2EmbedError", "ZeroPolynomial", "PoleHit", "DomainError", "DegenerateMap",
-    "DegenerateSymbol", "IllConditioned", "ResidualFailure", "IsometryDefect",
-    "AutomorphismInput", "NonCommuting", "BranchFailure", "HorizonOverflow", "MissingTime",
-    "NotInner",
+    "DegenerateSymbol", "IllConditioned", "ResidualFailure", "AutomorphismInput",
+    "NonCommuting", "BranchFailure", "HorizonOverflow", "MissingTime", "NotInner",
 ]
 
 
@@ -42,10 +41,6 @@ class ResidualFailure(H2EmbedError):
     """A claimed root fails its residual check; the root finder broke down."""
 
 
-class IsometryDefect(H2EmbedError):
-    """A symbol that must induce an isometry fails the Gram-matrix test."""
-
-
 class AutomorphismInput(H2EmbedError):
     """Operation requires a non-automorphic symbol."""
 
@@ -67,4 +62,4 @@ class MissingTime(H2EmbedError):
 
 
 class NotInner(H2EmbedError):
-    """Symbol claimed inner but its boundary modulus/Gram test fails."""
+    """A symbol that must be inner is neither inner by type nor a Mobius automorphism."""

@@ -202,10 +202,8 @@ def _check_self_map(m: MobiusMap, where: str) -> None:
     the addition of the slack cost at most 4uQ.  Hence the slack 9u(P + Q).
     """
     a, b, c, d = m.a, m.b, m.c, m.d
-    lhs = abs(b * d.conjugate() - a * c.conjugate()) + abs(a * d - b * c)
-    d2 = d.real * d.real + d.imag * d.imag
-    c2 = c.real * c.real + c.imag * c.imag
-    rhs = d2 - c2
+    centre, radius, d2, c2 = m.circle_image()
+    lhs, rhs = centre + radius, d2 - c2
     slack = 4.5 * np.finfo(float).eps * ((abs(a) + abs(b)) * (abs(c) + abs(d)) + c2 + d2)
     if not lhs <= rhs + slack:  # NaN fails too
         raise SymbolFileError(

@@ -3,8 +3,8 @@
 Every operator is an N x N complex array in the monomial coordinate basis,
 where the H^2 inner product is the l^2 dot product of coefficient vectors.
 A composition operator is stored compressed, P_N C_phi restricted to H^2_N;
-isometry is never asserted through the compressed matrix but through the
-truncation-free boundary Gram matrix of the symbol powers.
+isometry is never asserted through the compressed matrix: the Wold
+decomposition takes the symbol's inner-ness from its type.
 """
 from __future__ import annotations
 
@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AutomorphismInput, IllConditioned, IsometryDefect
+from .blaschke import _FIXED_POINT_RESIDUAL
+from .errors import AutomorphismInput, DomainError, IllConditioned, NotInner
 from .symbols import (
     DEFAULT_RADIUS,
     BlaschkeProduct,
+    ConjugatedSymbol,
+    MobiusMap,
+    SingularInner,
     _circle_points,
     _coefficients_from_samples,
     _sample,
@@ -33,8 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-# boundary_gram's 2048 quadrature points: exact to rounding for Blaschke products
-_GRAM_POINTS = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
 
 
 def composition_matrix(phi, n: int) -> np.ndarray:
@@ -77,15 +79,13 @@ def toeplitz_matrix(phi, n: int) -> np.ndarray:
     return lower_toeplitz(taylor_coefficients(phi, n))
 
 
+# Kept, with circle_eval and SingularInner.boundary_value, for perfbench/tracing.py only.
 def boundary_gram(phi, d: int) -> np.ndarray:
-    """(d+1) x (d+1) Gram matrix of {phi^0, ..., phi^d} by circle quadrature.
-
-    For an inner phi fixing the origin this is the identity, which is the
-    truncation-free isometry test for the induced composition operator.
-    The quadrature grid is offset by half a step so atoms of singular
-    inner symbols at common angles are never hit.
-    """
-    vals = np.asarray(circle_eval(phi, _GRAM_POINTS), dtype=complex)
+    """(d+1) x (d+1) Gram matrix of {phi^0, ..., phi^d} by circle quadrature, the
+    identity for an inner phi fixing 0; the grid is offset by half a step so atoms of
+    singular inner symbols at common angles are never hit."""
+    zeta = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)  # exact for Blaschke products
+    vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
     powers = np.ones((d + 1, vals.size), dtype=complex)
     powers[1:] = vals
     powers = np.cumprod(powers, axis=0)
@@ -128,8 +128,6 @@ class WoldDecomposition:
 
 
 # Thresholds of wold_decompose; its docstring says why they are constants.
-_GRAM_TOL = 1e-6
-_GRAM_DEGREE = 4
 _WANDERING_TAKE = 1e-7
 _RETENTION = 0.5
 
@@ -182,10 +180,16 @@ def _gram_schmidt(cand: np.ndarray, block: np.ndarray, threshold: float):
 def wold_decompose(psi, n: int) -> WoldDecomposition:
     """Wold decomposition data for C_psi at truncation order n.
 
-    ``psi`` must be inner with psi(0) = 0 (certified through the boundary
-    Gram matrix; deviation raises :class:`IsometryDefect`) and must not be
-    an automorphism (degree-1 Blaschke products and rotation-like symbols
-    raise :class:`AutomorphismInput` -- a unitary has no wandering part).
+    ``psi`` must be inner with psi(0) = 0 and no automorphism (a unitary
+    has no wandering part).  Inner-ness is certified by type: the core of
+    ``psi`` (``psi.core`` for a :class:`ConjugatedSymbol`) is a Blaschke
+    product or singular inner, or :class:`NotInner` is raised; a degree-1
+    Blaschke or automorphic Mobius core raises :class:`AutomorphismInput`.
+    For psi = tau_a . phi . tau_a, psi(0) = tau_a(w) with w = phi(a), and
+    |tau_a(w)| <= |w - a|/(1 - |a|) for |w| <= 1.  The decision finds a with
+    |w - a| <= ``_FIXED_POINT_RESIDUAL`` (polynomial fixed points of Blaschke
+    products lie closer); :class:`DomainError` is raised when |psi(0)| exceeds
+    ``_FIXED_POINT_RESIDUAL``/(1 - |a|), with a = 0 when psi is not conjugated.
 
     For f in H^2_n, ||P_{ran C_psi} f|| = ||c^* f|| with c the compressed
     matrix, because C_psi is an isometry with orthonormal image basis
@@ -212,24 +216,21 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
     at most 1, so two passes are enough for every column that enters Q.
 
     The thresholds are constants because they separate rounding from
-    signal, which no input moves: an inner symbol's boundary Gram matrix
-    (degree 4) is the identity to about 1e-15, so 1e-6 refuses the rest; a
-    candidate already spanned by the taken columns keeps about 1e-15 of
-    its norm, so 1e-7 takes only the rest; and the retention 1/2 is the
-    bound above.  ``c`` is :func:`composition_matrix` of psi, kept as ``comp``.
+    signal, which no input moves: a candidate already spanned by the taken
+    columns keeps about 1e-15 of its norm, so 1e-7 takes only the rest; and
+    the retention 1/2 is the bound above.  ``c`` is ``comp``.
     """
-    g = boundary_gram(psi, _GRAM_DEGREE)
-    defect = float(np.max(np.abs(g - np.eye(_GRAM_DEGREE + 1))))
-    if defect > _GRAM_TOL:
-        raise IsometryDefect(
-            f"boundary Gram deviates from the identity by {defect:.3e}; "
-            "the symbol is not inner with a fixed origin (or quadrature is too coarse)"
-        )
-    if isinstance(psi, BlaschkeProduct) and psi.degree == 1:
-        raise AutomorphismInput("degree-1 Blaschke products are automorphisms")
+    core = psi.core if isinstance(psi, ConjugatedSymbol) else psi
+    if isinstance(core, BlaschkeProduct) and core.degree == 1 or (
+            isinstance(core, MobiusMap) and core.is_disk_automorphism()):
+        raise AutomorphismInput("disk automorphisms have no wandering part")
+    if not isinstance(core, (BlaschkeProduct, SingularInner)):
+        raise NotInner(f"{type(core).__name__} symbols are not inner by construction")
+    alpha = abs(psi.alpha) if core is not psi else 0.0
+    origin = abs(complex(np.asarray(psi(0.0))))
+    if origin > _FIXED_POINT_RESIDUAL / (1.0 - alpha):
+        raise DomainError(f"the symbol does not fix the origin: |psi(0)| = {origin:.3e}")
     c = composition_matrix(psi, n)
-    if not isinstance(psi, BlaschkeProduct) and abs(c[1, 1]) >= 1.0 - 1e-9:
-        raise AutomorphismInput("|psi'(0)| is not below 1: rotation-like symbol")
 
     u, s, _ = np.linalg.svd(c)
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import conjugate_by_automorphism
 from .errors import (
     BranchFailure,
     DomainError,
@@ -55,7 +54,6 @@ from .errors import (
 )
 from .operators import composition_matrix, lower_toeplitz, wold_decompose
 from .symbols import (
-    BlaschkeProduct,
     ConjugatedSymbol,
     MobiusMap,
     PowerSeries,
@@ -299,8 +297,9 @@ class ProductFlow(MultiplicationFlow):
 class WoldShiftFlow:
     """The Wold/shift embedding of C_phi, phi inner with interior fixed point
     alpha (Eisner, Arch. Math. 92, 2009): :func:`embed_isometric_composition`
-    of phi conjugated to fix 0, computed only when :meth:`fixing_origin` is
-    called.  It is no flow of symbols, so its ``descriptor`` is None."""
+    of phi conjugated to fix 0, as a :class:`ConjugatedSymbol` whose core phi
+    :func:`wold_decompose` certifies inner by type.  It is no flow of
+    symbols, so its ``descriptor`` is None."""
 
     descriptor = None
 
@@ -313,8 +312,6 @@ class WoldShiftFlow:
         phi = self.phi
         if complex(np.asarray(phi(0.0))) == 0 or abs(self.alpha) < 1e-12:
             return phi
-        if isinstance(phi, BlaschkeProduct):
-            return conjugate_by_automorphism(phi, self.alpha)
         return ConjugatedSymbol(phi, self.alpha)
 
     def sample(self, times, n: int) -> OperatorSemigroupSample:

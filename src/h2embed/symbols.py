@@ -49,8 +49,6 @@ _POLE_TOL = 1e-14
 _OUTER_MODULUS_SLACK = 1e-8
 DEFAULT_RADIUS = 0.9  # FFT sampling radius: _ERROR_BUDGET allows n <= 168 at scale 1
 _ERROR_BUDGET = 1e-8  # rounding amplification accepted: half the digits of a double
-# is_disk_automorphism tests 64 circle points; three already fix a Mobius image circle
-_AUTOMORPHISM_PROBES = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
 
 
 def _as_points(z):
@@ -333,13 +331,22 @@ class MobiusMap:
             raise DomainError("involution center must lie in the open disk")
         return cls(-1.0, alpha, -np.conj(alpha), 1.0)
 
+    def circle_image(self):
+        """|b conj(d) - a conj(c)|, |ad - bc|, |d|^2, |c|^2.  For |d| != |c| the unit circle
+        maps onto the circle with centre (b conj(d) - a conj(c))/(|d|^2 - |c|^2) and radius
+        |ad - bc|/||d|^2 - |c|^2|; the map sends the disk into itself iff |c| < |d| and
+        |centre| + radius <= 1 (Cowen-MacCluer 1995)."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (abs(b * d.conjugate() - a * c.conjugate()), abs(a * d - b * c),
+                d.real * d.real + d.imag * d.imag, c.real * c.real + c.imag * c.imag)
+
     def is_disk_automorphism(self, tol: float = 1e-9) -> bool:
-        """Numerical test: boundary maps to boundary and the origin stays inside."""
-        try:
-            on_circle = np.max(np.abs(np.abs(self(_AUTOMORPHISM_PROBES)) - 1.0)) <= tol
-            return bool(on_circle and abs(complex(self(0.0))) < 1.0)
-        except PoleHit:
-            return False
+        """Whether |centre| + |radius - 1| <= ``tol`` (sup ||phi| - 1| on the circle if the
+        image surrounds 0, larger otherwise) and |phi(0)| < 1; |d| = |c| puts a pole on it."""
+        centre, radius, d2, c2 = self.circle_image()
+        den = abs(d2 - c2)
+        on_circle = den > 0.0 and centre / den + abs(radius / den - 1.0) <= tol
+        return on_circle and abs(self.b) < abs(self.d)
 
     def fixed_point_polynomial(self) -> Polynomial:
         """c z^2 + (d - a) z - b, whose roots are the fixed points."""
@@ -410,8 +417,7 @@ def circle_eval(sym, z):
             out = out * circle_eval(p, z)
         return out
     if isinstance(sym, ConjugatedSymbol):
-        tau = MobiusMap.disk_involution(sym.alpha)
-        return tau(circle_eval(sym.core, tau(z)))
+        return sym._tau(circle_eval(sym.core, sym._tau(z)))
     return sym(z)
 
 

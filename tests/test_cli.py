@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 from h2embed import cli, decisions
-from h2embed.blaschke import conjugate_by_automorphism
 from h2embed.cli import _load_sample_dir, main
 from h2embed.decisions import (
     decide_composition,
@@ -23,7 +23,7 @@ from h2embed.decisions import (
     decide_polynomial_toeplitz,
     decide_toeplitz,
 )
-from h2embed.errors import IllConditioned, IsometryDefect
+from h2embed.errors import IllConditioned
 from h2embed.fileio import (
     SymbolFileError,
     dump_matrix_csv,
@@ -32,7 +32,7 @@ from h2embed.fileio import (
 )
 from h2embed.operators import wold_decompose
 from h2embed.semigroups import embed_isometric_composition
-from h2embed.symbols import BlaschkeProduct
+from h2embed.symbols import BlaschkeProduct, ConjugatedSymbol, MobiusMap
 
 PSI_DOC = {
     "kind": "composition",
@@ -681,11 +681,6 @@ def test_library_samples_what_the_cli_writes(tmp_path, capsys, name):
         assert (name in NO_SAMPLE) == (report.verdict.value == "Embeddable")
         assert NO_SAMPLE.get(name, report.governing_result) == report.governing_result
         return
-    if name == "composition singular inner":  # F5: the Wold gate refuses the atom
-        with pytest.raises(IsometryDefect):
-            report.semigroup.sample((0.0, 0.5, 1.0), 16)
-        assert (rc, out) == (4, "") and err.startswith("error: IsometryDefect: ")
-        return
     assert (rc, err) == (0, "")
     sample = report.semigroup.sample((0.0, 0.5, 1.0), 16)
     for i, t in enumerate(sample.times):
@@ -873,7 +868,7 @@ def test_exit_2_non_finite_symbol_number(tmp_path, capsys, doc, field):
     assert err.startswith(f"error: malformed input: {field}: ")
 
 
-def _blaschke_doc(mult=1, origin_order=1):
+def _composition_with_counts(mult=1, origin_order=1):
     zero = {"re": 0.5, "im": 0.0, "mult": mult}
     return {"kind": "composition", "blaschke": {"origin_order": origin_order, "zeros": [zero]}}
 
@@ -881,11 +876,11 @@ def _blaschke_doc(mult=1, origin_order=1):
 @pytest.mark.parametrize(
     "doc, field",
     [
-        (_blaschke_doc(mult=math.nan), "blaschke.zeros[0].mult"),
-        (_blaschke_doc(mult="x"), "blaschke.zeros[0].mult"),
-        (_blaschke_doc(mult=1.7), "blaschke.zeros[0].mult"),
-        (_blaschke_doc(origin_order=1.7), "blaschke.origin_order"),
-        (_blaschke_doc(origin_order=-1), "blaschke.origin_order"),
+        (_composition_with_counts(mult=math.nan), "blaschke.zeros[0].mult"),
+        (_composition_with_counts(mult="x"), "blaschke.zeros[0].mult"),
+        (_composition_with_counts(mult=1.7), "blaschke.zeros[0].mult"),
+        (_composition_with_counts(origin_order=1.7), "blaschke.origin_order"),
+        (_composition_with_counts(origin_order=-1), "blaschke.origin_order"),
     ],
     ids=["mult NaN", "mult string", "mult fractional", "origin_order fractional",
          "origin_order negative"],
@@ -900,7 +895,7 @@ def test_exit_2_blaschke_count_not_a_non_negative_integer(tmp_path, capsys, doc,
 
 def test_blaschke_counts_written_as_integral_floats_are_read(tmp_path, capsys):
     docs = []
-    for doc in (_blaschke_doc(), _blaschke_doc(mult=1.0, origin_order=1.0)):
+    for doc in (_composition_with_counts(), _composition_with_counts(mult=1.0, origin_order=1.0)):
         path = tmp_path / "sym.json"
         path.write_text(json.dumps(doc))
         rc, out, _ = _run(["analyze", "--input", str(path)], capsys)
@@ -1262,7 +1257,7 @@ def test_wold_moves_a_nonzero_fixed_point_to_0(tmp_path, capsys, monkeypatch):
     assert (rc, err, len(calls)) == (0, "", 2)
     alpha = decide_composition(sym).details["fixed_point"]
     assert abs(alpha - 0.0598) < 1e-4
-    wold = wold_decompose(conjugate_by_automorphism(sym, alpha), 16)
+    wold = wold_decompose(ConjugatedSymbol(sym, alpha), 16)
     doc = json.loads(out)
     assert (doc["level_dims"], doc["residual_dim"]) == (wold.level_dims, wold.residual_dim)
 
@@ -1415,3 +1410,61 @@ def test_singular_inner_composition_is_decided(tmp_path, capsys, atoms):
         "Embeddable", "similar-isometry-shift-embedding")
     alpha = complex(doc["details"]["fixed_point"]["re"], doc["details"]["fixed_point"]["im"])
     assert abs(alpha - _mpmath_singular_fixed_point(atoms)) <= 1e-12
+
+
+# The singular inner composition symbols of the wold-verify workload, written
+# out: the atom, and atoms at angles 1.0 and -2.0 with masses 0.5 and 0.25.
+SINGULAR_COMPOSITIONS = {
+    "atom": {"kind": "composition", "singular": {"atoms": [{"angle": 0.0, "mass": 1.0}]}},
+    "two atoms": {"kind": "composition", "singular": {"atoms": [
+        {"angle": 1.0, "mass": 0.5}, {"angle": -2.0, "mass": 0.25}]}},
+}
+
+
+def _run_on(tmp_path, capsys, command, doc, n):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path), "--n", str(n)]
+    if command == "semigroup":
+        argv += ["--out", str(tmp_path / "sample")]
+    return _run(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["semigroup", "verify", "wold"])
+@pytest.mark.parametrize(
+    "name, n", [("atom", 16), ("atom", 32), ("atom", 64), ("atom", 128), ("two atoms", 32)]
+)
+def test_singular_inner_composition_builds_its_wold_shift_embedding(
+    tmp_path, capsys, command, name, n
+):
+    """Singular inner symbols are inner by type, so the Embeddable verdict of
+    `analyze` comes with a construction that every command builds."""
+    rc, out, err = _run_on(tmp_path, capsys, command, SINGULAR_COMPOSITIONS[name], n)
+    assert (rc, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["semigroup", "verify", "wold"])
+def test_two_atoms_at_n16_are_a_numeric_refusal(tmp_path, capsys, command):
+    rc, out, err = _run_on(tmp_path, capsys, command, SINGULAR_COMPOSITIONS["two atoms"], 16)
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: IllConditioned: ") and "raise the truncation order" in err
+
+
+def test_one_default_tolerance_for_library_and_cli(tmp_path, capsys):
+    """z -> 0.5 e^i z + 0.23995778951728 misses the spiral inequality by
+    5.0e-9, so its verdict turns between the tolerances 1e-9 and 1e-8: every
+    decision and `--tol` default to the one DEFAULT_TOL, and agree on it."""
+    m = MobiusMap(0.5 * cmath.exp(1j), 0.23995778951728, 0.0, 1.0)
+    for decide in (decide_composition, decide_lfm, decide_polynomial_toeplitz):
+        assert inspect.signature(decide).parameters["tol"].default == decisions.DEFAULT_TOL
+    assert decisions.DEFAULT_TOL == 1e-8
+    report = decide_lfm(m)
+    assert report.details["lhs"] - report.details["rhs"] == pytest.approx(5.0e-9, rel=1e-3)
+    assert decide_lfm(m, tol=1e-9).verdict.value == "NotEmbeddable"
+    rc, out, err = _run_on(tmp_path, capsys, "analyze", _mobius_doc(m.a, m.b, m.c, m.d), 32)
+    doc = json.loads(out)
+    assert (rc, doc["verdict"], doc["governing_result"]) == (
+        0, "Embeddable", "attractive-elliptic-spiral-condition")
+    assert (report.verdict.value, report.governing_result) == (
+        doc["verdict"], doc["governing_result"])
+    assert doc["config"]["tol"] == decisions.DEFAULT_TOL

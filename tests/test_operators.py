@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg import svd, svdvals, toeplitz
 from scipy.special import eval_laguerre
 
-from h2embed.decisions import decide_lfm
-from h2embed.errors import AutomorphismInput, IllConditioned, IsometryDefect
+from h2embed.decisions import decide_composition, decide_lfm
+from h2embed.errors import AutomorphismInput, DomainError, IllConditioned, NotInner
 from h2embed.operators import (
     _RETENTION,
     _WANDERING_TAKE,
@@ -23,6 +23,7 @@ from h2embed.operators import (
 from h2embed.symbols import (
     DEFAULT_RADIUS,
     BlaschkeProduct,
+    ConjugatedSymbol,
     MobiusMap,
     PowerSeries,
     RationalOuter,
@@ -493,5 +494,35 @@ class TestWold:
             wold_decompose(BlaschkeProduct(rotation=np.pi / 3, origin_order=1), 8)
 
     def test_noninner_refused(self):
-        with pytest.raises(IsometryDefect):
+        with pytest.raises(NotInner):
             wold_decompose(PowerSeries([0.0, 0.5]), 8)  # z/2 fixes 0 but is not inner
+
+    @pytest.mark.parametrize(
+        "psi",
+        [ConjugatedSymbol(BlaschkeProduct(zeros=[(0.3, 1)]), 0.2),
+         MobiusMap(np.exp(0.7j), 0.0, 0.0, 1.0)],
+        ids=["conjugated degree-1 Blaschke", "Mobius rotation"],
+    )
+    def test_automorphism_core_refused(self, psi):
+        with pytest.raises(AutomorphismInput):
+            wold_decompose(psi, 16)
+
+    def test_non_automorphic_mobius_core_refused(self):
+        with pytest.raises(NotInner):
+            wold_decompose(ConjugatedSymbol(MobiusMap(0.5, 0.0, 0.0, 1.0), 0.0), 16)
+
+    @pytest.mark.parametrize("offset", [1e-3, 1e-7])
+    def test_conjugation_off_the_fixed_point_refused(self, offset):
+        # the atom conjugated about its fixed point fixes 0; moved by the
+        # offset, |psi(0)| is about 1.8 times the offset, far above the bound
+        # 1e-9/(1 - |alpha|) that the fixed-point residual allows
+        alpha = decide_composition(ATOM).details["fixed_point"]
+        assert wold_decompose(ConjugatedSymbol(ATOM, alpha), 16).level_dims[0] >= 1
+        with pytest.raises(DomainError, match="does not fix the origin"):
+            wold_decompose(ConjugatedSymbol(ATOM, alpha + offset), 16)
+
+    def test_zero_near_the_circle_is_a_numeric_refusal(self):
+        # z b_0.999 is inner by type; at n = 32 the truncation resolves no
+        # wandering direction, and the refusal names the truncation order
+        with pytest.raises(IllConditioned, match="raise the truncation order"):
+            wold_decompose(BlaschkeProduct(origin_order=1, zeros=[(0.999, 1)]), 32)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from h2embed.errors import (
     DegenerateMap,
@@ -142,6 +144,59 @@ class TestMobius:
     def test_automorphism_detection(self):
         assert MobiusMap.disk_involution(0.4 + 0.2j).is_disk_automorphism()
         assert not MobiusMap(1.0, 0.0, 1.0, -2.0).is_disk_automorphism()  # z/(z-2)
+
+
+_DENSE_CIRCLE = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+
+
+def _dense_automorphism_oracle(m, tol):
+    """|phi| = 1 within ``tol`` at 4096 circle points, and |phi(0)| < 1."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        image = (m.a * _DENSE_CIRCLE + m.b) / (m.c * _DENSE_CIRCLE + m.d)
+        origin = abs(m.b / m.d) if m.d != 0 else np.inf
+    return bool(np.max(np.abs(np.abs(image) - 1.0)) <= tol and origin < 1.0)
+
+
+_disk_points = st.builds(
+    lambda r, t: r * np.exp(1j * t), st.floats(0.0, 0.95), st.floats(-np.pi, np.pi)
+)
+_coefficients = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _mobius_maps(draw):
+    """A map and whether it is an automorphism (None: not known in advance).
+    tau_alpha . R_theta . tau_alpha composed in floating point is one; the
+    same map shifted by s, whose image is the unit circle moved by s, is none;
+    a map with random coefficients may be either."""
+    kind = draw(st.sampled_from(["automorphism", "shifted", "random"]))
+    if kind != "random":
+        tau = MobiusMap.disk_involution(draw(_disk_points))
+        theta = draw(st.floats(-np.pi, np.pi))
+        m = tau.compose(MobiusMap(np.exp(1j * theta), 0.0, 0.0, 1.0)).compose(tau)
+        if kind == "automorphism":
+            return m, True
+        shift = draw(st.floats(1e-6, 0.5)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        return MobiusMap(1.0, shift, 0.0, 1.0).compose(m), False
+    a, b, c, d = draw(
+        st.tuples(*[_coefficients] * 4).filter(lambda q: abs(q[0] * q[3] - q[1] * q[2]) > 1e-3)
+    )
+    return MobiusMap(a, b, c, d), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mobius_maps())
+@example((MobiusMap(0.5, 0.5, 0.0, 1.0), False))  # (1 + z)/2: meets Cowen-MacCluer with equality
+@example((MobiusMap(0.0, 1.0, -1.0, 2.0), False))  # 1/(2 - z)
+@example((MobiusMap(1.0, 0.5, 1.0, 1.0), False))  # c = d: pole at -1, on the circle
+@example((MobiusMap(-0.5, 1.0, -1.0, 0.5), False))  # 1/tau_0.5: circle to circle, pole at 0.5
+@example((MobiusMap(1.0, 0.1, 0.0, 1.0), False))  # z + 0.1: a unit circle off centre
+def test_automorphism_closed_form_matches_dense_sampling(case):
+    m, expected = case
+    got = m.is_disk_automorphism()
+    assert got == _dense_automorphism_oracle(m, 1e-9)
+    if expected is not None:
+        assert got is expected
 
 
 class TestRationalOuter:
