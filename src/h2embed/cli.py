@@ -61,6 +61,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NO_CONSTRUCTION = 3
 EXIT_NUMERIC = 4
+# The isometry and noncompactness checks never test tighter than this, whatever --tol is.
+ISOMETRY_TOL_FLOOR = 1e-6
 
 
 class NoConstruction(Exception):
@@ -180,8 +182,8 @@ def _sample_records(sample, args):
     pairs = _law_pairs(sample.times)
     if pairs:
         records.append(check_semigroup_law(sample, pairs, args.tol))
-    records.append(check_isometry(sample, max(args.tol, 1e-6)))
-    records.append(check_noncompactness_proxy(sample, max(args.tol, 1e-6)))
+    records.append(check_isometry(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
+    records.append(check_noncompactness_proxy(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
     if len([t for t in sample.times if t > 0]) >= 2:
         records.append(check_strong_continuity(sample, 1.0))
     return records
@@ -314,9 +316,10 @@ def cmd_wold(args) -> int:
 
 def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     """The sample a ``semigroup`` run wrote to ``path``.  ``meta.json`` is
-    held to the rules of symbol files and flags: ``dim`` is a non-negative
-    integer, ``times`` is a nonempty list of finite nonnegative, distinct
-    times (as for --times), and ``isometric``, when present, is true or false."""
+    held to the rules of symbol files and flags: ``dim`` is a positive
+    integer (a sample with no rows has nothing to check), ``times`` is a
+    nonempty list of finite nonnegative, distinct times (as for --times),
+    and ``isometric``, when present, is true or false."""
     meta_path = path / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
@@ -330,6 +333,8 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     except (KeyError, TypeError) as exc:
         raise SymbolFileError(f"{meta_path}: needs dim, times and matrices ({exc!r})") from exc
     dim = _count(dim, f"{meta_path}: dim")
+    if dim == 0:
+        raise SymbolFileError(f"{meta_path}: dim: 0 is not a positive integer")
     if not isinstance(times, list) or not times or not isinstance(names, list):
         raise SymbolFileError(f"{meta_path}: times and matrices are lists, times nonempty")
     times = _times(times, lambda i: f"{meta_path}: times[{i}]")
@@ -362,7 +367,7 @@ def cmd_verify(args) -> int:
         if pairs:
             records.append(check_semigroup_law(sample, pairs, args.tol))
         if sample.isometric and sample.construction != "wold-shift":
-            records.append(check_isometry(sample, max(args.tol, 1e-6)))
+            records.append(check_isometry(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
         records = _checked(records, sample.times, f"{Path(args.sample) / 'meta.json'}: times")
         config = {"sample": args.sample, "tol": args.tol}
     else:

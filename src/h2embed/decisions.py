@@ -69,6 +69,7 @@ from .symbols import (
     SingularInner,
 )
 from .semigroups import (
+    UNIMODULAR_TOL,
     ConstantFlow,
     OuterFlow,
     ProductFlow,
@@ -105,12 +106,6 @@ class EmbeddabilityReport:
     notes: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    @property
-    def semigroup_descriptor(self) -> str | None:
-        """The ``descriptor`` of the constructed flow; None without one, or when
-        the construction is not a flow of symbols (the Wold/shift embedding)."""
-        return None if self.semigroup is None else self.semigroup.descriptor
-
 
 @dataclass
 class SpiralData:
@@ -140,42 +135,6 @@ def spiral_length(lam) -> SpiralData:
 # Toeplitz symbols
 # --------------------------------------------------------------------------
 
-_UNIMODULAR_TOL = 1e-12
-
-
-def _blaschke_part(sym: FactoredSymbol):
-    b = sym.blaschke
-    return b if b is not None and b.degree > 0 else None
-
-
-def _blaschke_phase(sym: FactoredSymbol) -> complex:
-    b = sym.blaschke
-    if b is not None and b.degree == 0:
-        return cmath.exp(1j * b.rotation)
-    return 1.0 + 0.0j
-
-
-def _singular_part(sym: FactoredSymbol):
-    s = sym.singular
-    return s if s is not None and not s.is_trivial else None
-
-
-def _outer_part(sym: FactoredSymbol):
-    f = sym.outer
-    if f is None:
-        return None, 1.0 + 0.0j
-    if f.is_constant and abs(abs(f.constant) - 1.0) <= _UNIMODULAR_TOL:
-        return None, f.constant  # unimodular constant: inner-trivial phase
-    return f, 1.0 + 0.0j
-
-
-def _flow_with_phase(parts, phase):
-    if abs(phase - 1.0) > _UNIMODULAR_TOL:
-        parts = [ConstantFlow(phase)] + parts
-    if len(parts) == 1:
-        return parts[0]
-    return ProductFlow(parts)
-
 
 def decide_toeplitz(
     sym: FactoredSymbol,
@@ -184,24 +143,28 @@ def decide_toeplitz(
 ) -> EmbeddabilityReport:
     """Embeddability of the analytic Toeplitz operator of a factored symbol.
 
-    Case analysis on the inner-outer factorisation; for inner symbols the
-    operator is an isometry and embeds exactly when the symbol is not a
-    finite Blaschke product.  ``declared_infinite_blaschke`` marks the
-    Blaschke part as infinite (no finite zero list can represent one);
-    verdicts for that flag are report-only, with no constructed semigroup.
+    The nontrivial factors are read once: a degree-0 Blaschke part is a
+    phase, an atomless singular part is absent, and a unimodular constant
+    outer part is multiplied into the phase.  A finite Blaschke part puts
+    zeros in the disk, so no flow of Toeplitz symbols exists: the isometric
+    dichotomy, the finite-codimension obstruction or the open question
+    decides.  Otherwise the symbol is zero-free and embeds into the product
+    of its factors' flows, led by a :class:`ConstantFlow` when the phase is
+    not 1.  ``declared_infinite_blaschke`` marks the Blaschke part as
+    infinite (no finite zero list can represent one); verdicts for that
+    flag are report-only, with no constructed semigroup.
     """
-    b = _blaschke_part(sym)
-    s = _singular_part(sym)
-    f, phase_outer = _outer_part(sym)
-    phase = _blaschke_phase(sym) * phase_outer
-
-    if not declared_infinite_blaschke and b is None and s is None and f is None:
-        raise DegenerateSymbol("constant symbols have no embedding content")
-
-    inner_only = f is None
+    b, s, f = sym.blaschke, sym.singular, sym.outer
+    phase = 1.0 + 0.0j
+    if b is not None and b.degree == 0:
+        b, phase = None, cmath.exp(1j * b.rotation)
+    if s is not None and s.is_trivial:
+        s = None
+    if f is not None and f.is_constant and abs(abs(f.constant) - 1.0) <= UNIMODULAR_TOL:
+        f, phase = None, phase * f.constant
 
     if declared_infinite_blaschke:
-        if inner_only:
+        if f is None:
             return EmbeddabilityReport(
                 Verdict.EMBEDDABLE,
                 "inner-toeplitz-dichotomy",
@@ -219,65 +182,63 @@ def decide_toeplitz(
             ],
         )
 
-    if inner_only and b is not None and s is None:
-        return EmbeddabilityReport(
-            Verdict.NOT_EMBEDDABLE,
-            "inner-toeplitz-dichotomy",
-            notes=[
-                "finite Blaschke product symbol",
-                f"image codimension equals the degree {b.degree}: finite and nonzero",
-            ],
-            details={"blaschke_degree": b.degree},
-        )
-
-    if inner_only and s is not None:
-        notes = [
-            "analytic-toeplitz-semigroup: "
-            + ("yes" if b is None else "no (symbol has zeros in the disk)")
-        ]
-        if b is None:
-            flow = _flow_with_phase([SingularInnerFlow(s.measure)], phase)
+    if b is not None:
+        if f is None and s is None:
             return EmbeddabilityReport(
-                Verdict.EMBEDDABLE, "inner-toeplitz-dichotomy", semigroup=flow, notes=notes
+                Verdict.NOT_EMBEDDABLE,
+                "inner-toeplitz-dichotomy",
+                notes=[
+                    "finite Blaschke product symbol",
+                    f"image codimension equals the degree {b.degree}: finite and nonzero",
+                ],
+                details={"blaschke_degree": b.degree},
             )
-        notes.append("inner but not a finite Blaschke product")
-        notes.append("existence via the isometric dichotomy; no flow of Toeplitz symbols")
+        if f is None:
+            return EmbeddabilityReport(
+                Verdict.EMBEDDABLE,
+                "inner-toeplitz-dichotomy",
+                notes=[
+                    "analytic-toeplitz-semigroup: no (symbol has zeros in the disk)",
+                    "inner but not a finite Blaschke product",
+                    "existence via the isometric dichotomy; no flow of Toeplitz symbols",
+                ],
+            )
+        if s is None:
+            return EmbeddabilityReport(
+                Verdict.NOT_EMBEDDABLE,
+                "finite-codimension-obstruction",
+                notes=[
+                    f"image codimension equals the Blaschke degree {b.degree}: "
+                    "finite and nonzero"
+                ],
+                details={"blaschke_degree": b.degree},
+            )
         return EmbeddabilityReport(
-            Verdict.EMBEDDABLE, "inner-toeplitz-dichotomy", notes=notes
+            Verdict.UNKNOWN,
+            "blaschke-nonvanishing-open-question",
+            notes=["finite Blaschke part times a non-vanishing, non-inner cofactor"],
         )
 
-    if b is None and s is None:
-        flow = _flow_with_phase([OuterFlow(f)], phase)
-        return EmbeddabilityReport(
-            Verdict.EMBEDDABLE, "outer-symbol-flow", semigroup=flow
-        )
-
-    if b is None:
-        flow = _flow_with_phase(
-            [SingularInnerFlow(s.measure), OuterFlow(f)], phase
-        )
+    if s is None and f is None:
+        raise DegenerateSymbol("constant symbols have no embedding content")
+    parts = [ConstantFlow(phase)] if abs(phase - 1.0) > UNIMODULAR_TOL else []
+    parts += [SingularInnerFlow(s.measure)] if s is not None else []
+    parts += [OuterFlow(f)] if f is not None else []
+    flow = parts[0] if len(parts) == 1 else ProductFlow(parts)
+    if f is None:
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE,
-            "inner-outer-product-flow",
+            "inner-toeplitz-dichotomy",
             semigroup=flow,
-            notes=["zero-free symbol: product of the singular and outer flows"],
+            notes=["analytic-toeplitz-semigroup: yes"],
         )
-
     if s is None:
-        return EmbeddabilityReport(
-            Verdict.NOT_EMBEDDABLE,
-            "finite-codimension-obstruction",
-            notes=[
-                f"image codimension equals the Blaschke degree {b.degree}: "
-                "finite and nonzero"
-            ],
-            details={"blaschke_degree": b.degree},
-        )
-
+        return EmbeddabilityReport(Verdict.EMBEDDABLE, "outer-symbol-flow", semigroup=flow)
     return EmbeddabilityReport(
-        Verdict.UNKNOWN,
-        "blaschke-nonvanishing-open-question",
-        notes=["finite Blaschke part times a non-vanishing, non-inner cofactor"],
+        Verdict.EMBEDDABLE,
+        "inner-outer-product-flow",
+        semigroup=flow,
+        notes=["zero-free symbol: product of the singular and outer flows"],
     )
 
 

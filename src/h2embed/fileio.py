@@ -463,7 +463,7 @@ def report_document(report, *, config: dict | None = None) -> dict:
         "governing_result": report.governing_result,
         "notes": list(report.notes),
         "details": report.details,
-        "semigroup": report.semigroup_descriptor,
+        "semigroup": None if report.semigroup is None else report.semigroup.descriptor,
     }
     if config:
         doc["config"] = config

@@ -20,6 +20,7 @@ from .symbols import (
     ConjugatedSymbol,
     MobiusMap,
     SingularInner,
+    _check_amplification,
     _circle_points,
     _coefficients_from_samples,
     _sample,
@@ -45,15 +46,17 @@ def composition_matrix(phi, n: int) -> np.ndarray:
 
     The powers phi**j (j >= 1) are sampled on one circle grid, each as the
     previous row times the samples of phi, and extracted by one batched
-    FFT; the amplification guard is scaled by max |phi| on that circle.
+    FFT; the amplification guard is scaled by max |phi| on that circle and
+    runs before the n x m table of powers is allocated.
     """
     r = DEFAULT_RADIUS
     vals = _sample(phi, _circle_points(n, r))
+    _check_amplification(n, r, float(np.max(np.abs(vals))))
     pw = np.empty((n, vals.size), dtype=complex)
     pw[0] = 1.0
     for j in range(1, n):
         pw[j] = pw[j - 1] * vals
-    coeffs = _coefficients_from_samples(pw[1:], n, r, float(np.max(np.abs(vals))))
+    coeffs = _coefficients_from_samples(pw[1:], n, r)
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
     out[:, 1:] = coeffs.T

@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 TIME_TOL = 1e-12  # sample times closer than this are one time
+UNIMODULAR_TOL = 1e-12  # a constant whose modulus is this close to 1 is unimodular
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +137,7 @@ class ConstantFlow(MultiplicationFlow):
         if self.value == 0:
             raise BranchFailure("constant flow needs a nonzero value")
         self.log_value = cmath.log(self.value)
-        self.isometric = abs(abs(self.value) - 1.0) < 1e-12
+        self.isometric = abs(abs(self.value) - 1.0) < UNIMODULAR_TOL
         self.descriptor = "constant-flow"
 
     def at(self, t: float) -> PowerSeries:

@@ -319,10 +319,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
-
     @classmethod
     def disk_involution(cls, alpha) -> "MobiusMap":
         """The self-inverse disk automorphism z -> (alpha - z)/(1 - conj(alpha) z)."""
@@ -461,26 +457,28 @@ def _circle_points(n: int, radius: float) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _coefficients_from_samples(
-    samples: np.ndarray, n: int, radius: float, scale: float
-) -> np.ndarray:
-    """First ``n`` Taylor coefficients of each function sampled along the
-    last axis of ``samples`` at the points of :func:`_circle_points`.
-
-    Grid rule: the m samples come from :func:`_grid_size`, so aliasing
-    stays below the eps-relative rounding of the FFT.  Coefficient k is
-    the k-th FFT term over m, rescaled by radius**(-k), which amplifies
-    that rounding as well.  Guard: raises :class:`IllConditioned` when
-    radius**(-(n-1)) * eps * max(1, scale) exceeds ``_ERROR_BUDGET``.
-    ``scale`` is the caller's bound on the sampled function; for powers
-    phi**j it stays max |phi| on the circle.
-    """
+def _check_amplification(n: int, radius: float, scale: float) -> None:
+    """Raise :class:`IllConditioned` when radius**(-(n-1)) * eps * max(1, scale),
+    the rounding amplification of :func:`_coefficients_from_samples`, exceeds
+    ``_ERROR_BUDGET``; ``scale`` bounds the sampled function (max |phi| on the
+    circle for powers phi**j).  Callers check before they allocate samples."""
     eps = float(np.finfo(float).eps)
     if radius ** (-(n - 1)) * eps * max(1.0, scale) > _ERROR_BUDGET:
         raise IllConditioned(
             f"radius**-(n-1) amplification exceeds the error budget {_ERROR_BUDGET}; "
             "raise the radius or lower n"
         )
+
+
+def _coefficients_from_samples(samples: np.ndarray, n: int, radius: float) -> np.ndarray:
+    """First ``n`` Taylor coefficients of each function sampled along the
+    last axis of ``samples`` at the points of :func:`_circle_points`.
+
+    Grid rule: the m samples come from :func:`_grid_size`, so aliasing
+    stays below the eps-relative rounding of the FFT.  Coefficient k is
+    the k-th FFT term over m, rescaled by radius**(-k), which amplifies
+    that rounding as well; :func:`_check_amplification` bounds it.
+    """
     powers = radius ** (-np.arange(n, dtype=float))
     return (np.fft.fft(samples)[..., :n] / samples.shape[-1]) * powers
 
@@ -495,9 +493,9 @@ def taylor_coefficients(
     """First ``n`` Taylor coefficients of a disk-analytic symbol.
 
     Samples ``f`` on the circle of the given radius and extracts the
-    coefficients with :func:`_coefficients_from_samples`, which raises
-    :class:`IllConditioned` when the radius**(-(n-1)) amplification alone
-    exceeds the budget.
+    coefficients with :func:`_coefficients_from_samples`;
+    :func:`_check_amplification` raises :class:`IllConditioned` first when
+    the radius**(-(n-1)) amplification alone exceeds the budget.
     With ``return_errors`` a per-coefficient error estimate is returned:
     an aliasing bound from Cauchy estimates on a slightly larger sampling
     circle plus an FFT roundoff term.
@@ -506,7 +504,8 @@ def taylor_coefficients(
         raise ValueError("need at least one coefficient")
     vals = _sample(f, _circle_points(n, radius))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    coeffs = _coefficients_from_samples(vals, n, radius, scale)
+    _check_amplification(n, radius, scale)
+    coeffs = _coefficients_from_samples(vals, n, radius)
     if not return_errors:
         return coeffs
     m = vals.size

@@ -265,6 +265,18 @@ def _meta_edit(key, value):
     return edit
 
 
+def _zero_dim(header):
+    """Empty matrix files under ``header`` and an isometric sample of dim 0."""
+    def edit(out):
+        meta = json.loads((out / "meta.json").read_text())
+        meta.update(dim=0, isometric=True)
+        for name in meta["matrices"]:
+            (out / name).write_text(header + "\r\n")
+        (out / "meta.json").write_text(json.dumps(meta))
+
+    return edit
+
+
 SAMPLE_DEFECTS = {
     # name: (symbol, corruption of the sample directory, words the diagnostic names)
     "three fields": (
@@ -335,6 +347,10 @@ SAMPLE_DEFECTS = {
                        ["meta.json", "dim", "{dim}.9"]),
     "isometric not a boolean": ("z^2", _meta_edit("isometric", lambda meta: "no"),
                                 ["meta.json", "isometric", "'no'"]),
+    # A dense zero-dim sample died in check_isometry with an uncaught ValueError
+    # (exit 1); an index one passed the law check with nothing tested (exit 0).
+    "zero dim, dense files": ("outer", _zero_dim("re_ij,im_ij"), ["meta.json", "dim: 0"]),
+    "zero dim, index files": ("psi", _zero_dim("src"), ["meta.json", "dim: 0"]),
 }
 
 

@@ -4,11 +4,14 @@ Each expected verdict follows from a closed form stated next to its row,
 never from the program's own output.
 """
 import cmath
+import itertools
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from h2embed import decisions, polynomials
 from h2embed.decisions import (
@@ -18,9 +21,17 @@ from h2embed.decisions import (
     decide_polynomial_toeplitz,
     decide_toeplitz,
 )
-from h2embed.errors import DomainError
+from h2embed.errors import DegenerateSymbol, DomainError
+from h2embed.fileio import report_document
 from h2embed.polynomials import Polynomial, poly_mul
-from h2embed.semigroups import OuterFlow, ProductFlow, SingularInnerFlow, SpiralFlow, WoldShiftFlow
+from h2embed.semigroups import (
+    ConstantFlow,
+    OuterFlow,
+    ProductFlow,
+    SingularInnerFlow,
+    SpiralFlow,
+    WoldShiftFlow,
+)
 from h2embed.symbols import (
     BlaschkeProduct,
     FactoredSymbol,
@@ -130,7 +141,8 @@ def test_shift_embedding_details_are_closed_forms():
     # psi = z (1/2 - z)/(1 - z/2) fixes 0 with psi'(0) = 1/2.
     psi = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
     report = decide_composition(psi)
-    assert isinstance(report.semigroup, WoldShiftFlow) and report.semigroup_descriptor is None
+    assert isinstance(report.semigroup, WoldShiftFlow)
+    assert report_document(report)["semigroup"] is None
     assert report.semigroup.fixing_origin() is psi
     assert report.details == {"fixed_point": 0j, "multiplier": pytest.approx(0.5)}
 
@@ -188,3 +200,216 @@ def test_polynomial_decision_solves_for_the_roots_once(monkeypatch):
             monkeypatch.setattr(module, "poly_roots", counted)
     decide_polynomial_toeplitz([2.0, 1.0])
     assert len(calls) == 1
+
+
+# --------------------------------------------------------------------------
+# decide_toeplitz over every combination of its factors, phases included
+# --------------------------------------------------------------------------
+
+BLASCHKE_PARTS = {
+    "absent": None,
+    "phase 0.7": BlaschkeProduct(rotation=0.7),  # degree 0: the constant e^{0.7i}
+    "degree 2": Z2,
+}
+SINGULAR_PARTS = {
+    "absent": None,
+    "no atoms": SingularInner(SingularMeasure([])),  # the constant 1
+    "atom": ATOM,
+}
+OUTER_PARTS = {
+    "absent": None,
+    "e^{1.1i}": RationalOuter(constant=cmath.exp(1.1j)),  # unimodular: a phase
+    "2": RationalOuter(constant=2.0),
+    "factored": OUTER,
+}
+PHASE_ANGLE = {"phase 0.7": 0.7, "e^{1.1i}": 1.1}
+
+ANY_B, ANY_S = tuple(BLASCHKE_PARTS), tuple(SINGULAR_PARTS)
+ZERO_FREE_B, FINITE_B = ("absent", "phase 0.7"), ("degree 2",)
+NO_ATOMS, ATOMS = ("absent", "no atoms"), ("atom",)
+INNER_F, NON_INNER_F = ("absent", "e^{1.1i}"), ("2", "factored")
+DICHOTOMY, OPEN = "inner-toeplitz-dichotomy", "blaschke-nonvanishing-open-question"
+E, N, U = Verdict.EMBEDDABLE, Verdict.NOT_EMBEDDABLE, Verdict.UNKNOWN
+
+# (blaschke, singular, outer, declared flag): verdict, token, flow type, descriptor,
+# read off the token table in decisions.
+TOEPLITZ_TABLE = [
+    # A declared infinite Blaschke part is inner and not finite: the dichotomy
+    # when the cofactor is inner too, open otherwise; report only.
+    (ANY_B, ANY_S, INNER_F, (True,), (E, DICHOTOMY, None, None)),
+    (ANY_B, ANY_S, NON_INNER_F, (True,), (U, OPEN, None, None)),
+    # A finite Blaschke part puts zeros in the disk: never a Toeplitz flow.
+    (FINITE_B, NO_ATOMS, INNER_F, (False,), (N, DICHOTOMY, None, None)),
+    (FINITE_B, ATOMS, INNER_F, (False,), (E, DICHOTOMY, None, None)),
+    (FINITE_B, NO_ATOMS, NON_INNER_F, (False,), (N, "finite-codimension-obstruction", None, None)),
+    (FINITE_B, ATOMS, NON_INNER_F, (False,), (U, OPEN, None, None)),
+    # Zero-free: S^t, F^t or S^t F^t, led by c^t when the phase c is not 1.
+    (("absent",), ATOMS, ("absent",), (False,),
+     (E, DICHOTOMY, SingularInnerFlow, "singular-inner-flow")),
+    (("phase 0.7",), ATOMS, ("absent",), (False,), (E, DICHOTOMY, ProductFlow, "product-flow")),
+    (ZERO_FREE_B, ATOMS, ("e^{1.1i}",), (False,), (E, DICHOTOMY, ProductFlow, "product-flow")),
+    (("absent",), NO_ATOMS, NON_INNER_F, (False,),
+     (E, "outer-symbol-flow", OuterFlow, "outer-flow")),
+    (("phase 0.7",), NO_ATOMS, NON_INNER_F, (False,),
+     (E, "outer-symbol-flow", ProductFlow, "product-flow")),
+    (ZERO_FREE_B, ATOMS, NON_INNER_F, (False,),
+     (E, "inner-outer-product-flow", ProductFlow, "product-flow")),
+    # A unimodular constant has no embedding content.
+    (ZERO_FREE_B, NO_ATOMS, INNER_F, (False,), DegenerateSymbol),
+]
+TOEPLITZ_CASES = [
+    (b, s, f, declared, expected)
+    for bs, ss, fs, flags, expected in TOEPLITZ_TABLE
+    for b, s, f, declared in itertools.product(bs, ss, fs, flags)
+]
+
+
+def test_toeplitz_table_covers_every_combination_once():
+    keys = [case[:4] for case in TOEPLITZ_CASES]
+    assert sorted(keys) == sorted(
+        itertools.product(BLASCHKE_PARTS, SINGULAR_PARTS, OUTER_PARTS, (False, True))
+    )
+
+
+@pytest.mark.parametrize(
+    "b, s, f, declared, expected", TOEPLITZ_CASES,
+    ids=[f"B={b}, S={s}, F={f}, declared={d}" for b, s, f, d, _ in TOEPLITZ_CASES],
+)
+def test_toeplitz_decision_table(b, s, f, declared, expected):
+    sym = toeplitz(BLASCHKE_PARTS[b], SINGULAR_PARTS[s], OUTER_PARTS[f])
+    if expected is DegenerateSymbol:
+        with pytest.raises(DegenerateSymbol):
+            decide_toeplitz(sym, declared_infinite_blaschke=declared)
+        return
+    verdict, token, flow_type, descriptor = expected
+    report = decide_toeplitz(sym, declared_infinite_blaschke=declared)
+    assert (report.verdict, report.governing_result) == (verdict, token)
+    assert report_document(report)["semigroup"] == descriptor
+    if flow_type is None:
+        assert report.semigroup is None
+        return
+    assert type(report.semigroup) is flow_type
+    theta = PHASE_ANGLE.get(b, 0.0) + PHASE_ANGLE.get(f, 0.0)
+    parts = getattr(report.semigroup, "parts", [report.semigroup])
+    assert [type(p) for p in parts].count(ConstantFlow) == (theta != 0.0)
+    if theta:
+        # c^t leads, and multiplies every coefficient of the unphased flow by e^{i theta t}.
+        assert parts[0].value == pytest.approx(cmath.exp(1j * theta), abs=1e-15)
+        unphased = decide_toeplitz(
+            toeplitz(None, SINGULAR_PARTS[s], None if f == "e^{1.1i}" else OUTER_PARTS[f])
+        ).semigroup
+        for t in (0.5, 1.3):
+            want = cmath.exp(1j * theta * t) * unphased.coefficients(t, 12)
+            np.testing.assert_allclose(report.semigroup.coefficients(t, 12), want,
+                                       rtol=1e-13, atol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# invariance: F and F o R_theta, R_theta(z) = e^{i theta} z, decide alike
+# --------------------------------------------------------------------------
+
+
+def rotated(sym: FactoredSymbol, theta: float) -> FactoredSymbol:
+    """F o R_theta factor by factor: every Blaschke zero, atom, conjugate
+    factor and exterior zero moves by e^{-i theta}; the Blaschke rotation
+    gains theta per zero and the outer constant e^{i theta} per exterior zero."""
+    u = cmath.exp(-1j * theta)
+    b, s, f = sym.blaschke, sym.singular, sym.outer
+    if b is not None:
+        b = BlaschkeProduct(b.rotation + theta * b.degree, b.origin_order,
+                            [(a * u, m) for a, m in b.zeros])
+    if s is not None:
+        s = SingularInner(SingularMeasure([(zeta * u, m) for zeta, m in s.measure.atoms]))
+    if f is not None:
+        f = RationalOuter(f.constant / u ** len(f.exterior_zeros),
+                          [a * u for a in f.conjugate_factors], [z * u for z in f.exterior_zeros])
+    return FactoredSymbol(b, s, f)
+
+
+def _rotation_defect(flow, rotated_flow, theta, t, n=16):
+    """max_k |c'_k(t) - c_k(t) e^{i k theta}|, relative to max(1, max_k |c_k(t)|)."""
+    c = flow.coefficients(t, n)
+    gap = rotated_flow.coefficients(t, n) - c * np.exp(1j * theta * np.arange(n))
+    return float(np.max(np.abs(gap))) / max(1.0, float(np.max(np.abs(c))))
+
+
+def _disk_point(draw, low, high):
+    return draw(st.floats(low, high)) * cmath.exp(1j * draw(st.floats(-np.pi, np.pi)))
+
+
+@st.composite
+def factored_symbols(draw, zero_free=False):
+    """A factored symbol; with ``zero_free``, one with no finite Blaschke part
+    and a singular part with atoms or an outer part with factors (or both)."""
+    b = draw(st.sampled_from(["absent", "phase"] if zero_free else ["absent", "phase", "zeros"]))
+    if b == "absent":
+        b = None
+    elif b == "phase":
+        b = BlaschkeProduct(rotation=draw(st.floats(-np.pi, np.pi)))
+    else:
+        zeros = [(_disk_point(draw, 0.1, 0.9), draw(st.integers(1, 2)))
+                 for _ in range(draw(st.integers(0, 2)))]
+        b = BlaschkeProduct(draw(st.floats(-np.pi, np.pi)),
+                            draw(st.integers(1 if not zeros else 0, 2)), zeros)
+    with_s, with_f = draw(st.sampled_from(
+        [(True, False), (False, True), (True, True)] + ([] if zero_free else [(False, False)])
+    ))
+    s = f = None
+    if with_s:
+        angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=int(zero_free), max_size=2,
+                               unique=True))
+        if len(angles) == 2 and abs(cmath.exp(1j * angles[0]) - cmath.exp(1j * angles[1])) < 1e-3:
+            angles = angles[:1]
+        s = SingularInner(SingularMeasure.from_angles(
+            [(a, draw(st.floats(0.1, 2.0))) for a in angles]))
+    if with_f:
+        conj = draw(st.integers(0, 2))
+        f = RationalOuter(
+            _disk_point(draw, 0.5, 2.0) if draw(st.booleans()) else _disk_point(draw, 1.0, 1.0),
+            [_disk_point(draw, 0.0, 0.9) for _ in range(conj)],
+            [_disk_point(draw, 1.1, 3.0)
+             for _ in range(draw(st.integers(int(zero_free and not conj), 2)))],
+        )
+    return FactoredSymbol(b, s, f)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(sym=factored_symbols(), declared=st.booleans(), theta=st.floats(-np.pi, np.pi))
+def test_toeplitz_decision_is_rotation_invariant(sym, declared, theta):
+    rot = rotated(sym, theta)
+    z = np.array([0.3, -0.5j, 0.2 + 0.6j])
+    assert np.allclose(rot(z), sym(cmath.exp(1j * theta) * z), rtol=1e-12, atol=1e-14)
+    try:
+        report = decide_toeplitz(sym, declared_infinite_blaschke=declared)
+    except DegenerateSymbol:
+        with pytest.raises(DegenerateSymbol):
+            decide_toeplitz(rot, declared_infinite_blaschke=declared)
+        return
+    rot_report = decide_toeplitz(rot, declared_infinite_blaschke=declared)
+    assert report_document(rot_report) == report_document(report)
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(sym=factored_symbols(zero_free=True), theta=st.floats(-np.pi, np.pi))
+def test_zero_free_flow_is_rotation_invariant(sym, theta):
+    # F^t o R_theta = (F o R_theta)^t: coefficient k turns by e^{i k theta}.
+    # The outer flow takes the principal Log F(0), which rounding of the
+    # rotated factors can flip on the negative axis; F(0) itself is invariant.
+    assume(sym.outer is None or abs(cmath.phase(complex(sym.outer(0.0)))) < np.pi - 1e-9)
+    flow = decide_toeplitz(sym).semigroup
+    rot_flow = decide_toeplitz(rotated(sym, theta)).semigroup
+    for t in (0.5, 1.0):
+        assert _rotation_defect(flow, rot_flow, theta, t) <= 1e-12
+
+
+def test_rotation_oracle_detects_a_flipped_angle():
+    # The oracle tells theta from -theta: rotating by -theta misses by O(1).
+    sym = toeplitz(singular=ATOM, outer=RationalOuter(1.5, [0.3 + 0.2j], [2.0 - 1.0j]))
+    theta = 0.8
+    flow = decide_toeplitz(sym).semigroup
+    right = decide_toeplitz(rotated(sym, theta)).semigroup
+    wrong = decide_toeplitz(rotated(sym, -theta)).semigroup
+    assert _rotation_defect(flow, right, theta, 1.0) <= 1e-12
+    assert _rotation_defect(flow, wrong, theta, 1.0) > 1e-2

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,8 +170,21 @@ class TestCompositionMatrix:
         assert np.max(np.abs(c - expect)) < 1e-12
 
     def test_identity_symbol(self):
-        c = composition_matrix(MobiusMap.identity(), 6)
+        c = composition_matrix(MobiusMap(1.0, 0.0, 0.0, 1.0), 6)
         assert np.max(np.abs(c - np.eye(6))) < 1e-12
+
+    def test_refuses_before_allocating_the_powers(self):
+        # At n = 1000 the table of powers phi**j on the circle would be
+        # 1000 x 4096 complex entries (65.5 MB); the amplification guard
+        # refuses first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(IllConditioned, match="amplification exceeds the error budget"):
+                composition_matrix(SQUARE, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_involution_column_one(self):
         c = composition_matrix(MobiusMap.disk_involution(0.5), 6)
