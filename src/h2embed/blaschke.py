@@ -34,11 +34,19 @@ __all__ = [
     "interior_fixed_point",
 ]
 
-_CONJUGATION_RESIDUAL = 1e-9  # looser than solve's 1e-10: alpha is itself a computed root
+# |B(z) - beta| accepted at a computed preimage: the companion roots' backward
+# error eps ||P - beta Q||_1 puts it near 1e-15, and 1e-10 leaves room for the
+# degree and for merged multiple roots
+_PREIMAGE_RESIDUAL = 1e-10
+_CONJUGATION_RESIDUAL = 1e-9  # looser than _PREIMAGE_RESIDUAL: alpha is itself a computed root
 _ORIGIN_TOL = 1e-9  # far above the rounding of a merged root at the origin
 # interior_fixed_point: orbits to an interior point converge geometrically
 _ORBIT_STEPS, _ORBIT_TOL, _ORBIT_MARGIN = 400, 1e-12, 1e-6
 _FIXED_POINT_RESIDUAL = 1e3 * _ORBIT_TOL  # |f(z) - z| accepted after the Newton polish
+# |f'(z) - 1| below this ends the polish: the Newton step would multiply the
+# orbit's last move by more than 1e14
+_NEWTON_FLOOR = 1e-14
+_ANCHOR_FLOOR = 1e-12  # |B| below this at every probe leaves target/B no digits of the rotation
 
 
 @dataclass
@@ -50,7 +58,9 @@ class PreimageSet:
     all_distinct: bool
 
 
-def solve_blaschke_equation(b: BlaschkeProduct, beta, tol: float = 1e-10) -> PreimageSet:
+def solve_blaschke_equation(
+    b: BlaschkeProduct, beta, tol: float = _PREIMAGE_RESIDUAL
+) -> PreimageSet:
     """All deg(B) preimages of ``beta`` under ``b``, with multiplicities.
 
     Raises :class:`ResidualFailure` if a claimed root fails |B(z) - beta| <= tol.
@@ -83,7 +93,7 @@ def _fit_rotation(origin_order, zeros, target) -> BlaschkeProduct:
     )
     bv = np.asarray(bare(probes))
     k = int(np.argmax(np.abs(bv)))
-    if abs(bv[k]) < 1e-12:
+    if abs(bv[k]) < _ANCHOR_FLOOR:
         raise ResidualFailure("could not anchor the rotation: candidate vanishes")
     ratio = complex(np.asarray(target(probes[k]))) / complex(bv[k])
     return BlaschkeProduct(
@@ -113,7 +123,7 @@ def frostman_transform(b: BlaschkeProduct, lam, tol: float = 1e-8):
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise DomainError("Frostman parameter must lie in the open disk")
-    pre = solve_blaschke_equation(b, lam, tol=max(tol, 1e-10))
+    pre = solve_blaschke_equation(b, lam, tol=max(tol, _PREIMAGE_RESIDUAL))
     origin, zeros = _split_origin(pre.solutions)
     tau = MobiusMap.disk_involution(lam)
     result = _fit_rotation(origin, zeros, lambda z: tau(b(z)))
@@ -191,7 +201,7 @@ def interior_fixed_point(f, derivative):
         fz = complex(np.asarray(f(z)))
         dz = complex(np.asarray(derivative(z)))
         denom = dz - 1.0
-        if abs(denom) < 1e-14:
+        if abs(denom) < _NEWTON_FLOOR:
             break
         z = z - (fz - z) / denom
     if abs(complex(np.asarray(f(z))) - z) > _FIXED_POINT_RESIDUAL:

@@ -61,6 +61,7 @@ from .errors import (
 )
 from .polynomials import Polynomial, poly_roots, roots_in_disk
 from .symbols import (
+    _ON_CIRCLE,
     _OUTER_MODULUS_SLACK,
     BlaschkeProduct,
     FactoredSymbol,
@@ -329,7 +330,7 @@ def decide_composition(phi, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     Mobius symbol is tested.
     """
     if isinstance(phi, MobiusMap):
-        if not phi.is_disk_automorphism(tol=max(tol, 1e-9)):
+        if not phi.is_disk_automorphism(tol=max(tol, _ON_CIRCLE)):
             raise NotInner("Mobius symbols must be disk automorphisms to be inner")
         return decide_lfm(phi, tol)
 
@@ -399,7 +400,7 @@ def decide_lfm(m: MobiusMap, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     finite_fixed = [v for v, _ in poly_roots(fp).roots] if fp.degree >= 1 else []
     interior = [v for v in finite_fixed if abs(v) < 1.0 - tol]
 
-    if m.is_disk_automorphism(tol=max(tol, 1e-9)):
+    if m.is_disk_automorphism(tol=max(tol, _ON_CIRCLE)):
         if interior:
             alpha = interior[0]
             return _automorphism_report(alpha, complex(m.derivative(alpha)))

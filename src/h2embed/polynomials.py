@@ -1,17 +1,20 @@
 """Complex polynomial arithmetic and root finding.
 
 Coefficients are stored in ascending degree order; an empty coefficient
-array is the zero polynomial.  Root finding goes through the companion
-matrix (``numpy.polynomial.polyroots``) followed by a cluster merge, so
-that multiple roots are reported once with their multiplicity together
-with an honest residual bound.
+array is the zero polynomial.  The kernels are plain numpy: products by
+``np.convolve``, values by Horner's rule, roots as the sorted eigenvalues
+of the companion matrix followed by a cluster merge, so that multiple
+roots are reported once with their multiplicity together with an honest
+residual bound.  Each kernel performs the floating-point operations of its
+counterpart in numpy's polynomial package (polymul, polysub, polypow,
+polyder, polyval, polyroots) in the same order, so results agree bit for
+bit, signed zeros included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import ZeroPolynomial
 
@@ -30,6 +33,7 @@ __all__ = [
 
 DEFAULT_BOUNDARY_TOL = 1e-9
 _SCATTER_FACTOR = 2.0  # measured spread of k-fold roots, k = 2..7: at most 1.06 r_k
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -37,9 +41,9 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).ravel()
+        c = np.asarray(self.coeffs, dtype=complex).ravel()
         n = c.size
-        while n > 0 and c[n - 1] == 0:
+        while n and c[n - 1] == 0:
             n -= 1
         self.coeffs = c[:n].copy()
 
@@ -55,7 +59,7 @@ class Polynomial:
         z = np.asarray(z, dtype=complex)
         if self.is_zero:
             return np.zeros_like(z)
-        return npoly.polyval(z, self.coeffs)
+        return _horner(self.coeffs, z)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -63,6 +67,17 @@ class Polynomial:
         return self.coeffs.shape == other.coeffs.shape and bool(
             np.all(self.coeffs == other.coeffs)
         )
+
+
+def _horner(c: np.ndarray, z):
+    """c[0] + c[1] z + ... at the points ``z`` (an array), by Horner's rule.
+
+    The start c[-1] + z * 0 has the shape of ``z`` and carries the signs of
+    zero that numpy's polyval gives."""
+    v = c[-1] + z * 0
+    for k in range(c.size - 2, -1, -1):
+        v = c[k] + v * z
+    return v
 
 
 def _coeffs(p) -> np.ndarray:
@@ -73,12 +88,31 @@ def _coeffs(p) -> np.ndarray:
     return c if c.size else np.zeros(1, dtype=complex)
 
 
+def _series(p) -> np.ndarray:
+    """The coefficients as numpy's polynomial functions read them: trailing
+    zeros dropped, one entry kept."""
+    c = _coeffs(p)
+    if isinstance(p, Polynomial):
+        return c  # trimmed already
+    n = c.size
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
 def poly_sub(p, q) -> Polynomial:
-    return Polynomial(npoly.polysub(_coeffs(p), _coeffs(q)))
+    a, b = _series(p), _series(q)
+    if a.size > b.size:
+        out = a.copy()
+        out[: b.size] -= b
+    else:  # -q + p, as numpy's polysub adds: past p the tail is -q, with -0 for +0
+        out = -b
+        out[: a.size] += a
+    return Polynomial(out)
 
 
 def poly_mul(p, q) -> Polynomial:
-    return Polynomial(npoly.polymul(_coeffs(p), _coeffs(q)))
+    return Polynomial(np.convolve(_series(p), _series(q)))
 
 
 def poly_scale(p, c) -> Polynomial:
@@ -86,16 +120,21 @@ def poly_scale(p, c) -> Polynomial:
 
 
 def poly_pow(p, k: int) -> Polynomial:
-    if k < 0:
-        raise ValueError("nonnegative power required")
-    return Polynomial(npoly.polypow(_coeffs(p), k))
+    if k < 0 or int(k) != k:
+        raise ValueError("nonnegative integer power required")
+    c = _series(p)
+    out = c if k else np.ones(1, dtype=complex)
+    for _ in range(int(k) - 1):
+        out = np.convolve(out, c)
+    return Polynomial(out)
 
 
 def poly_derivative(p) -> Polynomial:
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.degree <= 0:
         return Polynomial([])
-    return Polynomial(npoly.polyder(p.coeffs))
+    c = p.coeffs * 1  # the unit scale, a complex product that can flip a zero's sign
+    return Polynomial(np.arange(1, c.size) * c[1:])
 
 
 @dataclass
@@ -121,7 +160,7 @@ def _is_one_root(raw: list, group: list, lead: complex, norm: float) -> bool:
     for i, z in enumerate(raw):
         if i not in group:
             q *= c - z
-    scatter = np.finfo(float).eps * norm * sum(abs(c) ** i for i in range(len(raw) + 1))
+    scatter = _EPS * norm * sum(abs(c) ** i for i in range(len(raw) + 1))
     return (max(abs(z - c) for z in pts) / _SCATTER_FACTOR) ** len(pts) * abs(q) <= scatter
 
 
@@ -141,7 +180,20 @@ def poly_roots(p) -> RootSet:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if p.degree == 0:
         return RootSet([], 0.0)
-    raw = npoly.polyroots(p.coeffs).tolist()
+    raw = _companion_roots(p.coeffs).tolist()
+    # a cluster's centroid is np.mean's, which adds a lone root to +0
+    roots = [
+        (raw[g[0]] + 0j if len(g) == 1 else complex(np.mean([raw[i] for i in g])), len(g))
+        for g in _root_clusters(raw, p.coeffs)
+    ]
+    roots.sort(key=lambda vm: (vm[0].real, vm[0].imag))
+    residual = max(map(abs, p(np.array([v for v, _ in roots])).tolist()))
+    return RootSet(roots, residual)
+
+
+def _root_clusters(raw: list, c: np.ndarray) -> list:
+    """The merge of :func:`poly_roots`: lists of indices into ``raw``, the
+    computed roots of the coefficients ``c``, each list one root."""
     d = len(raw)
     # node i < d is root i; each later node joins the two nodes that hold
     # the next closest pair of roots in different nodes
@@ -152,7 +204,7 @@ def poly_roots(p) -> RootSet:
             members.append(members[top[i]] + members[top[j]])
             for m in members[-1]:
                 top[m] = len(members) - 1
-    lead, norm = complex(p.coeffs[-1]), sum(map(abs, p.coeffs.tolist()))
+    lead, norm = complex(c[-1]), sum(map(abs, c.tolist()))
     groups, todo = [], [len(members) - 1]
     while todo:
         node = todo.pop()
@@ -160,11 +212,21 @@ def poly_roots(p) -> RootSet:
             todo.extend(kids[node])
         else:
             groups.append(members[node])
+    return groups
 
-    roots = [(complex(np.mean([raw[i] for i in g])), len(g)) for g in groups]
-    roots.sort(key=lambda vm: (vm[0].real, vm[0].imag))
-    residual = max(abs(complex(p(v))) for v, _ in roots)
-    return RootSet(roots, float(residual))
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of the trimmed coefficients ``c`` (degree >= 1), sorted: the
+    eigenvalues of the companion matrix with last column -c[:-1]/c[-1]."""
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    n = c.size - 1
+    mat = np.zeros((n, n), dtype=complex)
+    mat.reshape(-1)[n :: n + 1] = 1
+    mat[:, -1] -= c[:-1] / c[-1]  # 0 - x, not -x: +0 where x is +0
+    r = np.linalg.eigvals(mat)
+    r.sort()
+    return r
 
 
 @dataclass

@@ -200,9 +200,9 @@ class OuterFlow(MultiplicationFlow):
 
     In closed form, F**t = exp(t Log F(0)) prod (1 - conj(a) z)**t
     prod (1 - z/beta)**t.  Log is the principal logarithm of F(0), taken as
-    the constant coefficient of ``outer.as_polynomial()`` (so a negative
-    F(0) whose product carries a +0 imaginary part, as for 2(z - 2), takes
-    +i pi).  Each factor (1 - w z)**t is the binomial series equal to 1 at
+    the constant coefficient of ``outer._poly``, the polynomial the outer
+    factor builds once and evaluates (so a negative F(0) whose product
+    carries a +0 imaginary part, as for 2(z - 2), takes +i pi).  Each factor (1 - w z)**t is the binomial series equal to 1 at
     0; it is analytic on the disk because |w| <= 1.
     """
 
@@ -211,7 +211,7 @@ class OuterFlow(MultiplicationFlow):
 
     def __init__(self, outer: RationalOuter):
         self.outer = outer
-        self.log_f0 = cmath.log(complex(outer.as_polynomial().coeffs[0]))
+        self.log_f0 = cmath.log(complex(outer._poly.coeffs[0]))
         self.factors = [a.conjugate() for a in outer.conjugate_factors] + [
             1.0 / b for b in outer.exterior_zeros
         ]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import (
     DegenerateMap,
@@ -25,7 +24,9 @@ from .errors import (
     PoleHit,
 )
 from .polynomials import (
+    DEFAULT_BOUNDARY_TOL,
     Polynomial,
+    _horner,
     poly_derivative,
     poly_mul,
     poly_pow,
@@ -49,6 +50,13 @@ _POLE_TOL = 1e-14
 _OUTER_MODULUS_SLACK = 1e-8
 DEFAULT_RADIUS = 0.9  # FFT sampling radius: _ERROR_BUDGET allows n <= 168 at scale 1
 _ERROR_BUDGET = 1e-8  # rounding amplification accepted: half the digits of a double
+# a point within this of the unit circle is on it: the band roots_in_disk puts
+# around the circle, here for atoms and for |phi| on the circle
+_ON_CIRCLE = DEFAULT_BOUNDARY_TOL
+_AT_ATOM = 1e-12  # a point this near an atom is the atom: 5e3 ulps of a point on the circle
+# |ad - bc| / max(|a|, |b|, |c|, |d|, 1)**2 at most this is the rounding of ad
+# and bc, a few eps = 2.2e-16 each
+_DET_ROUNDING = 1e-15
 
 
 def _as_points(z):
@@ -72,6 +80,10 @@ class BlaschkeProduct:
     zero at the origin lives in ``origin_order`` only.  Each factor is the
     plain (alpha - z)/(1 - conj(alpha) z), without the classical
     |alpha|/alpha phase; the explicit ``rotation`` carries the phase.
+
+    The fields are not reassigned after ``__post_init__``: the product keeps
+    the (P, Q) of :meth:`numerator_denominator` and their derivatives once
+    built.
     """
 
     rotation: float = 0.0
@@ -79,6 +91,7 @@ class BlaschkeProduct:
     zeros: list = field(default_factory=list)
 
     def __post_init__(self):
+        self._pq = self._dpq = None
         self.origin_order = _integral(self.origin_order, "origin_order")
         if self.origin_order < 0:
             raise ValueError("origin_order must be nonnegative")
@@ -118,19 +131,23 @@ class BlaschkeProduct:
 
     def numerator_denominator(self):
         """Polynomials (P, Q) with B = P/Q, including phase and origin factor."""
-        num = Polynomial([cmath.exp(1j * self.rotation)])
-        if self.origin_order:
-            num = poly_mul(num, Polynomial([0] * self.origin_order + [1]))
-        den = Polynomial([1.0])
-        for alpha, m in self.zeros:
-            num = poly_mul(num, poly_pow(Polynomial([alpha, -1.0]), m))
-            den = poly_mul(den, poly_pow(Polynomial([1.0, -np.conj(alpha)]), m))
-        return num, den
+        if self._pq is None:
+            num = Polynomial([cmath.exp(1j * self.rotation)])
+            if self.origin_order:
+                num = poly_mul(num, Polynomial([0] * self.origin_order + [1]))
+            den = Polynomial([1.0])
+            for alpha, m in self.zeros:
+                num = poly_mul(num, poly_pow(Polynomial([alpha, -1.0]), m))
+                den = poly_mul(den, poly_pow(Polynomial([1.0, -np.conj(alpha)]), m))
+            self._pq = num, den
+        return self._pq
 
     def derivative(self, z):
         z = _as_points(z)
         p, q = self.numerator_denominator()
-        dp, dq = poly_derivative(p), poly_derivative(q)
+        if self._dpq is None:
+            self._dpq = poly_derivative(p), poly_derivative(q)
+        dp, dq = self._dpq
         qz = q(z)
         if np.any(np.abs(qz) < _POLE_TOL):
             raise PoleHit("derivative evaluation at a pole")
@@ -148,14 +165,14 @@ class SingularMeasure:
         for zeta, mass in self.atoms:
             zeta = complex(zeta)
             mass = float(mass)
-            if abs(abs(zeta) - 1.0) > 1e-9:
+            if abs(abs(zeta) - 1.0) > _ON_CIRCLE:
                 raise ValueError(f"atom location {zeta} is not on the unit circle")
             if mass <= 0.0:
                 raise ValueError("atom masses must be strictly positive")
             cleaned.append((zeta / abs(zeta), mass))
         for i in range(len(cleaned)):
             for j in range(i + 1, len(cleaned)):
-                if abs(cleaned[i][0] - cleaned[j][0]) < 1e-12:
+                if abs(cleaned[i][0] - cleaned[j][0]) < _AT_ATOM:
                     raise ValueError("atom locations must be distinct")
         self.atoms = cleaned
 
@@ -196,7 +213,7 @@ class SingularInner:
         """Unimodular boundary extension, defined off the atom set."""
         z = _as_points(z)
         for zeta, _ in self.measure.atoms:
-            if np.any(np.abs(z - zeta) < 1e-12):
+            if np.any(np.abs(z - zeta) < _AT_ATOM):
                 raise PoleHit(f"boundary evaluation at the atom {zeta}")
         return np.exp(-self._herglotz(z))
 
@@ -286,7 +303,7 @@ class MobiusMap:
         self.a, self.b = complex(self.a), complex(self.b)
         self.c, self.d = complex(self.c), complex(self.d)
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        if abs(self.det) <= 1e-15 * scale**2:
+        if abs(self.det) <= _DET_ROUNDING * scale**2:
             raise DegenerateMap("ad - bc vanishes")
 
     @property
@@ -336,7 +353,7 @@ class MobiusMap:
         return (abs(b * d.conjugate() - a * c.conjugate()), abs(a * d - b * c),
                 d.real * d.real + d.imag * d.imag, c.real * c.real + c.imag * c.imag)
 
-    def is_disk_automorphism(self, tol: float = 1e-9) -> bool:
+    def is_disk_automorphism(self, tol: float = _ON_CIRCLE) -> bool:
         """Whether |centre| + |radius - 1| <= ``tol`` (sup ||phi| - 1| on the circle if the
         image surrounds 0, larger otherwise) and |phi(0)| < 1; |d| = |c| puts a pole on it."""
         centre, radius, d2, c2 = self.circle_image()
@@ -361,7 +378,7 @@ class PowerSeries:
             self.coeffs = np.zeros(1, dtype=complex)
 
     def __call__(self, z):
-        return npoly.polyval(_as_points(z), self.coeffs)
+        return _horner(self.coeffs, _as_points(z))
 
 
 @dataclass

@@ -14,6 +14,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from h2embed import decisions, polynomials
+from h2embed.blaschke import solve_blaschke_equation
 from h2embed.decisions import (
     Verdict,
     decide_composition,
@@ -413,3 +414,93 @@ def test_rotation_oracle_detects_a_flipped_angle():
     wrong = decide_toeplitz(rotated(sym, -theta)).semigroup
     assert _rotation_defect(flow, right, theta, 1.0) <= 1e-12
     assert _rotation_defect(flow, wrong, theta, 1.0) > 1e-2
+
+
+# --------------------------------------------------------------------------
+# invariance: phi and R_{-theta} . phi . R_theta decide and solve alike
+# --------------------------------------------------------------------------
+
+
+def conjugated_by_rotation(phi: BlaschkeProduct, theta: float) -> BlaschkeProduct:
+    """z -> e^{-i theta} phi(e^{i theta} z): every zero moves by e^{-i theta}
+    and the rotation gains theta per zero, less the theta of the outer
+    R_{-theta}."""
+    u = cmath.exp(-1j * theta)
+    return BlaschkeProduct(phi.rotation + theta * (phi.degree - 1), phi.origin_order,
+                           [(a * u, m) for a, m in phi.zeros])
+
+
+@st.composite
+def blaschke_fixing_a_point(draw):
+    """(phi, alpha): a Blaschke product of degree 2 or 3 with phi(alpha) = alpha.
+
+    The factor with zero a has modulus |tau_alpha(a)| at alpha.  The first
+    zeros are tau_alpha(w) with |w| in [0.6, 0.9], so their product has
+    modulus P >= 0.36 at alpha; the last is tau_alpha(w) with |w| = |alpha| / P
+    < 1, which makes |phi(alpha)| = |alpha|, and the rotation turns phi(alpha)
+    onto alpha.  A self-map of degree >= 2 attracts to its fixed point."""
+    alpha = _disk_point(draw, 0.05, 0.2)
+    tau = MobiusMap.disk_involution(alpha)
+    zeros = [complex(tau(_disk_point(draw, 0.6, 0.9))) for _ in range(draw(st.integers(1, 2)))]
+    bare = complex(BlaschkeProduct(zeros=[(a, 1) for a in zeros])(alpha))
+    last = abs(alpha) / abs(bare) * cmath.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    zeros.append(complex(tau(last)))
+    bare = complex(BlaschkeProduct(zeros=[(a, 1) for a in zeros])(alpha))
+    return BlaschkeProduct(cmath.phase(alpha / bare), 0, [(a, 1) for a in zeros]), alpha
+
+
+def _rotation_defect_at(phi, rot, theta):
+    z = np.array([0.3, -0.5j, 0.2 + 0.6j])
+    return float(np.max(np.abs(rot(z) - cmath.exp(-1j * theta) * phi(cmath.exp(1j * theta) * z))))
+
+
+def _moved_fixed_point(phi, rot, theta):
+    """The verdicts, and |fixed point of rot - e^{-i theta} fixed point of phi|."""
+    report, rot_report = decide_composition(phi), decide_composition(rot)
+    alpha, rot_alpha = report.details["fixed_point"], rot_report.details["fixed_point"]
+    return report, rot_report, abs(rot_alpha - alpha * cmath.exp(-1j * theta))
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(case=blaschke_fixing_a_point(), theta=st.floats(-np.pi, np.pi))
+def test_composition_decision_is_rotation_invariant(case, theta):
+    phi, alpha = case
+    rot = conjugated_by_rotation(phi, theta)
+    assert _rotation_defect_at(phi, rot, theta) <= 1e-13
+    report, rot_report, moved = _moved_fixed_point(phi, rot, theta)
+    expected = (Verdict.EMBEDDABLE, "similar-isometry-shift-embedding")
+    assert (report.verdict, report.governing_result) == expected
+    assert (rot_report.verdict, rot_report.governing_result) == expected
+    assert abs(report.details["fixed_point"] - alpha) <= 1e-12
+    assert moved <= 1e-12
+    assert abs(rot_report.details["multiplier"] - report.details["multiplier"]) <= 1e-12
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(case=blaschke_fixing_a_point(), theta=st.floats(-np.pi, np.pi),
+       beta=st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 0.9),
+                      st.floats(-np.pi, np.pi)))
+def test_preimages_are_rotation_invariant(case, theta, beta):
+    # phi_theta(z) = beta iff phi(e^{i theta} z) = e^{i theta} beta
+    phi, _ = case
+    got = solve_blaschke_equation(conjugated_by_rotation(phi, theta), beta).solutions.roots
+    want = [(v * cmath.exp(-1j * theta), m) for v, m in
+            solve_blaschke_equation(phi, cmath.exp(1j * theta) * beta).solutions.roots]
+    assert len(got) == len(want)
+    for v, m in got:
+        k = min(range(len(want)), key=lambda i: abs(want[i][0] - v))
+        assert abs(want[k][0] - v) <= 1e-10 and want[k][1] == m
+        del want[k]
+
+
+def test_composition_oracle_detects_a_flipped_angle():
+    # The oracle tells theta from -theta: turning the zeros the wrong way
+    # moves the map and its fixed point by O(1).
+    phi = BlaschkeProduct(0.4, 0, [(0.5, 1), (-0.3 + 0.6j, 1)])
+    theta = 0.8
+    assert _rotation_defect_at(phi, conjugated_by_rotation(phi, theta), theta) <= 1e-13
+    assert _rotation_defect_at(phi, conjugated_by_rotation(phi, -theta), theta) > 1e-2
+    assert _moved_fixed_point(phi, conjugated_by_rotation(phi, theta), theta)[2] <= 1e-12
+    assert _moved_fixed_point(phi, conjugated_by_rotation(phi, -theta), theta)[2] > 1e-2

@@ -1,8 +1,10 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from h2embed import polynomials
 from h2embed.errors import ZeroPolynomial
 from h2embed.polynomials import (
     Polynomial,
@@ -14,6 +16,7 @@ from h2embed.polynomials import (
     poly_sub,
     roots_in_disk,
 )
+from h2embed.symbols import PowerSeries
 
 
 def test_derivative_of_square():
@@ -156,3 +159,109 @@ def test_derivative_is_linear(pc, qc, a, b):
     lhs = poly_derivative(poly_sub(poly_scale(p, a), poly_scale(q, -b)))
     rhs = poly_sub(poly_scale(poly_derivative(p), a), poly_scale(poly_derivative(q), -b))
     assert lhs == rhs
+
+
+# --------------------------------------------------------------------------
+# oracle: the plain-numpy kernels against numpy.polynomial, bit for bit
+# --------------------------------------------------------------------------
+
+# signed zeros, small integers and arbitrary floats, real and imaginary apart
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+)
+_entries = st.builds(complex, _parts, _parts)
+_zeros = st.sampled_from([complex(0.0, 0.0), complex(-0.0, 0.0),
+                          complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+@st.composite
+def coefficient_arrays(draw):
+    """Degree 0-8 coefficients, some with trailing (signed) zeros."""
+    body = draw(st.lists(_entries, min_size=1, max_size=9))
+    return np.array(body + draw(st.lists(_zeros, max_size=3)), dtype=complex)
+
+
+_points = st.lists(_entries, min_size=1, max_size=4).map(lambda v: np.array(v, dtype=complex))
+# a -0 - 0i coefficient is one the unit scale of polyder moves (to +0 - 0i)
+_unit_scale_case = np.array([1.0, complex(-0.0, -0.0), 3.0])
+_oracle = settings(max_examples=250, derandomize=True, deadline=None)
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=complex)
+    return x.shape, np.atleast_1d(x).view(np.uint64).tolist()
+
+
+def _nonempty(c):
+    """The zero polynomial's empty coefficients read as [0], as before."""
+    return c if c.size else np.zeros(1, dtype=complex)
+
+
+@_oracle
+@given(coefficient_arrays(), coefficient_arrays(), st.booleans())
+def test_sub_and_mul_match_numpy_polynomial(a, b, wrap):
+    p, q = (Polynomial(a), Polynomial(b)) if wrap else (a, b)
+    ca, cb = (_nonempty(p.coeffs), _nonempty(q.coeffs)) if wrap else (a, b)
+    assert _bits(poly_sub(p, q).coeffs) == _bits(Polynomial(npoly.polysub(ca, cb)).coeffs)
+    assert _bits(poly_mul(p, q).coeffs) == _bits(Polynomial(npoly.polymul(ca, cb)).coeffs)
+
+
+@_oracle
+@given(coefficient_arrays(), st.integers(0, 4))
+def test_pow_matches_numpy_polynomial(a, k):
+    assert _bits(poly_pow(a, k).coeffs) == _bits(Polynomial(npoly.polypow(a, k)).coeffs)
+
+
+@_oracle
+@example(_unit_scale_case)
+@given(coefficient_arrays())
+def test_derivative_matches_numpy_polynomial(a):
+    p = Polynomial(a)
+    want = Polynomial([]) if p.degree <= 0 else Polynomial(npoly.polyder(p.coeffs))
+    assert _bits(poly_derivative(a).coeffs) == _bits(want.coeffs)
+
+
+@_oracle
+@given(coefficient_arrays(), _points, st.booleans())
+def test_evaluation_matches_numpy_polynomial(a, z, scalar):
+    # Polynomial drops trailing zeros, PowerSeries evaluates them
+    z = z[0] if scalar else z
+    p = Polynomial(a)
+    want = np.zeros_like(np.asarray(z)) if p.is_zero else npoly.polyval(np.asarray(z), p.coeffs)
+    assert _bits(p(z)) == _bits(want)
+    assert _bits(PowerSeries(a)(z)) == _bits(npoly.polyval(np.asarray(z), a))
+
+
+def _numpy_roots(p):
+    """The root finder as written on numpy.polynomial: polyroots, the same
+    clusters, np.mean centroids and a 0-d polyval residual per root."""
+    raw = npoly.polyroots(p.coeffs).tolist()
+    groups = polynomials._root_clusters(raw, p.coeffs)
+    roots = sorted(((complex(np.mean([raw[i] for i in g])), len(g)) for g in groups),
+                   key=lambda vm: (vm[0].real, vm[0].imag))
+    residual = max(abs(complex(npoly.polyval(np.asarray(v), p.coeffs))) for v, _ in roots)
+    return roots, float(residual)
+
+
+@_oracle
+@given(coefficient_arrays())
+def test_roots_match_numpy_polynomial(a):
+    p = Polynomial(a)
+    assume(p.degree >= 1 and abs(p.coeffs[-1]) >= 1e-3)  # no overflow in c / c[-1]
+    assert _bits(polynomials._companion_roots(p.coeffs)) == _bits(npoly.polyroots(p.coeffs))
+    roots, residual = _numpy_roots(p)
+    rs = poly_roots(p)
+    assert [m for _, m in rs.roots] == [m for _, m in roots]
+    assert _bits(rs.values()) == _bits([v for v, _ in roots])
+    assert _bits(rs.residual_bound) == _bits(residual)
+
+
+def test_root_oracle_sees_repeated_roots():
+    # the centroid and multiplicity branches of the oracle comparison run
+    p = poly_mul(poly_pow(Polynomial([-0.5 + 0.1j, 1]), 3), Polynomial([complex(-0.0, -0.0), 1]))
+    roots, residual = _numpy_roots(p)
+    assert sorted(m for _, m in roots) == [1, 3]
+    rs = poly_roots(p)
+    assert _bits(rs.values()) == _bits([v for v, _ in roots])
+    assert _bits(rs.residual_bound) == _bits(residual)
