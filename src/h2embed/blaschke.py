@@ -47,6 +47,7 @@ _FIXED_POINT_RESIDUAL = 1e3 * _ORBIT_TOL  # |f(z) - z| accepted after the Newton
 # orbit's last move by more than 1e14
 _NEWTON_FLOOR = 1e-14
 _ANCHOR_FLOOR = 1e-12  # |B| below this at every probe leaves target/B no digits of the rotation
+_SIMPLE_ZERO_TOL = 1e-8  # |b'| above this at a preimage makes it simple: the CLI's default --tol
 
 
 @dataclass
@@ -112,7 +113,7 @@ def _split_origin(rs: RootSet):
     return origin, zeros
 
 
-def frostman_transform(b: BlaschkeProduct, lam, tol: float = 1e-8):
+def frostman_transform(b: BlaschkeProduct, lam, tol: float = _SIMPLE_ZERO_TOL):
     """tau_lam . b as a Blaschke product, plus a simple-zero flag.
 
     The zeros of the transform are the preimages of ``lam`` under ``b``;

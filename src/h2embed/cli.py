@@ -63,6 +63,7 @@ EXIT_NO_CONSTRUCTION = 3
 EXIT_NUMERIC = 4
 # The isometry and noncompactness checks never test tighter than this, whatever --tol is.
 ISOMETRY_TOL_FLOOR = 1e-6
+_SUPPORT_TOL = 1e-8  # a Wold basis entry at most this is rounding, not support
 
 
 class NoConstruction(Exception):
@@ -301,7 +302,8 @@ def cmd_wold(args) -> int:
         raise NoConstruction(f"{report.governing_result}: no Wold/shift construction")
     wold = wold_decompose(report.semigroup.fixing_origin(), args.n)
     rows = np.arange(args.n)
-    levels = [[rows[keep].tolist() for keep in np.abs(basis.T) > 1e-8] for basis in wold.levels]
+    levels = [[rows[keep].tolist() for keep in np.abs(basis.T) > _SUPPORT_TOL]
+              for basis in wold.levels]
     doc = {
         "n": args.n,
         "level_dims": wold.level_dims,

@@ -80,6 +80,7 @@ from .semigroups import (
 )
 
 DEFAULT_TOL = 1e-8  # every decision's default tolerance, and the CLI's --tol
+_SAME_FIXED_POINT = 1e-9  # a second fixed point this near alpha is alpha, split by rounding
 __all__ = [
     "Verdict",
     "EmbeddabilityReport",
@@ -223,7 +224,7 @@ def decide_toeplitz(
     if s is None and f is None:
         raise DegenerateSymbol("constant symbols have no embedding content")
     parts = [ConstantFlow(phase)] if abs(phase - 1.0) > UNIMODULAR_TOL else []
-    parts += [SingularInnerFlow(s.measure)] if s is not None else []
+    parts += [SingularInnerFlow(s)] if s is not None else []
     parts += [OuterFlow(f)] if f is not None else []
     flow = parts[0] if len(parts) == 1 else ProductFlow(parts)
     if f is None:
@@ -427,7 +428,7 @@ def decide_lfm(m: MobiusMap, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
         )
     alpha = interior[0]
     multiplier = complex(m.derivative(alpha))
-    others = [v for v in finite_fixed if abs(v - alpha) > 1e-9]
+    others = [v for v in finite_fixed if abs(v - alpha) > _SAME_FIXED_POINT]
     beta = others[0] if others else None  # None: the other fixed point is at infinity
 
     spiral = spiral_length(multiplier)

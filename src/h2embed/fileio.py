@@ -73,7 +73,6 @@ from .symbols import (
     MobiusMap,
     RationalOuter,
     SingularInner,
-    SingularMeasure,
 )
 
 __all__ = [
@@ -163,7 +162,7 @@ def _singular_from(obj, where: str) -> SingularInner:
         pairs.append((_finite(atom["angle"], f"{where}.atoms[{i}].angle"),
                       _finite(atom["mass"], f"{where}.atoms[{i}].mass")))
     try:
-        return SingularInner(SingularMeasure.from_angles(pairs))
+        return SingularInner.from_angles(pairs)
     except ValueError as exc:
         raise SymbolFileError(f"{where}: {exc}") from exc
 

@@ -24,7 +24,6 @@ from .symbols import (
     _circle_points,
     _coefficients_from_samples,
     _sample,
-    circle_eval,
     taylor_coefficients,
 )
 
@@ -82,13 +81,13 @@ def toeplitz_matrix(phi, n: int) -> np.ndarray:
     return lower_toeplitz(taylor_coefficients(phi, n))
 
 
-# Kept, with circle_eval and SingularInner.boundary_value, for perfbench/tracing.py only.
+# Kept for perfbench/tracing.py only.
 def boundary_gram(phi, d: int) -> np.ndarray:
     """(d+1) x (d+1) Gram matrix of {phi^0, ..., phi^d} by circle quadrature, the
     identity for an inner phi fixing 0; the grid is offset by half a step so atoms of
     singular inner symbols at common angles are never hit."""
     zeta = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)  # exact for Blaschke products
-    vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
+    vals = np.asarray(phi(zeta), dtype=complex)
     powers = np.ones((d + 1, vals.size), dtype=complex)
     powers[1:] = vals
     powers = np.cumprod(powers, axis=0)

@@ -53,14 +53,13 @@ from .errors import (
     NonCommuting,
 )
 from .operators import composition_matrix, lower_toeplitz, wold_decompose
+from .polynomials import Polynomial
 from .symbols import (
     ConjugatedSymbol,
     MobiusMap,
-    PowerSeries,
     ProductSymbol,
     RationalOuter,
     SingularInner,
-    SingularMeasure,
 )
 
 __all__ = [
@@ -80,6 +79,10 @@ __all__ = [
 
 TIME_TOL = 1e-12  # sample times closer than this are one time
 UNIMODULAR_TOL = 1e-12  # a constant whose modulus is this close to 1 is unimodular
+_AT_ORIGIN = 1e-12  # a fixed point this near 0 is 0: |phi(0)| ~ |alpha| passes wold_decompose
+_WHOLE_CELLS = 1e-9  # t m this near an integer is whole: a decimal time carries a few ulps
+_LOSSLESS = 1e-8  # a chain that lost at most this norm to truncation is compared
+_VANISHED = 1e-9  # a column the k-th power sends below this norm is sent to zero
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +143,8 @@ class ConstantFlow(MultiplicationFlow):
         self.isometric = abs(abs(self.value) - 1.0) < UNIMODULAR_TOL
         self.descriptor = "constant-flow"
 
-    def at(self, t: float) -> PowerSeries:
-        return PowerSeries([cmath.exp(t * self.log_value)])
+    def at(self, t: float) -> Polynomial:
+        return Polynomial([cmath.exp(t * self.log_value)])
 
     def coefficients(self, t: float, n: int) -> np.ndarray:
         """c**t e_0: the first n Taylor coefficients of the time-t symbol."""
@@ -151,30 +154,32 @@ class ConstantFlow(MultiplicationFlow):
 
 
 class SingularInnerFlow(MultiplicationFlow):
-    """t -> the singular inner function of the measure scaled by t.
+    """t -> S**t for a singular inner S, the symbol with every atom mass
+    times t (Eisner, Arch. Math. 92, 2009: S_mu**t = S_(t mu)).
 
-    Its time-t symbol is the product over atoms (zeta, m) of
-    exp(-x (zeta + z)/(zeta - z)) with x = t m, whose Taylor coefficients
-    are exp(-x) L_k^(-1)(2x) conj(zeta)**k in closed form.
+    ``at(t)`` is ``symbol.scaled(t)``, which evaluates on the closed disk
+    like S.  Its Taylor coefficients are, per atom (zeta, m) with x = t m,
+    exp(-x) L_k^(-1)(2x) conj(zeta)**k in closed form, the atoms combined
+    by truncated convolution.
     """
 
     isometric = True
     descriptor = "singular-inner-flow"
 
-    def __init__(self, measure: SingularMeasure):
-        self.measure = measure
+    def __init__(self, symbol: SingularInner):
+        self.symbol = symbol
 
     def at(self, t: float) -> SingularInner:
         if t < 0:
             raise DomainError("flow times are nonnegative")
-        return SingularInner(self.measure.scaled(t))
+        return self.symbol.scaled(t)
 
     def coefficients(self, t: float, n: int) -> np.ndarray:
         """First n Taylor coefficients of the time-t symbol, in closed form."""
         if t < 0:
             raise DomainError("flow times are nonnegative")
         return _truncated_product(
-            (_laguerre_atom_series(zeta, t * m, n) for zeta, m in self.measure.atoms), n
+            (_laguerre_atom_series(zeta, t * m, n) for zeta, m in self.symbol.atoms), n
         )
 
 
@@ -285,7 +290,7 @@ class ProductFlow(MultiplicationFlow):
 
     def at(self, t: float):
         if not self.parts:
-            return PowerSeries([1.0])
+            return Polynomial([1.0])
         if len(self.parts) == 1:
             return self.parts[0].at(t)
         return ProductSymbol([p.at(t) for p in self.parts])
@@ -311,7 +316,7 @@ class WoldShiftFlow:
     def fixing_origin(self):
         """phi, or tau_alpha . phi . tau_alpha when phi(0) != 0 and alpha != 0."""
         phi = self.phi
-        if complex(np.asarray(phi(0.0))) == 0 or abs(self.alpha) < 1e-12:
+        if complex(np.asarray(phi(0.0))) == 0 or abs(self.alpha) < _AT_ORIGIN:
             return phi
         return ConjugatedSymbol(phi, self.alpha)
 
@@ -466,7 +471,7 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
     horizon = 4 * n
     m = next(
         (m for m in range(1, horizon + 1)
-         if all(abs(t * m - round(t * m)) <= 1e-9 for t in times)),
+         if all(abs(t * m - round(t * m)) <= _WHOLE_CELLS for t in times)),
         None,
     )
     if m is None:
@@ -539,6 +544,6 @@ def _covered_columns(wold, ck: np.ndarray, k: int) -> np.ndarray:
     lv = np.repeat(np.arange(len(wold.level_dims)), wold.level_dims)
     table = np.ones((len(wold.level_dims) + k, wold.level_dims[0]))
     table[lv, wold.chain] = wold.loss
-    alive = (wold.loss <= 1e-8) & (table[lv + k, wold.chain] <= 1e-8)
-    dead = np.linalg.norm(ck @ wold.basis[:, 1:], axis=0) <= 1e-9
+    alive = (wold.loss <= _LOSSLESS) & (table[lv + k, wold.chain] <= _LOSSLESS)
+    dead = np.linalg.norm(ck @ wold.basis[:, 1:], axis=0) <= _VANISHED
     return np.concatenate([[0], 1 + np.flatnonzero(alive | dead)])

@@ -1,13 +1,14 @@
 """Bounded analytic symbols on the unit disk.
 
 Every concrete symbol class here — finite Blaschke product, discrete
-singular inner function, rational outer factor, Mobius map, truncated
-power series and the product/conjugation wrappers — is a callable,
-vectorised over numpy arrays of points in the open disk.
+singular inner function, rational outer factor, Mobius map and the
+product/conjugation wrappers — is a callable, vectorised over numpy arrays
+of points.
 
-``circle_eval`` is the sanctioned way to evaluate a symbol *on* the unit
-circle: singular inner functions extend there with unimodular values off
-their atom set, which their ordinary ``__call__`` refuses by contract.
+Every symbol evaluates on the closed disk.  A singular inner function
+extends to the unit circle with unimodular values off its atoms: it raises
+:class:`DomainError` for a point farther than ``_ON_CIRCLE`` outside the
+circle and :class:`PoleHit` for one within ``_AT_ATOM`` of an atom.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .errors import (
 from .polynomials import (
     DEFAULT_BOUNDARY_TOL,
     Polynomial,
-    _horner,
     poly_derivative,
     poly_mul,
     poly_pow,
@@ -34,15 +34,12 @@ from .polynomials import (
 
 __all__ = [
     "BlaschkeProduct",
-    "SingularMeasure",
     "SingularInner",
     "RationalOuter",
     "FactoredSymbol",
     "MobiusMap",
-    "PowerSeries",
     "ProductSymbol",
     "ConjugatedSymbol",
-    "circle_eval",
     "taylor_coefficients",
 ]
 
@@ -124,7 +121,7 @@ class BlaschkeProduct:
             out = out * z**self.origin_order
         for alpha, m in self.zeros:
             den = 1.0 - np.conj(alpha) * z
-            if np.any(np.abs(den) < _POLE_TOL):
+            if (np.abs(den) < _POLE_TOL).any():
                 raise PoleHit(f"evaluation at a pole of the factor with zero {alpha}")
             out = out * ((alpha - z) / den) ** m
         return out
@@ -149,16 +146,22 @@ class BlaschkeProduct:
             self._dpq = poly_derivative(p), poly_derivative(q)
         dp, dq = self._dpq
         qz = q(z)
-        if np.any(np.abs(qz) < _POLE_TOL):
+        if (np.abs(qz) < _POLE_TOL).any():
             raise PoleHit("derivative evaluation at a pole")
         return (dp(z) * qz - p(z) * dq(z)) / qz**2
 
 
 @dataclass
-class SingularMeasure:
-    """Finite positive atomic measure on the unit circle."""
+class SingularInner:
+    """exp(-sum mass * (zeta + z)/(zeta - z)) over the atoms (zeta, mass).
 
-    atoms: list  # (location on the circle, mass) pairs
+    ``atoms`` lists (location on the circle, mass) pairs: distinct
+    locations, each normalised to zeta/|zeta|, and positive masses.  Zero-free
+    on the open disk with |S(z)| < 1 there and S(0) = exp(-total mass);
+    unimodular on the circle off the atoms.
+    """
+
+    atoms: list
 
     def __post_init__(self):
         cleaned = []
@@ -177,56 +180,39 @@ class SingularMeasure:
         self.atoms = cleaned
 
     @classmethod
-    def from_angles(cls, angle_mass_pairs):
+    def from_angles(cls, angle_mass_pairs) -> "SingularInner":
         return cls([(cmath.exp(1j * a), m) for a, m in angle_mass_pairs])
 
-    def scaled(self, t: float) -> "SingularMeasure":
+    def scaled(self, t: float) -> "SingularInner":
+        """S**t: every mass times t, the constant 1 at t = 0."""
         if t < 0:
             raise ValueError("measures scale by nonnegative factors")
-        if t == 0:
-            return SingularMeasure([])
-        return SingularMeasure([(z, t * m) for z, m in self.atoms])
-
-
-@dataclass
-class SingularInner:
-    """exp(-sum mass * (zeta + z)/(zeta - z)) over the atoms of the measure.
-
-    Zero-free on the disk with |S(z)| < 1 there and S(0) = exp(-total mass).
-    """
-
-    measure: SingularMeasure
-
-    def _herglotz(self, z):
-        out = np.zeros_like(z)
-        for zeta, mass in self.measure.atoms:
-            out = out + mass * (zeta + z) / (zeta - z)
-        return out
+        return SingularInner([(z, t * m) for z, m in self.atoms] if t else [])
 
     def __call__(self, z):
         z = _as_points(z)
-        if np.any(np.abs(z) >= 1.0):
-            raise DomainError("singular inner functions are evaluated on |z| < 1 only")
-        return np.exp(-self._herglotz(z))
-
-    def boundary_value(self, z):
-        """Unimodular boundary extension, defined off the atom set."""
-        z = _as_points(z)
-        for zeta, _ in self.measure.atoms:
-            if np.any(np.abs(z - zeta) < _AT_ATOM):
-                raise PoleHit(f"boundary evaluation at the atom {zeta}")
-        return np.exp(-self._herglotz(z))
+        r = np.abs(z)
+        if (r > 1.0 + _ON_CIRCLE).any():
+            raise DomainError("singular inner functions are evaluated on the closed disk only")
+        if (r >= 1.0 - _AT_ATOM).any():
+            for zeta, _ in self.atoms:
+                if (np.abs(z - zeta) < _AT_ATOM).any():
+                    raise PoleHit(f"evaluation at the atom {zeta}")
+        herglotz = np.zeros_like(z)
+        for zeta, mass in self.atoms:
+            herglotz = herglotz + mass * (zeta + z) / (zeta - z)
+        return np.exp(-herglotz)
 
     def derivative(self, z):
         z = _as_points(z)
         fac = np.zeros_like(z)
-        for zeta, mass in self.measure.atoms:
+        for zeta, mass in self.atoms:
             fac = fac - 2.0 * mass * zeta / (zeta - z) ** 2
         return self(z) * fac
 
     @property
     def is_trivial(self) -> bool:
-        return not self.measure.atoms
+        return not self.atoms
 
 
 @dataclass
@@ -279,15 +265,9 @@ class FactoredSymbol:
     singular: SingularInner | None = None
     outer: RationalOuter | None = None
 
-    def parts(self):
-        return [p for p in (self.blaschke, self.singular, self.outer) if p is not None]
-
     def __call__(self, z):
-        z = _as_points(z)
-        out = np.ones_like(z)
-        for p in self.parts():
-            out = out * p(z)
-        return out
+        parts = (self.blaschke, self.singular, self.outer)
+        return ProductSymbol([p for p in parts if p is not None])(z)
 
 
 @dataclass
@@ -313,14 +293,14 @@ class MobiusMap:
     def __call__(self, z):
         z = _as_points(z)
         den = self.c * z + self.d
-        if np.any(np.abs(den) < _POLE_TOL):
+        if (np.abs(den) < _POLE_TOL).any():
             raise PoleHit("Mobius evaluation at its pole")
         return (self.a * z + self.b) / den
 
     def derivative(self, z):
         z = _as_points(z)
         den = self.c * z + self.d
-        if np.any(np.abs(den) < _POLE_TOL):
+        if (np.abs(den) < _POLE_TOL).any():
             raise PoleHit("Mobius derivative at its pole")
         return self.det / den**2
 
@@ -367,21 +347,6 @@ class MobiusMap:
 
 
 @dataclass
-class PowerSeries:
-    """Truncated Taylor series used as an analytic symbol."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).ravel()
-        if self.coeffs.size == 0:
-            self.coeffs = np.zeros(1, dtype=complex)
-
-    def __call__(self, z):
-        return _horner(self.coeffs, _as_points(z))
-
-
-@dataclass
 class ProductSymbol:
     """Pointwise product of symbols."""
 
@@ -410,30 +375,6 @@ class ConjugatedSymbol:
         return self._tau(self.core(self._tau(_as_points(z))))
 
 
-def circle_eval(sym, z):
-    """Evaluate a symbol on (or near) the unit circle.
-
-    Dispatches so that singular inner parts use their unimodular boundary
-    extension instead of the interior-only ``__call__``.
-    """
-    z = _as_points(z)
-    if isinstance(sym, SingularInner):
-        return sym.boundary_value(z)
-    if isinstance(sym, FactoredSymbol):
-        out = np.ones_like(z)
-        for p in sym.parts():
-            out = out * circle_eval(p, z)
-        return out
-    if isinstance(sym, ProductSymbol):
-        out = np.ones_like(z)
-        for p in sym.factors:
-            out = out * circle_eval(p, z)
-        return out
-    if isinstance(sym, ConjugatedSymbol):
-        return sym._tau(circle_eval(sym.core, sym._tau(z)))
-    return sym(z)
-
-
 def _next_pow2(n: int) -> int:
     m = 1
     while m < n:
@@ -459,13 +400,13 @@ def _grid_size(n: int, radius: float) -> int:
 
 
 def _sample(f, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape == pts.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(z)) for z in pts], dtype=complex)
+    """``f`` at the points ``pts``; TypeError unless ``f`` is vectorised."""
+    vals = np.asarray(f(pts), dtype=complex)
+    if vals.shape != pts.shape:
+        raise TypeError(
+            f"symbols map an array of points to one of its shape {pts.shape}, not {vals.shape}"
+        )
+    return vals
 
 
 def _circle_points(n: int, radius: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from h2embed.blaschke import (
     solve_blaschke_equation,
 )
 from h2embed.errors import DomainError
-from h2embed.symbols import BlaschkeProduct, MobiusMap, SingularInner, SingularMeasure
+from h2embed.symbols import BlaschkeProduct, MobiusMap, SingularInner
 
 
 def random_blaschke(rng, degree):
@@ -118,7 +118,7 @@ class TestConjugate:
 
 
 def test_interior_fixed_point_of_singular_inner():
-    s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+    s = SingularInner.from_angles([(0.0, 1.0)])
     alpha = interior_fixed_point(s, s.derivative)
     assert alpha is not None
     assert abs(complex(s(alpha)) - alpha) < 1e-10

@@ -23,7 +23,7 @@ from h2embed.decisions import (
     decide_toeplitz,
 )
 from h2embed.errors import DegenerateSymbol, DomainError
-from h2embed.fileio import report_document
+from h2embed.fileio import SymbolFileError, parse_symbol_document, report_document
 from h2embed.polynomials import Polynomial, poly_mul
 from h2embed.semigroups import (
     ConstantFlow,
@@ -39,11 +39,10 @@ from h2embed.symbols import (
     MobiusMap,
     RationalOuter,
     SingularInner,
-    SingularMeasure,
 )
 
 Z2 = BlaschkeProduct(origin_order=2)
-ATOM = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+ATOM = SingularInner.from_angles([(0.0, 1.0)])
 OUTER = RationalOuter(constant=2.0, exterior_zeros=[2.0])  # 2(z - 2), zero-free on the disk
 
 
@@ -214,7 +213,7 @@ BLASCHKE_PARTS = {
 }
 SINGULAR_PARTS = {
     "absent": None,
-    "no atoms": SingularInner(SingularMeasure([])),  # the constant 1
+    "no atoms": SingularInner([]),  # the constant 1
     "atom": ATOM,
 }
 OUTER_PARTS = {
@@ -320,7 +319,7 @@ def rotated(sym: FactoredSymbol, theta: float) -> FactoredSymbol:
         b = BlaschkeProduct(b.rotation + theta * b.degree, b.origin_order,
                             [(a * u, m) for a, m in b.zeros])
     if s is not None:
-        s = SingularInner(SingularMeasure([(zeta * u, m) for zeta, m in s.measure.atoms]))
+        s = SingularInner([(zeta * u, m) for zeta, m in s.atoms])
     if f is not None:
         f = RationalOuter(f.constant / u ** len(f.exterior_zeros),
                           [a * u for a in f.conjugate_factors], [z * u for z in f.exterior_zeros])
@@ -361,8 +360,7 @@ def factored_symbols(draw, zero_free=False):
                                unique=True))
         if len(angles) == 2 and abs(cmath.exp(1j * angles[0]) - cmath.exp(1j * angles[1])) < 1e-3:
             angles = angles[:1]
-        s = SingularInner(SingularMeasure.from_angles(
-            [(a, draw(st.floats(0.1, 2.0))) for a in angles]))
+        s = SingularInner.from_angles([(a, draw(st.floats(0.1, 2.0))) for a in angles])
     if with_f:
         conj = draw(st.integers(0, 2))
         f = RationalOuter(
@@ -414,6 +412,71 @@ def test_rotation_oracle_detects_a_flipped_angle():
     wrong = decide_toeplitz(rotated(sym, -theta)).semigroup
     assert _rotation_defect(flow, right, theta, 1.0) <= 1e-12
     assert _rotation_defect(flow, wrong, theta, 1.0) > 1e-2
+
+
+# --------------------------------------------------------------------------
+# invariance: a zero-free polynomial as a polynomial and as an outer symbol
+# --------------------------------------------------------------------------
+
+
+def _doc_complex(w):
+    return {"re": w.real, "im": w.imag}
+
+
+def polynomial_doc(lead, roots) -> dict:
+    """The ``polynomial`` document of lead * prod (z - r) over the roots."""
+    p = Polynomial([lead])
+    for r in roots:
+        p = poly_mul(p, Polynomial([-r, 1.0]))
+    return {"kind": "polynomial", "polynomial": {"coeffs": [_doc_complex(c) for c in p.coeffs]}}
+
+
+def outer_doc(lead, roots) -> dict:
+    """The ``toeplitz`` document of the outer symbol lead * prod (z - r)."""
+    return {"kind": "toeplitz",
+            "outer": {"constant": _doc_complex(lead),
+                      "exterior_zeros": [_doc_complex(r) for r in roots]}}
+
+
+@st.composite
+def zero_free_polynomials(draw):
+    """(lead, roots): one to three roots with 1.1 <= |r| <= 3, at least 0.2 apart."""
+    lead = _disk_point(draw, 0.5, 2.0)
+    roots = [_disk_point(draw, 1.1, 3.0) for _ in range(draw(st.integers(1, 3)))]
+    assume(all(abs(a - b) >= 0.2 for a, b in itertools.combinations(roots, 2)))
+    return lead, roots
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(zero_free_polynomials())
+def test_zero_free_polynomial_and_its_outer_symbol_flow_alike(case):
+    # Both documents describe one F = lead * prod (z - r), so both embed through
+    # F**t.  The polynomial side finds the roots again, to a few ulps for
+    # separated roots; Log F(0) is principal, which that rounding can flip on
+    # the negative axis.
+    lead, roots = case
+    assume(abs(cmath.phase(lead * np.prod([-r for r in roots]))) < np.pi - 1e-9)
+    poly = decide_polynomial_toeplitz(parse_symbol_document(polynomial_doc(lead, roots))["symbol"])
+    outer = decide_toeplitz(parse_symbol_document(outer_doc(lead, roots))["symbol"])
+    for report in (poly, outer):
+        assert report.verdict is Verdict.EMBEDDABLE
+        assert isinstance(report.semigroup, OuterFlow)
+    for t in (0.5, 1.0):
+        want = outer.semigroup.coefficients(t, 16)
+        gap = poly.semigroup.coefficients(t, 16) - want
+        assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_polynomial_outer_oracle_detects_a_root_inside():
+    # Reflecting one root into the disk gives the polynomial an interior zero,
+    # and the outer symbol an exterior zero that is not exterior.
+    lead, roots = 1.5 - 0.5j, [2.0, -1.2 + 0.9j]
+    inside = [roots[0], 1 / np.conj(roots[1])]
+    poly = decide_polynomial_toeplitz(parse_symbol_document(polynomial_doc(lead, inside))["symbol"])
+    assert poly.verdict is Verdict.NOT_EMBEDDABLE and poly.semigroup is None
+    with pytest.raises(SymbolFileError, match="exterior zeros"):
+        parse_symbol_document(outer_doc(lead, inside))
 
 
 # --------------------------------------------------------------------------

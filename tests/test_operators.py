@@ -21,24 +21,22 @@ from h2embed.operators import (
     toeplitz_matrix,
     wold_decompose,
 )
+from h2embed.polynomials import Polynomial
 from h2embed.symbols import (
     DEFAULT_RADIUS,
     BlaschkeProduct,
     ConjugatedSymbol,
     MobiusMap,
-    PowerSeries,
     RationalOuter,
     SingularInner,
-    SingularMeasure,
     _grid_size,
-    circle_eval,
     taylor_coefficients,
 )
 
 SQUARE = BlaschkeProduct(origin_order=2)
 PSI = BlaschkeProduct(origin_order=1, zeros=[(0.5, 1)])
 DEG3 = BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)])
-ATOM = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+ATOM = SingularInner.from_angles([(0.0, 1.0)])
 
 
 def column_loop(phi, n, radius=0.9):
@@ -274,7 +272,7 @@ class TestToeplitzMatrix:
         assert np.max(np.abs(t - np.eye(5, k=-1))) < 1e-12
 
     def test_constant_one(self):
-        t = toeplitz_matrix(PowerSeries([1.0]), 4)
+        t = toeplitz_matrix(Polynomial([1.0]), 4)
         assert np.max(np.abs(t - np.eye(4))) < 1e-13
 
     def test_linear_symbol(self):
@@ -289,7 +287,7 @@ class TestToeplitzMatrix:
         # the n x n Toeplitz matrix holds the first n - j coefficients, so its
         # norm is ||P_(n-j) S||: below 1, but only by a tail that decays like
         # (n - j)^(-1/2) (1 - ||P_64 S||^2 = 0.056).
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+        s = SingularInner.from_angles([(0.0, 1.0)])
         n = 64
         lag = eval_laguerre(np.arange(n), 2.0)
         exact = np.exp(-1.0) * np.diff(lag, prepend=0.0)
@@ -333,13 +331,13 @@ class TestBoundaryGram:
 
     @pytest.mark.parametrize(
         "phi",
-        [DEG3, SingularInner(SingularMeasure([(1.0, 1.0)]))],
+        [DEG3, SingularInner([(1.0, 1.0)])],
         ids=["deg3", "atom"],
     )
     def test_gram_product_matches_pairwise_means(self, phi):
         samples = 2048
         zeta = np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
-        vals = np.asarray(circle_eval(phi, zeta), dtype=complex)
+        vals = np.asarray(phi(zeta), dtype=complex)
         powers = [np.ones_like(vals)]
         for _ in range(4):
             powers.append(powers[-1] * vals)
@@ -509,7 +507,7 @@ class TestWold:
 
     def test_noninner_refused(self):
         with pytest.raises(NotInner):
-            wold_decompose(PowerSeries([0.0, 0.5]), 8)  # z/2 fixes 0 but is not inner
+            wold_decompose(Polynomial([0.0, 0.5]), 8)  # z/2 fixes 0 but is not inner
 
     @pytest.mark.parametrize(
         "psi",

@@ -32,7 +32,7 @@ from h2embed.symbols import (
     BlaschkeProduct,
     MobiusMap,
     RationalOuter,
-    SingularMeasure,
+    SingularInner,
     taylor_coefficients,
 )
 
@@ -190,14 +190,14 @@ EPS = np.finfo(float).eps
 FLOW_TIMES = (0.25, 0.5, 1.0)
 FLOW_NS = (16, 128, 256)
 GENERIC_OUTER = RationalOuter(1.5 - 0.7j, [0.3 + 0.4j], [1.2 - 0.9j])
-TWO_ATOMS = SingularMeasure.from_angles([(0.3, 0.7), (2.0, 1.3)])
+TWO_ATOMS = SingularInner.from_angles([(0.3, 0.7), (2.0, 1.3)])
 FLOWS = {
     "outer": OuterFlow(GENERIC_OUTER),
     "2(z-2)": OuterFlow(RationalOuter(2.0, [], [2.0])),
     "z-1.05": OuterFlow(RationalOuter(1.0, [], [1.05])),
     "two-atom": SingularInnerFlow(TWO_ATOMS),
     "inner-outer": ProductFlow(
-        [SingularInnerFlow(SingularMeasure.from_angles([(-1.0, 0.4)])), OuterFlow(GENERIC_OUTER)]
+        [SingularInnerFlow(SingularInner.from_angles([(-1.0, 0.4)])), OuterFlow(GENERIC_OUTER)]
     ),
 }
 
@@ -240,7 +240,7 @@ def _mp_factors(flow, t, n):
         # mpmath's log is principal, arg in (-pi, pi]: F(0) = -4 takes +i pi.
         return mpmath.exp(t * mpmath.log(f0)), factors
     factors = []
-    for zeta, mass in flow.measure.atoms:
+    for zeta, mass in flow.symbol.atoms:
         x = t * mpmath.mpf(mass)
         g = [-x] + [-2 * x * mpmath.conj(mpmath.mpc(zeta)) ** j for j in range(1, n)]
         h = [mpmath.exp(g[0])]

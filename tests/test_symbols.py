@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +11,12 @@ from h2embed.errors import (
     PoleHit,
 )
 from h2embed.symbols import (
+    _AT_ATOM,
     BlaschkeProduct,
     FactoredSymbol,
     MobiusMap,
     RationalOuter,
     SingularInner,
-    SingularMeasure,
-    circle_eval,
     taylor_coefficients,
 )
 
@@ -28,9 +28,7 @@ from h2embed.symbols import (
         lambda: BlaschkeProduct(zeros=[(0.3 + 0.4j, 1)]).derivative(1 / np.conj(0.3 + 0.4j)),
         lambda: MobiusMap(1.0, 0.0, 1.0, -2.0)(2.0),
         lambda: MobiusMap(1.0, 0.0, 1.0, -2.0).derivative(2.0),
-        lambda: SingularInner(SingularMeasure.from_angles([(0.5, 1.0)])).boundary_value(
-            np.exp(0.5j)
-        ),
+        lambda: SingularInner.from_angles([(0.5, 1.0)])(np.exp(0.5j)),
     ],
     ids=["blaschke at 1/conj(alpha)", "blaschke derivative", "mobius at its pole",
          "mobius derivative", "singular boundary value at its atom"],
@@ -96,33 +94,91 @@ class TestBlaschke:
 
 class TestSingularInner:
     def test_value_at_origin(self):
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+        s = SingularInner.from_angles([(0.0, 1.0)])
         assert complex(s(0.0)) == pytest.approx(np.exp(-1.0))
 
     def test_mass_additivity_at_origin(self):
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 0.5), (np.pi, 0.5)]))
+        s = SingularInner.from_angles([(0.0, 0.5), (np.pi, 0.5)])
         assert complex(s(0.0)) == pytest.approx(np.exp(-1.0))
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
-            SingularMeasure([(1.0, 0.0)])
+            SingularInner([(1.0, 0.0)])
 
     def test_interior_modulus_below_one_and_nonzero(self):
         rng = np.random.default_rng(5)
-        s = SingularInner(SingularMeasure.from_angles([(0.3, 0.7), (2.0, 0.2)]))
+        s = SingularInner.from_angles([(0.3, 0.7), (2.0, 0.2)])
         z = 0.99 * np.sqrt(rng.uniform(0, 1, 256)) * np.exp(2j * np.pi * rng.uniform(0, 1, 256))
         vals = s(z)
         assert np.all(np.abs(vals) < 1.0) and np.all(np.abs(vals) > 0.0)
 
     def test_domain_error_on_boundary(self):
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
-        with pytest.raises(DomainError):
+        # 1 is the atom; the closed disk is the domain, 1.5 lies outside it
+        s = SingularInner.from_angles([(0.0, 1.0)])
+        with pytest.raises(PoleHit):
             s(1.0)
+        with pytest.raises(DomainError):
+            s(1.5)
 
     def test_boundary_extension_unimodular(self):
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+        s = SingularInner.from_angles([(0.0, 1.0)])
         zeta = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-        assert np.max(np.abs(np.abs(s.boundary_value(zeta)) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(s(zeta)) - 1.0)) < 1e-12
+
+
+TWO_ATOMS = SingularInner.from_angles([(0.3, 0.7), (2.0, 1.3)])
+
+
+def test_two_atom_boundary_values_match_mpmath():
+    # The grid points lie on the circle to an ulp, and a point u off the
+    # circle at distance d from an atom of mass m moves |S| by about 2 m u / d**2
+    # (up to 1.4e-10 here): |S| = exp(-P) with the Poisson sum
+    # P = sum m (1 - |z|^2)/|zeta - z|^2, taken exactly at the rounded points.
+    # Evaluating the Herglotz sum H costs a few ulps of sum m |zeta + z|/|zeta - z|,
+    # which exp turns into the same relative error of S.
+    zeta = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
+    vals = TWO_ATOMS(zeta)
+    want, poisson = [], []
+    with mpmath.workdps(40):
+        for z in map(mpmath.mpc, zeta.tolist()):
+            h = sum(m * (mpmath.mpc(a) + z) / (mpmath.mpc(a) - z) for a, m in TWO_ATOMS.atoms)
+            want.append(complex(mpmath.exp(-h)))
+            poisson.append(float(h.real))
+    herglotz = sum(m * np.abs((a + zeta) / (a - zeta)) for a, m in TWO_ATOMS.atoms)
+    assert np.all(np.abs(vals - np.array(want)) <= 4 * np.finfo(float).eps * (1 + herglotz))
+    assert np.all(np.abs(np.abs(vals) - 1.0) <= 1e-12 + np.abs(poisson))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_pole_hit_within_at_atom_of_each_atom(k):
+    zeta = TWO_ATOMS.atoms[k][0]
+    near = zeta * np.array([1.0, 1.0 - 0.5 * _AT_ATOM, 1.0 + 0.5 * _AT_ATOM,
+                            np.exp(0.5j * _AT_ATOM)])
+    for z in near:
+        with pytest.raises(PoleHit):
+            TWO_ATOMS(np.array([0.0, z]))
+    with pytest.raises(DomainError):
+        TWO_ATOMS(1.5 * zeta)
+
+
+def test_scaled_by_zero_is_the_constant_one():
+    one = TWO_ATOMS.scaled(0)
+    assert one.atoms == [] and one.is_trivial
+    assert np.array_equal(one(np.array([0.0, 0.5j, -1.0, np.exp(0.3j)])), np.ones(4))
+
+
+@pytest.mark.parametrize("s, t", [(0.5, 3.0), (1.7, 0.3), (2.0, 0.25), (0.1, 7.0)])
+def test_scaling_twice_is_scaling_by_the_product(s, t):
+    twice, once = TWO_ATOMS.scaled(s).scaled(t).atoms, TWO_ATOMS.scaled(s * t).atoms
+    for (z1, m1), (z2, m2) in zip(twice, once, strict=True):
+        assert abs(m1 - m2) <= np.spacing(m2)
+        assert abs(z1.real - z2.real) <= np.spacing(abs(z2.real))
+        assert abs(z1.imag - z2.imag) <= np.spacing(abs(z2.imag))
+
+
+def test_unvectorised_callable_raises_type_error():
+    with pytest.raises(TypeError, match=r"not \(\)"):
+        taylor_coefficients(lambda z: 2.0, 8)
 
 
 class TestMobius:
@@ -227,7 +283,7 @@ class TestTaylor:
         assert np.max(np.abs(c - [2, 0, 0, 0])) < 1e-13
 
     def test_singular_inner_two_radius_consistency(self):
-        s = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+        s = SingularInner.from_angles([(0.0, 1.0)])
         c1, e1 = taylor_coefficients(s, 24, radius=0.8, return_errors=True)
         c2, e2 = taylor_coefficients(s, 24, radius=0.9, return_errors=True)
         assert abs(c1[0] - np.exp(-1)) < 1e-12
@@ -247,7 +303,7 @@ class TestTaylor:
 def test_factored_symbol_is_product_of_parts():
     sym = FactoredSymbol(
         blaschke=BlaschkeProduct(zeros=[(0.5, 1)]),
-        singular=SingularInner(SingularMeasure.from_angles([(0.0, 0.5)])),
+        singular=SingularInner.from_angles([(0.0, 0.5)]),
         outer=RationalOuter(exterior_zeros=[2.0]),
     )
     z = 0.3 + 0.1j
@@ -257,11 +313,11 @@ def test_factored_symbol_is_product_of_parts():
     assert complex(sym(z)) == pytest.approx(expect)
 
 
-def test_circle_eval_dispatches_singular_boundary():
+def test_factored_symbol_is_unimodular_on_the_circle():
     sym = FactoredSymbol(
         blaschke=BlaschkeProduct(origin_order=1),
-        singular=SingularInner(SingularMeasure.from_angles([(0.0, 1.0)])),
+        singular=SingularInner.from_angles([(0.0, 1.0)]),
     )
     zeta = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
-    vals = circle_eval(sym, zeta)
+    vals = sym(zeta)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12

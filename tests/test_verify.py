@@ -18,7 +18,7 @@ from h2embed.semigroups import (
     sample_spiral_flow,
 )
 from h2embed.decisions import decide_composition
-from h2embed.symbols import BlaschkeProduct, SingularInner, SingularMeasure
+from h2embed.symbols import BlaschkeProduct, SingularInner
 from h2embed.verify import (
     _record,
     check_isometry,
@@ -57,7 +57,7 @@ def test_wold_reconstruction_passes_for_psi_rotated_by_pi_at_n128():
 def test_wold_reconstruction_passes_for_the_conjugated_atom(n):
     # The atom exp(-(1 + z)/(1 - z)) conjugated to fix 0 is inner by type.  The
     # time-1 comparison covers one column only (ROADMAP item 1).
-    atom = SingularInner(SingularMeasure.from_angles([(0.0, 1.0)]))
+    atom = SingularInner.from_angles([(0.0, 1.0)])
     rec = check_wold_reconstruction(decide_composition(atom).semigroup.fixing_origin(), n, 1e-8)
     assert rec.applicable and rec.passed
     assert rec.details["compared_columns"] == 1
