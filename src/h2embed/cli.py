@@ -47,7 +47,7 @@ from .fileio import (
     record_document,
     report_document,
 )
-from .operators import wold_decompose
+from .operators import LowerToeplitz, wold_decompose
 from .semigroups import TIME_TOL, OperatorSemigroupSample, WoldShiftFlow
 from .symbols import BlaschkeProduct, MobiusMap
 from .verify import (
@@ -321,7 +321,9 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     held to the rules of symbol files and flags: ``dim`` is a positive
     integer (a sample with no rows has nothing to check), ``times`` is a
     nonempty list of finite nonnegative, distinct times (as for --times),
-    and ``isometric``, when present, is true or false."""
+    and ``isometric``, when present, is true or false.  A dense operator
+    that is exactly lower-triangular Toeplitz is held by its first column,
+    as the sampler holds it, so the checks take the same path on it."""
     meta_path = path / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())
@@ -351,7 +353,8 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
         op = load_matrix_csv(path / name)
         if op.shape != (dim,) * op.ndim:
             raise SymbolFileError(f"{path / name}: shape {op.shape} does not match dim {dim}")
-        ops.append(op)
+        toeplitz = LowerToeplitz.from_dense(op)
+        ops.append(op if toeplitz is None else toeplitz)
     return OperatorSemigroupSample(
         times=times,
         operators=ops,

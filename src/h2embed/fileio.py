@@ -33,16 +33,19 @@ tolerance).  Lines end in ``\r\n``.
     -1                  ``src[i]`` of x, and 0 where ``src[i]`` is -1
     ...
 
-A dense file is written and read per distinct entry: the writer formats
-each distinct bit pattern once (-0.0 stays apart from 0.0) and places its
-line by index, and the reader checks and parses each distinct line once
-and scatters the values back.  That is what makes the files of
-multiplication flows cheap: V_t = T_{f_t} is an analytic Toeplitz matrix,
-constant along diagonals, so its dim**2 entries take at most dim + 1
-distinct values (2 for the identity at t = 0).  A dense file whose entries
-are all distinct costs what it did per entry.  Entries must be finite: a
-NaN or infinite part is refused, naming the first line that holds one,
-as a symbol file refuses a non-finite number.
+A dense file is written and read per distinct entry.  The operator
+V_t = T_{f_t} of a multiplication flow is a :class:`LowerToeplitz`
+operator, constant along diagonals, so its dim**2 entries take at most
+dim + 1 distinct values (2 for the identity at t = 0).  It is written from
+them: its dim coefficients and the zero above the diagonal are formatted
+once each and placed through the operator's own index map, with no sort,
+and the file is byte for byte the dense file of its ``dense()``.  Any
+other matrix has its distinct bit patterns found by a sort (-0.0 stays
+apart from 0.0), each formatted once and placed by index.  The reader
+checks and parses each distinct line once and scatters the values back.
+A dense file whose entries are all distinct costs what it did per entry.
+Entries must be finite: a NaN or infinite part is refused, naming the
+first line that holds one, as a symbol file refuses a non-finite number.
 
 Report documents are, byte for byte, the text that ``json.dumps`` gives
 for ``_jsonable(doc)`` with ``sort_keys`` and an ``indent`` of 2, plus a
@@ -66,6 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateMap
+from .operators import LowerToeplitz
 from .polynomials import Polynomial
 from .symbols import (
     BlaschkeProduct,
@@ -287,19 +291,30 @@ def symbol_hash(raw_text: str) -> str:
 # --------------------------------------------------------------------------
 
 
-def dump_matrix_csv(path, matrix: np.ndarray):
+def _entry_text(values: np.ndarray) -> list:
+    """The ``re,im`` line of each complex value, each part the ``repr`` of
+    its float."""
+    return [f"{re!r},{im!r}" for re, im in zip(values.real.tolist(), values.imag.tolist())]
+
+
+def dump_matrix_csv(path, matrix):
     """Write an operator file: an index file for a 1-D row-gather array,
-    a dense ``re_ij,im_ij`` file for a matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim == 1:
-        lines = [INDEX_HEADER, *map(str, matrix.tolist())]
+    a dense ``re_ij,im_ij`` file for a matrix or a :class:`LowerToeplitz`
+    operator."""
+    if isinstance(matrix, LowerToeplitz):
+        # the n coefficients and the zero above the diagonal, each formatted
+        # once and placed by the operator's own index map, whose negative
+        # entries (above the diagonal) count back into the n zeros
+        text = _entry_text(matrix.column) + ["0.0,0.0"] * matrix.column.size
+        lines = [MATRIX_HEADER, *map(text.__getitem__, matrix.index().ravel().tolist())]
+    elif np.ndim(matrix) == 1:
+        lines = [INDEX_HEADER, *map(str, np.asarray(matrix).tolist())]
     else:
         flat = np.asarray(matrix, dtype=complex).ravel(order="C")
         # one line per bit pattern (so -0.0 stays apart from 0.0), placed
         # by the inverse index
         keys, inverse = np.unique(flat.view("V16"), return_inverse=True)
-        distinct = keys.view(complex)
-        text = [f"{re!r},{im!r}" for re, im in zip(distinct.real.tolist(), distinct.imag.tolist())]
+        text = _entry_text(keys.view(complex))
         lines = [MATRIX_HEADER, *map(text.__getitem__, inverse.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

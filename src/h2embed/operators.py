@@ -1,7 +1,9 @@
 """Truncated matrix models of operators on H^2_N = span{1, z, ..., z^(N-1)}.
 
 Every operator is an N x N complex array in the monomial coordinate basis,
-where the H^2 inner product is the l^2 dot product of coefficient vectors.
+where the H^2 inner product is the l^2 dot product of coefficient vectors,
+or, when it is lower-triangular Toeplitz, a :class:`LowerToeplitz` operator
+that holds its first column alone.
 A composition operator is stored compressed, P_N C_phi restricted to H^2_N;
 isometry is never asserted through the compressed matrix: the Wold
 decomposition takes the symbol's inner-ness from its type.
@@ -31,6 +33,7 @@ __all__ = [
     "WoldDecomposition",
     "composition_matrix",
     "toeplitz_matrix",
+    "LowerToeplitz",
     "lower_toeplitz",
     "boundary_gram",
     "wold_decompose",
@@ -62,16 +65,79 @@ def composition_matrix(phi, n: int) -> np.ndarray:
     return out
 
 
-def lower_toeplitz(c) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column ``c``: the
-    compressed multiplication by the power series with those coefficients.
+class LowerToeplitz:
+    """The n x n lower-triangular Toeplitz operator with first column
+    ``column``: the compressed multiplication by the power series with those
+    coefficients, held by its n coefficients alone.
 
-    Entry (i, j) is indexed straight out of ``c`` as c[i - j], so every
-    entry is a copy of a coefficient, and +0.0 lies above the diagonal.
+    It answers ``shape``, ``ndim`` and ``nbytes`` like the dense array it
+    stands for, ``nbytes`` counting the column it holds.  ``dense()`` builds
+    that array and ``@`` applies the operator to a vector or to the columns
+    of a matrix without building it.
     """
-    c = np.asarray(c, dtype=complex)
-    k = np.arange(c.size)
-    return np.tril(c[k[:, None] - k])
+
+    ndim = 2
+
+    def __init__(self, column):
+        self.column = np.asarray(column, dtype=complex)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.column.size,) * 2
+
+    @property
+    def nbytes(self) -> int:
+        return self.column.nbytes
+
+    def index(self) -> np.ndarray:
+        """The n x n map of entry (i, j) to i - j, its place in the column
+        followed by n zeros: a negative i - j, above the diagonal, wraps
+        around into the zeros."""
+        k = np.arange(self.column.size)
+        return k[:, None] - k
+
+    def _padded(self) -> np.ndarray:
+        n = self.column.size
+        out = np.zeros(2 * n, dtype=complex)
+        out[:n] = self.column
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The matrix: entry (i, j) is a copy of c[i - j] on and below the
+        diagonal, and +0.0 above it."""
+        return self._padded()[self.index()]
+
+    def __matmul__(self, x):
+        """The truncated convolution of the column with x, or with each
+        column of a 2-D x: the columns of ``dense()`` at the rows where x is
+        not zero, gathered through the index map, times those rows.  A unit
+        vector e_j gets back copies of the coefficients, as from
+        ``dense() @ e_j``, at the cost of one gathered column."""
+        x = np.asarray(x)
+        touched = (x if x.ndim == 1 else x.any(axis=1)).nonzero()[0]
+        cols = self._padded()[np.arange(self.column.size)[:, None] - touched]
+        return cols @ x[touched]
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray):
+        """The operator whose ``dense()`` is ``matrix`` bit for bit, or None
+        when ``matrix`` is not a complex lower-triangular Toeplitz matrix
+        (-0.0 and +0.0 told apart).  On the bit patterns, each entry must
+        equal the one up and to the left of it, and the first row must be
+        +0.0 after its first entry, which sets the whole upper triangle."""
+        if matrix.ndim != 2 or matrix.dtype != complex or matrix.shape[0] != matrix.shape[1]:
+            return None
+        bits = np.ascontiguousarray(matrix).view(np.uint64)  # (re, im) of each entry
+        if (bits[0, 2:] == 0).all() and (bits[1:, 2:] == bits[:-1, :-2]).all():
+            return cls(matrix[:, 0].copy())
+        return None
+
+
+def lower_toeplitz(c) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column ``c``:
+    ``LowerToeplitz(c).dense()``, so every entry is a copy of a coefficient
+    and +0.0 lies above the diagonal."""
+    return LowerToeplitz(c).dense()
 
 
 def toeplitz_matrix(phi, n: int) -> np.ndarray:

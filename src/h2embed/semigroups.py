@@ -15,8 +15,9 @@ each time-t symbol's first n Taylor coefficients in closed form through
 * products: the truncated convolution of the parts.
 
 Their operators are the lower-triangular Toeplitz matrices of those
-coefficients and obey the semigroup law to rounding at every truncation
-order.  They derive from :class:`MultiplicationFlow`.
+coefficients, held by the coefficients alone (:class:`LowerToeplitz`), and
+obey the semigroup law to rounding at every truncation order.  They derive
+from :class:`MultiplicationFlow`.
 
 Composition flows are linear-fractional semiflows
 phi_t = m^-1 . (z -> exp(t L) z) . m: a Mobius change of variable m turns
@@ -52,7 +53,7 @@ from .errors import (
     MissingTime,
     NonCommuting,
 )
-from .operators import composition_matrix, lower_toeplitz, wold_decompose
+from .operators import LowerToeplitz, composition_matrix, wold_decompose
 from .polynomials import Polynomial
 from .symbols import (
     ConjugatedSymbol,
@@ -333,12 +334,15 @@ class WoldShiftFlow:
 class OperatorSemigroupSample:
     """A semigroup sampled at finitely many times.
 
-    Each entry of ``operators`` is a numpy array, one of two kinds.  Flow
-    samples, and dense operator files read back, hold the ``dim x dim``
-    matrix of V_t.  Wold/shift samples, and index files read back, hold
-    V_t as the partial permutation it is: a 1-D integer array ``src`` of
-    length ``dim`` with row i of V_t x equal to row ``src[i]`` of x, and 0
-    where ``src[i] < 0``.
+    Each entry of ``operators`` is one of three kinds, each with ``ndim``,
+    ``shape`` and ``nbytes``.  Multiplication-flow samples hold V_t as the
+    :class:`LowerToeplitz` operator of its first column, and so do dense
+    operator files read back that are exactly lower-triangular Toeplitz.
+    Linear-fractional samples, and the other dense files, hold the
+    ``dim x dim`` matrix of V_t.  Wold/shift samples, and index files read
+    back, hold V_t as the partial permutation it is: a 1-D integer array
+    ``src`` of length ``dim`` with row i of V_t x equal to row ``src[i]`` of
+    x, and 0 where ``src[i] < 0``.
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
@@ -358,6 +362,8 @@ class OperatorSemigroupSample:
     def apply(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
         """V_t x, or the ``dim x dim`` matrix of V_t when x is None."""
         op = self.operator_at(t)
+        if isinstance(op, LowerToeplitz):
+            return op.dense() if x is None else op @ x
         if op.ndim == 2:
             return op if x is None else op @ x
         x = np.eye(self.dim, dtype=complex) if x is None else np.asarray(x)
@@ -366,7 +372,7 @@ class OperatorSemigroupSample:
         out[keep] = x[op[keep]]
         return out
 
-    def operator_at(self, t: float) -> np.ndarray:
+    def operator_at(self, t: float):
         for tt, op in zip(self.times, self.operators):
             if math.isclose(tt, t, rel_tol=0.0, abs_tol=TIME_TOL):
                 return op
@@ -378,20 +384,21 @@ class OperatorSemigroupSample:
 
 
 def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
-    """Toeplitz matrices of a multiplication flow at the given times.
+    """Toeplitz operators of a multiplication flow at the given times.
 
-    V_t is the lower-triangular Toeplitz matrix of ``flow.coefficients(t,
+    V_t is the :class:`LowerToeplitz` operator of ``flow.coefficients(t,
     n)``, the first n Taylor coefficients of the time-t symbol in closed
-    form; no symbol is sampled.  Truncation commutes with multiplication by
-    analytic symbols, so V_t V_s = V_{t+s} holds to rounding at every n.
-    A time whose coefficients overflow raises :class:`DomainError`.
+    form, and of e_0 at t = 0; no symbol is sampled and no n x n matrix is
+    built.  Truncation commutes with multiplication by analytic symbols, so
+    V_t V_s = V_{t+s} holds to rounding at every n.  A time whose
+    coefficients overflow raises :class:`DomainError`.
     """
     if not isinstance(flow, MultiplicationFlow):
         raise NonCommuting("expected a multiplication-type flow")
     ops = []
     for t in times:
         if t == 0:
-            ops.append(np.eye(n, dtype=complex))
+            ops.append(LowerToeplitz(np.eye(1, n, dtype=complex)[0]))
             continue
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -400,7 +407,7 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
             c = None
         if c is None or not np.isfinite(c).all():
             raise DomainError(f"the flow's Taylor coefficients at t = {t!r} are not finite")
-        ops.append(lower_toeplitz(c))
+        ops.append(LowerToeplitz(c))
     return OperatorSemigroupSample(
         times=list(times),
         operators=ops,

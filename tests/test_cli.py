@@ -1484,3 +1484,71 @@ def test_one_default_tolerance_for_library_and_cli(tmp_path, capsys):
     assert (report.verdict.value, report.governing_result) == (
         doc["verdict"], doc["governing_result"])
     assert doc["config"]["tol"] == decisions.DEFAULT_TOL
+
+
+# --------------------------------------------------------------------------
+# `verify --sample` reads multiplication-flow files back as LowerToeplitz
+# operators and takes the law path `semigroup` took
+# --------------------------------------------------------------------------
+
+ROUNDTRIP_SYMBOLS = {
+    "singular": {"kind": "toeplitz", "singular": {"atoms": [{"angle": 0.4, "mass": 0.4}]}},
+    "outer": {"kind": "toeplitz", "outer": {"constant": {"re": 1.5, "im": -0.7},
+                                            "conjugate_factors": [{"re": 0.3, "im": 0.4}],
+                                            "exterior_zeros": [{"re": 1.2, "im": -0.9}]}},
+    "inner-outer": HIGH_ORDER_FLOWS["inner-outer"],
+    "3+z+z^2/2": HIGH_ORDER_FLOWS["polynomial"],
+    "2(z-2)": {"kind": "toeplitz", "outer": {"constant": {"re": 2.0, "im": 0.0},
+                                             "exterior_zeros": [{"re": 2.0, "im": 0.0}]}},
+    "rotation": _mobius_doc(cmath.exp(0.7j), 0.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_SYMBOLS))
+def test_verify_sample_prints_the_records_of_verification_json(tmp_path, capsys, name, n):
+    out, meta = _write_sample(tmp_path, capsys, ROUNDTRIP_SYMBOLS[name], n=n)
+    written = {r["check"]: r for r in json.loads((out / "verification.json").read_text())}
+    rc, stdout, _ = _verify_sample(out, capsys)
+    printed = json.loads(stdout)["records"]
+    assert "semigroup-law" in [r["check"] for r in printed]
+    assert rc == (0 if all(r["passed"] for r in printed) else 1)
+    for record in printed:
+        assert record == written[record["check"]]
+    kinds = {type(op).__name__ for op in _load_sample_dir(out).operators}
+    assert kinds == ({"LowerToeplitz", "ndarray"} if name == "rotation" else {"LowerToeplitz"})
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_a_toeplitz_file_off_in_one_entry_reads_back_dense(tmp_path, capsys, where):
+    out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
+    i, j = (9, 3) if where == "below" else (3, 9)
+    last = out / meta["matrices"][2]
+    matrix = load_matrix_csv(last)
+    matrix[i, j] += 1e-12 if where == "below" else 1e-300
+    dump_matrix_csv(last, matrix)
+    sample = _load_sample_dir(out)
+    assert [type(op).__name__ for op in sample.operators] == [
+        "LowerToeplitz", "LowerToeplitz", "ndarray"]
+    assert sample.operators[2].tobytes() == matrix.tobytes()
+    rc, stdout, _ = _verify_sample(out, capsys)
+    (law,) = [r for r in json.loads(stdout)["records"] if r["check"] == "semigroup-law"]
+    # the dense gap of V(1) - V(1/2)^2 holds the moved entry
+    assert rc == 0 and law["max_defect"] >= (0.5e-12 if where == "below" else 0.0)
+
+
+@pytest.mark.parametrize("name", ["outer", "rotation", "psi", "loaded outer", "loaded psi"])
+def test_every_operator_kind_has_ndim_shape_and_nbytes(tmp_path, capsys, name):
+    # perfbench/tracing.py sums op.nbytes over a sample's operators, and
+    # _load_sample_dir compares op.shape with (dim,) * op.ndim
+    doc = {"outer": OUTER_DOC, "rotation": ROUNDTRIP_SYMBOLS["rotation"], "psi": PSI_DOC}
+    if name.startswith("loaded"):
+        out, _ = _write_sample(tmp_path, capsys, doc[name.split()[1]])
+        sample = _load_sample_dir(out)
+    else:
+        report = _library_report(parse_symbol_document(doc[name]))
+        sample = report.semigroup.sample((0.0, 0.5, 1.0), 16)
+    for op in sample.operators:
+        assert op.shape == (sample.dim,) * op.ndim
+        assert isinstance(op.nbytes, int) and 0 < op.nbytes <= 16 * sample.dim**2
+    assert sum(op.nbytes for op in sample.operators) > 0

@@ -18,6 +18,7 @@ from h2embed.fileio import (
     json_dumps,
     load_matrix_csv,
 )
+from h2embed.operators import LowerToeplitz
 
 
 def per_entry_dump(path, matrix):
@@ -70,6 +71,26 @@ def test_reader_reads_back_bit_exactly(tmp_path_factory, matrix):
     back = load_matrix_csv(path)
     assert back.dtype == complex and back.shape == matrix.shape
     assert back.tobytes() == matrix.tobytes() == per_entry_load(path).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, st.sampled_from(FINITE_PARTS), st.sampled_from(FINITE_PARTS)),
+                min_size=1, max_size=12))
+def test_toeplitz_writer_gives_the_bytes_of_its_dense_matrix(tmp_path_factory, column):
+    where = tmp_path_factory.mktemp("csv")
+    op = LowerToeplitz(column)
+    dump_matrix_csv(where / "op.csv", op)
+    per_entry_dump(where / "ref.csv", op.dense())
+    assert (where / "op.csv").read_bytes() == (where / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_toeplitz_writer_of_e0_writes_the_identity(tmp_path, n):
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    dump_matrix_csv(tmp_path / "op.csv", LowerToeplitz(e0))
+    dump_matrix_csv(tmp_path / "eye.csv", np.eye(n))
+    assert (tmp_path / "op.csv").read_bytes() == (tmp_path / "eye.csv").read_bytes()
 
 
 def test_a_transposed_view_is_written_row_major(tmp_path):

@@ -11,6 +11,7 @@ from scipy.special import eval_laguerre
 from h2embed.decisions import decide_composition, decide_lfm
 from h2embed.errors import AutomorphismInput, DomainError, IllConditioned, NotInner
 from h2embed.operators import (
+    LowerToeplitz,
     _RETENTION,
     _WANDERING_TAKE,
     DEFAULT_RANK_TOL,
@@ -538,3 +539,58 @@ class TestWold:
         # wandering direction, and the refusal names the truncation order
         with pytest.raises(IllConditioned, match="raise the truncation order"):
             wold_decompose(BlaschkeProduct(origin_order=1, zeros=[(0.999, 1)]), 32)
+
+
+# --------------------------------------------------------------------------
+# LowerToeplitz: a lower-triangular Toeplitz operator held by its first column
+# --------------------------------------------------------------------------
+
+
+def _column(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.7 ** np.arange(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128])
+def test_lower_toeplitz_operator_answers_like_its_dense_matrix(n):
+    c = _column(n)
+    op = LowerToeplitz(c)
+    dense = op.dense()
+    assert dense.tobytes() == lower_toeplitz(c).tobytes()
+    assert (op.ndim, op.shape) == (dense.ndim, dense.shape) == (2, (n, n))
+    assert op.nbytes == c.nbytes == 16 * n
+    i, j = np.indices((n, n))
+    assert np.array_equal(op.index(), i - j)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_lower_toeplitz_applies_as_its_dense_matrix(n):
+    c = _column(n)
+    op = LowerToeplitz(c)
+    dense = op.dense()
+    xs = np.stack([_column(n, seed=s) for s in range(1, 5)], axis=1)
+    for x in (xs, xs[:, 0]):
+        # both sides sum the same n complex products, in different orders
+        bound = 4 * n * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+        assert (op @ x).shape == x.shape
+        assert np.all(np.abs(op @ x - dense @ x) <= bound)
+    # unit vectors come back as copies of the coefficients
+    eye = np.eye(n, dtype=complex)
+    assert np.array_equal(op @ eye, dense)
+    for j in range(n):
+        assert np.array_equal(op @ eye[:, j], dense[:, j])
+    assert np.array_equal(op @ np.zeros(n), np.zeros(n))
+
+
+def test_lower_toeplitz_from_dense_is_bit_exact():
+    c = _column(8)
+    c[3] = complex(-0.0, 5e-324)
+    dense = lower_toeplitz(c)
+    op = LowerToeplitz.from_dense(dense)
+    assert op.column.tobytes() == c.tobytes() and op.dense().tobytes() == dense.tobytes()
+    below, above, signed = dense.copy(), dense.copy(), dense.copy()
+    below[6, 2] += 1e-15
+    above[2, 6] = 1e-300
+    signed[1, 5] = -0.0  # equal to 0.0, but not the zero lower_toeplitz writes
+    for m in (below, above, signed, dense.real, dense[:, :7], dense.T):
+        assert LowerToeplitz.from_dense(m) is None

@@ -5,12 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from h2embed import semigroups
 from h2embed.cli import _analyze, _law_pairs, _load_sample_dir, main
 from h2embed.errors import IllConditioned, MissingTime
 from h2embed.fileio import parse_symbol_document
-from h2embed.operators import DEFAULT_RANK_TOL, wold_decompose
+from h2embed.operators import DEFAULT_RANK_TOL, LowerToeplitz, lower_toeplitz, wold_decompose
 from h2embed.semigroups import (
     OperatorSemigroupSample,
     SpiralFlow,
@@ -238,3 +240,84 @@ def test_law_check_takes_no_svd(tmp_path, capsys, monkeypatch):
     (law,) = [r for r in json.loads(capsys.readouterr().out)["records"]
               if r["check"] == "semigroup-law"]
     assert law["applicable"] and 0.0 < law["max_defect"] <= 1e-8
+
+
+# --------------------------------------------------------------------------
+# the law of LowerToeplitz operators, from their columns
+# --------------------------------------------------------------------------
+
+
+def _toeplitz_sample(columns, times):
+    ops = [LowerToeplitz(c) for c in columns]
+    return OperatorSemigroupSample(list(times), ops, "outer-flow", ops[0].shape[0], False)
+
+
+def _gamma(m):
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 160), rng_seed=st.integers(0, 2**32 - 1),
+       decay=st.sampled_from([0.3, 0.9, 1.0]), near=st.booleans())
+def test_column_law_defect_is_the_dense_one_to_rounding(n, rng_seed, decay, near):
+    """With u = eps/2, gamma_m = m u/(1 - m u) and p = |c_t| * |c_s| (the
+    truncated convolution of the moduli), entry (i, j) of the dense gap
+    G = T(c_ts) - T(c_t) T(c_s) and entry k = i - j of the column gap
+    d = c_ts - (c_t * c_s)[:n] each take one complex dot product of at most
+    n terms, within gamma_{n+2} p_k of the exact one (Higham, Accuracy and
+    Stability, 2002, secs. 3.1 and 3.6), and one subtraction, within u of the
+    result.  So |G_ij - d_k| <= e_k = 2 gamma_{n+3} (p_k + |c_ts_k|), and
+    | ||G||_F - ||T(d)||_F | <= E = sqrt(sum_k (n - k) e_k^2) for the exact
+    norms.  The computed norms sum at most 2 n^2 squares, within
+    gamma_{2n^2+2} of the exact ones, relative.  E is computed from the
+    computed p, within gamma_{n+2} of the exact one; the factor 2 on E
+    covers that and the rounding of E itself."""
+    rng = np.random.default_rng(rng_seed)
+    scale = decay ** np.arange(n)
+    c_t, c_s = (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in "ts")
+    c_ts = np.convolve(c_t, c_s)[:n]
+    if near:  # a semigroup to rounding: the defect is rounding alone
+        c_ts = c_ts * (1 + 4 * np.finfo(float).eps * rng.standard_normal(n))
+    else:
+        c_ts = c_ts + scale * rng.standard_normal(n)
+    sample = _toeplitz_sample([c_t, c_s, c_ts], [0.25, 0.5, 0.75])
+    column = check_semigroup_law(sample, [(0.25, 0.5)], 0.0).max_defect
+    gap = lower_toeplitz(c_ts) - lower_toeplitz(c_t) @ lower_toeplitz(c_s)
+    dense = float(np.linalg.norm(gap))
+    p = np.convolve(np.abs(c_t), np.abs(c_s))[:n]
+    e = 2 * _gamma(n + 3) * (p + np.abs(c_ts))
+    bound = 2 * math.sqrt(np.dot(np.arange(n, 0, -1.0), e**2))
+    bound += _gamma(2 * n * n + 2) * (dense + column)
+    assert abs(column - dense) <= bound
+
+
+def _flow_columns(name, n):
+    sample = _dense_flow_sample(name, n)
+    return sample, [op.column.copy() for op in sample.operators]
+
+
+def _scaled(cols):
+    cols[4] = 0.99 * cols[4]  # V(1)
+
+
+def _swapped(cols):
+    cols[2], cols[4] = cols[4], cols[2]  # V(1/2) and V(1)
+
+
+def _moved(cols):
+    cols[2][len(cols[2]) // 2] += 1e-6  # one coefficient of V(1/2)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("mutate", [None, _scaled, _swapped, _moved],
+                         ids=["unmutated", "scaled", "swapped", "moved"])
+@pytest.mark.parametrize("name", ["outer", "singular", "inner-outer", "polynomial"])
+def test_column_law_check_fails_on_each_mutation(name, mutate, n):
+    sample, cols = _flow_columns(name, n)
+    if mutate is not None:
+        mutate(cols)
+    mutated = _toeplitz_sample(cols, sample.times)
+    rec = check_semigroup_law(mutated, _law_pairs(sample.times), 1e-8)
+    assert rec.passed is (mutate is None)

@@ -9,8 +9,12 @@ SRC_ROOT is the root of an h2embed checkout (it holds ``src/`` and
 warm-up argv and then every job argv, each workload in its own temporary
 work directory.  It prints one line per call, tab-separated: the workload,
 the argv with the work directory spelt ``<work>``, the exit code, the
-SHA-256 of stdout, stderr (as a Python literal), and ``name=SHA-256`` of
-every file in the sample directory after the call.
+SHA-256 of stdout, stderr (as a Python literal), ``name=SHA-256`` of
+every file in the sample directory after the call, and the verdicts of the
+call's checks: ``check:passed:applicable`` of each record, comma-separated,
+that a ``verify`` call printed or that a ``semigroup`` call wrote to
+``verification.json`` (empty for other calls).  A value that moves changes
+a SHA-256 field only; a verdict that moves changes the last field too.
 
 Two trees give the same behaviour on these inputs when their sweeps print
 the same lines; see "Tier-1 verify" in ROADMAP.md for the diff recipe.
@@ -24,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -31,6 +36,19 @@ from pathlib import Path  # noqa: E402
 
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _verdicts(argv, rc: int, out: str, sample: Path) -> str:
+    """The check:passed:applicable list of the call's records, or ''."""
+    if argv[0] == "verify" and out:
+        records = json.loads(out)["records"]
+    elif argv[0] == "semigroup" and rc == 0:
+        records = json.loads((sample / "verification.json").read_text())
+    else:
+        return ""
+    return ",".join(
+        f"{r['check']}:{json.dumps(r['passed'])}:{json.dumps(r['applicable'])}" for r in records
+    )
 
 
 def sweep(root: Path, seed: int):
@@ -65,6 +83,7 @@ def sweep(root: Path, seed: int):
                     yield "\t".join([
                         name, mask(" ".join(argv)), str(o.rc), _sha(mask(o.out)), repr(err),
                         " ".join(f"{f.name}={_sha(f.read_bytes())}" for f in files),
+                        _verdicts(argv, o.rc, o.out, sample),
                     ])
         finally:
             os.chdir(home)
