@@ -326,10 +326,10 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     as the sampler holds it, so the checks take the same path on it."""
     meta_path = path / "meta.json"
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         dim, times, names = meta["dim"], meta["times"], meta["matrices"]
-    except OSError as exc:
-        raise SymbolFileError(f"{meta_path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+        raise SymbolFileError(f"{meta_path}: {getattr(exc, 'strerror', None) or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SymbolFileError(
             f"{meta_path}, line {exc.lineno}, column {exc.colno}: {exc.msg}"

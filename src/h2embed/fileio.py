@@ -33,19 +33,17 @@ tolerance).  Lines end in ``\r\n``.
     -1                  ``src[i]`` of x, and 0 where ``src[i]`` is -1
     ...
 
-A dense file is written and read per distinct entry.  The operator
-V_t = T_{f_t} of a multiplication flow is a :class:`LowerToeplitz`
-operator, constant along diagonals, so its dim**2 entries take at most
-dim + 1 distinct values (2 for the identity at t = 0).  It is written from
-them: its dim coefficients and the zero above the diagonal are formatted
-once each and placed through the operator's own index map, with no sort,
-and the file is byte for byte the dense file of its ``dense()``.  Any
-other matrix has its distinct bit patterns found by a sort (-0.0 stays
-apart from 0.0), each formatted once and placed by index.  The reader
-checks and parses each distinct line once and scatters the values back.
-A dense file whose entries are all distinct costs what it did per entry.
-Entries must be finite: a NaN or infinite part is refused, naming the
-first line that holds one, as a symbol file refuses a non-finite number.
+A :class:`LowerToeplitz` operator (every multiplication-flow operator,
+and the identity at t = 0 of every flow) is constant along diagonals, so
+its dim**2 entries take at most dim + 1 distinct values.  Its dim
+coefficients and the zero above the diagonal are formatted once each and
+placed through the operator's own index map, and the file is byte for
+byte the dense file of its ``dense()``.  Any other matrix (a
+linear-fractional operator at t > 0, whose entries are nearly all
+distinct) is written entry by entry.  The reader checks and parses each
+distinct line once and scatters the values back.  Entries must be finite:
+a NaN or infinite part is refused, naming the first line that holds one,
+as a symbol file refuses a non-finite number.
 
 Report documents are, byte for byte, the text that ``json.dumps`` gives
 for ``_jsonable(doc)`` with ``sort_keys`` and an ``indent`` of 2, plus a
@@ -100,7 +98,10 @@ class SymbolFileError(ValueError):
 
 def _finite(value, where: str) -> float:
     """The number at ``where``; refuses the NaN and Infinity literals that
-    Python's json module accepts."""
+    Python's json module accepts, and true and false, which ``float`` would
+    read as 1 and 0."""
+    if isinstance(value, bool):
+        raise SymbolFileError(f"{where}: {json.dumps(value)} is not a number")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
@@ -310,12 +311,7 @@ def dump_matrix_csv(path, matrix):
     elif np.ndim(matrix) == 1:
         lines = [INDEX_HEADER, *map(str, np.asarray(matrix).tolist())]
     else:
-        flat = np.asarray(matrix, dtype=complex).ravel(order="C")
-        # one line per bit pattern (so -0.0 stays apart from 0.0), placed
-        # by the inverse index
-        keys, inverse = np.unique(flat.view("V16"), return_inverse=True)
-        text = _entry_text(keys.view(complex))
-        lines = [MATRIX_HEADER, *map(text.__getitem__, inverse.tolist())]
+        lines = [MATRIX_HEADER, *_entry_text(np.asarray(matrix, dtype=complex).ravel(order="C"))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -343,10 +339,10 @@ def load_matrix_csv(path) -> np.ndarray:
     """Read an operator file: the complex ``dim x dim`` matrix of a dense
     file, or the ``np.intp`` array ``src`` of an index file."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise SymbolFileError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+        raise SymbolFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     header, body = (lines[0], lines[1:]) if lines else (None, [])
     if header == INDEX_HEADER:
         try:

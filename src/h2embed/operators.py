@@ -34,7 +34,6 @@ __all__ = [
     "composition_matrix",
     "toeplitz_matrix",
     "LowerToeplitz",
-    "lower_toeplitz",
     "boundary_gram",
     "wold_decompose",
 ]
@@ -133,18 +132,11 @@ class LowerToeplitz:
         return None
 
 
-def lower_toeplitz(c) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column ``c``:
-    ``LowerToeplitz(c).dense()``, so every entry is a copy of a coefficient
-    and +0.0 lies above the diagonal."""
-    return LowerToeplitz(c).dense()
-
-
 def toeplitz_matrix(phi, n: int) -> np.ndarray:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with
     first column the Taylor coefficients of phi, extracted by
     :func:`taylor_coefficients` at ``DEFAULT_RADIUS``."""
-    return lower_toeplitz(taylor_coefficients(phi, n))
+    return LowerToeplitz(taylor_coefficients(phi, n)).dense()
 
 
 # Kept for perfbench/tracing.py only.

@@ -208,8 +208,9 @@ class OuterFlow(MultiplicationFlow):
     prod (1 - z/beta)**t.  Log is the principal logarithm of F(0), taken as
     the constant coefficient of ``outer._poly``, the polynomial the outer
     factor builds once and evaluates (so a negative F(0) whose product
-    carries a +0 imaginary part, as for 2(z - 2), takes +i pi).  Each factor (1 - w z)**t is the binomial series equal to 1 at
-    0; it is analytic on the disk because |w| <= 1.
+    carries a +0 imaginary part, as for 2(z - 2), takes +i pi).  Each factor
+    (1 - w z)**t is the binomial series equal to 1 at 0; it is analytic on
+    the disk because |w| <= 1.
     """
 
     isometric = False
@@ -335,14 +336,15 @@ class OperatorSemigroupSample:
     """A semigroup sampled at finitely many times.
 
     Each entry of ``operators`` is one of three kinds, each with ``ndim``,
-    ``shape`` and ``nbytes``.  Multiplication-flow samples hold V_t as the
-    :class:`LowerToeplitz` operator of its first column, and so do dense
-    operator files read back that are exactly lower-triangular Toeplitz.
-    Linear-fractional samples, and the other dense files, hold the
-    ``dim x dim`` matrix of V_t.  Wold/shift samples, and index files read
-    back, hold V_t as the partial permutation it is: a 1-D integer array
-    ``src`` of length ``dim`` with row i of V_t x equal to row ``src[i]`` of
-    x, and 0 where ``src[i] < 0``.
+    ``shape`` and ``nbytes``.  Every flow sample holds V_0 as the
+    :class:`LowerToeplitz` identity, the operator of e_0.  Multiplication-flow
+    samples hold every V_t as the :class:`LowerToeplitz` operator of its
+    first column, and so do dense operator files read back that are exactly
+    lower-triangular Toeplitz.  Linear-fractional samples at t > 0, and the
+    other dense files, hold the ``dim x dim`` matrix of V_t.  Wold/shift
+    samples, and index files read back, hold V_t as the partial permutation
+    it is: a 1-D integer array ``src`` of length ``dim`` with row i of V_t x
+    equal to row ``src[i]`` of x, and 0 where ``src[i] < 0``.
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
@@ -383,6 +385,19 @@ class OperatorSemigroupSample:
         return cols[:, :count]
 
 
+def _flow_sample(flow, times, n: int, operator_at) -> OperatorSemigroupSample:
+    """The sample of ``flow`` at ``times``: V_0 is the :class:`LowerToeplitz`
+    operator of e_0, the identity, and V_t for t > 0 is ``operator_at(t)``."""
+    identity = LowerToeplitz(np.eye(1, n, dtype=complex)[0])
+    return OperatorSemigroupSample(
+        times=list(times),
+        operators=[identity if t == 0 else operator_at(t) for t in times],
+        construction=flow.descriptor,
+        dim=n,
+        isometric=flow.isometric,
+    )
+
+
 def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
     """Toeplitz operators of a multiplication flow at the given times.
 
@@ -395,11 +410,8 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
     """
     if not isinstance(flow, MultiplicationFlow):
         raise NonCommuting("expected a multiplication-type flow")
-    ops = []
-    for t in times:
-        if t == 0:
-            ops.append(LowerToeplitz(np.eye(1, n, dtype=complex)[0]))
-            continue
+
+    def operator_at(t):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 c = flow.coefficients(t, n)
@@ -407,20 +419,16 @@ def sample_multiplication_flow(flow, times, n: int) -> OperatorSemigroupSample:
             c = None
         if c is None or not np.isfinite(c).all():
             raise DomainError(f"the flow's Taylor coefficients at t = {t!r} are not finite")
-        ops.append(LowerToeplitz(c))
-    return OperatorSemigroupSample(
-        times=list(times),
-        operators=ops,
-        construction=flow.descriptor,
-        dim=n,
-        isometric=flow.isometric,
-    )
+        return LowerToeplitz(c)
+
+    return _flow_sample(flow, times, n, operator_at)
 
 
 def sample_spiral_flow(flow: SpiralFlow, times, n: int) -> OperatorSemigroupSample:
     """Operator sample of a linear-fractional semiflow: V_t is
     B diag(exp(k t L)) B^-1 with B the truncated composition matrix of the
-    conjugator, or the exact diagonal when there is none.
+    conjugator, or the exact diagonal when there is none, and V_0 the
+    :class:`LowerToeplitz` identity.
 
     An exact similarity orbit: it satisfies the semigroup law to rounding
     and agrees with the compressed composition operators up to truncation
@@ -431,20 +439,12 @@ def sample_spiral_flow(flow: SpiralFlow, times, n: int) -> OperatorSemigroupSamp
     if flow.conjugator is not None:
         b = composition_matrix(flow.conjugator, n)
         b_inv = np.linalg.inv(b)
-    ops = []
-    for t in times:
-        if t == 0:
-            ops.append(np.eye(n, dtype=complex))
-            continue
+
+    def operator_at(t):
         d = np.diag(np.exp(flow.log_multiplier * t * np.arange(n)))
-        ops.append(d if b is None else b @ d @ b_inv)
-    return OperatorSemigroupSample(
-        times=list(times),
-        operators=ops,
-        construction=flow.descriptor,
-        dim=n,
-        isometric=flow.isometric,
-    )
+        return d if b is None else b @ d @ b_inv
+
+    return _flow_sample(flow, times, n, operator_at)
 
 
 # The benchmark's tracer (perfbench/tracing.py) still looks this name up.

@@ -351,6 +351,19 @@ SAMPLE_DEFECTS = {
     # (exit 1); an index one passed the law check with nothing tested (exit 0).
     "zero dim, dense files": ("outer", _zero_dim("re_ij,im_ij"), ["meta.json", "dim: 0"]),
     "zero dim, index files": ("psi", _zero_dim("src"), ["meta.json", "dim: 0"]),
+    # These two raised UnicodeDecodeError out of main (a traceback, exit 1),
+    # and a dim of true read as 1.
+    "meta.json not UTF-8": (
+        "psi", lambda out: (out / "meta.json").write_bytes(b'{"dim": "\xff"}'),
+        ["meta.json", "can't decode byte 0xff"],
+    ),
+    "matrix file not UTF-8": (
+        "outer", lambda out: (out / "matrix_01.csv").write_bytes(b"re_ij,im_ij\r\n\xff,0.0\r\n"),
+        ["matrix_01.csv", "can't decode byte 0xff"],
+    ),
+    "dim true": ("psi", _meta_edit("dim", lambda meta: True), ["meta.json", "dim: true"]),
+    "time true": ("z^2", _meta_edit("times", lambda meta: [0.0, True, 0.5]),
+                  ["meta.json", "times[1]: true"]),
 }
 
 
@@ -907,6 +920,30 @@ def test_exit_2_blaschke_count_not_a_non_negative_integer(tmp_path, capsys, doc,
     rc, out, err = _run(["analyze", "--input", str(path)], capsys)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: malformed input: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "doc, field, literal",
+    [
+        ({"kind": "composition", "singular": {"atoms": [{"angle": 0.0, "mass": True}]}},
+         "singular.atoms[0].mass", "true"),
+        ({"kind": "composition", "singular": {"atoms": [{"angle": False, "mass": 1.0}]}},
+         "singular.atoms[0].angle", "false"),
+        (_composition_with_counts(mult=True), "blaschke.zeros[0].mult", "true"),
+        (_composition_with_counts(origin_order=True), "blaschke.origin_order", "true"),
+        ({"kind": "toeplitz", "outer": {"constant": {"re": True}}}, "outer.constant.re", "true"),
+        ({"kind": "polynomial", "polynomial": {"coeffs": [{"re": 1.0, "im": False}]}},
+         "polynomial.coeffs[0].im", "false"),
+    ],
+    ids=["mass", "angle", "mult", "origin_order", "re", "im"],
+)
+def test_exit_2_json_boolean_where_a_number_goes(tmp_path, capsys, doc, field, literal):
+    # float(True) is 1.0: each of these used to read as 1 or 0 and give a verdict
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["analyze", "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: malformed input: {field}: {literal} is not a number\n"
 
 
 def test_blaschke_counts_written_as_integral_floats_are_read(tmp_path, capsys):
@@ -1552,3 +1589,49 @@ def test_every_operator_kind_has_ndim_shape_and_nbytes(tmp_path, capsys, name):
         assert op.shape == (sample.dim,) * op.ndim
         assert isinstance(op.nbytes, int) and 0 < op.nbytes <= 16 * sample.dim**2
     assert sum(op.nbytes for op in sample.operators) > 0
+
+
+FLOW_DOCS = {**ROUNDTRIP_SYMBOLS, **{name: doc for name, (doc, _) in MOBIUS_FLOW_SHA256.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_DOCS))
+def test_each_operator_keeps_its_kind_through_the_sample_directory(tmp_path, capsys, name):
+    # the checks take one path on what `semigroup` held and on what
+    # `verify --sample` reads back, the identity at t = 0 included
+    doc = FLOW_DOCS[name]
+    out, meta = _write_sample(tmp_path, capsys, doc)
+    report = _library_report(parse_symbol_document(doc))
+    held = report.semigroup.sample(meta["times"], meta["dim"])
+    loaded = _load_sample_dir(out)
+    for t in meta["times"]:
+        assert type(held.operator_at(t)) is type(loaded.operator_at(t)), t
+    assert type(loaded.operator_at(0.0)).__name__ == "LowerToeplitz"
+
+
+def test_law_of_index_files_that_do_not_compose_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    # V(1/2) and V(1) swapped, so the index operators do not compose; at
+    # dim 2305 each dense matrix of the gap would take 85 MB
+    sparse = pytest.importorskip("scipy.sparse")
+    out, meta = _write_sample(tmp_path, capsys, PSI_DOC, n=48)
+    meta["matrices"][1:] = meta["matrices"][:0:-1]
+    (out / "meta.json").write_text(json.dumps(meta))
+
+    def no_dense(self, t, x=None):
+        raise AssertionError("the law of three index operators needs no matrix")
+
+    monkeypatch.setattr(cli.OperatorSemigroupSample, "apply", no_dense)
+    rc, stdout, stderr = _verify_sample(out, capsys)
+    assert (rc, stderr) == (1, "")
+    (law,) = json.loads(stdout)["records"]
+    # the oracle: the same operators as sparse 0/1 matrices, composed by product
+    dim = meta["dim"]
+
+    def matrix(name):
+        src = load_matrix_csv(out / name)
+        rows = np.flatnonzero(src >= 0)
+        return sparse.csr_matrix((np.ones(rows.size), (rows, src[rows])), shape=(dim, dim))
+
+    half, one = (matrix(name) for name in meta["matrices"][1:])
+    want = math.sqrt((one - half @ half).multiply(one - half @ half).sum())
+    assert law["check"] == "semigroup-law" and not law["passed"]
+    assert law["witnesses"] == [["(0.5, 0.5)", want]] and law["max_defect"] == want > 0

@@ -12,7 +12,7 @@ from h2embed import semigroups
 from h2embed.cli import _analyze, _law_pairs, _load_sample_dir, main
 from h2embed.errors import IllConditioned, MissingTime
 from h2embed.fileio import parse_symbol_document
-from h2embed.operators import DEFAULT_RANK_TOL, LowerToeplitz, lower_toeplitz, wold_decompose
+from h2embed.operators import DEFAULT_RANK_TOL, LowerToeplitz, wold_decompose
 from h2embed.semigroups import (
     OperatorSemigroupSample,
     SpiralFlow,
@@ -127,9 +127,36 @@ def test_corrupted_index_sample_fails_like_its_dense_rewrite(tmp_path, capsys):
         isometric=sample.isometric,
     )
     pairs = [(0.5, 0.5), (0.0, 1.0)]
+    want = check_semigroup_law(dense, pairs, 1e-8)
+
+    def no_dense(*args):
+        raise AssertionError("the law of three index operators needs no matrix")
+
+    sample.apply = no_dense
     rec = check_semigroup_law(sample, pairs, 1e-8)
     assert not rec.passed
-    assert rec.max_defect == check_semigroup_law(dense, pairs, 1e-8).max_defect > 1e-8
+    assert rec.witnesses == want.witnesses
+    assert rec.max_defect == want.max_defect > 1e-8
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim), min_size=3, max_size=3)))
+def test_index_law_gap_is_the_dense_norm_bit_for_bit(srcs):
+    """Three row-gather operators with no embedding: the gap counted on the
+    indices is the Frobenius norm of the dense gap, bit for bit."""
+    ops = [np.array(src, dtype=np.intp) for src in srcs]
+    times = [0.25, 0.5, 0.75]
+
+    def sample(operators):
+        return OperatorSemigroupSample(times, operators, "loaded", len(srcs[0]), True)
+
+    index = sample(ops)
+    dense = sample([index.apply(t) for t in times])
+    pairs = [(0.25, 0.5)]
+    assert check_semigroup_law(index, pairs, 0.0).max_defect == check_semigroup_law(
+        dense, pairs, 0.0).max_defect
 
 
 @pytest.mark.parametrize("pair", [(0.5, 0.25), (1.0, 0.5)], ids=["s", "t+s"])
@@ -284,7 +311,8 @@ def test_column_law_defect_is_the_dense_one_to_rounding(n, rng_seed, decay, near
         c_ts = c_ts + scale * rng.standard_normal(n)
     sample = _toeplitz_sample([c_t, c_s, c_ts], [0.25, 0.5, 0.75])
     column = check_semigroup_law(sample, [(0.25, 0.5)], 0.0).max_defect
-    gap = lower_toeplitz(c_ts) - lower_toeplitz(c_t) @ lower_toeplitz(c_s)
+    t_ts, t_t, t_s = (LowerToeplitz(c).dense() for c in (c_ts, c_t, c_s))
+    gap = t_ts - t_t @ t_s
     dense = float(np.linalg.norm(gap))
     p = np.convolve(np.abs(c_t), np.abs(c_s))[:n]
     e = 2 * _gamma(n + 3) * (p + np.abs(c_ts))
