@@ -7,8 +7,8 @@ where no check applies), 3 verdict without a concrete construction (for
 ``wold``, without the Wold/shift one), 4 numeric failure in a computation.
 
 Reports are emitted as deterministic JSON (or key,value CSV with
---format csv): identical input and configuration give byte-identical
-output.
+--format csv, a value quoted when it holds a comma, quote or newline):
+identical input and configuration give byte-identical output.
 
 ``main`` is re-entrant: the process builds its argument parser once, at
 import, and every call parses with that one instance.  Parsing leaves the
@@ -19,6 +19,8 @@ another, behave like separate shell invocations.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -107,7 +109,9 @@ def _parse_times(text: str):
 
 def _emit(doc: dict, args) -> None:
     if args.format == "csv":
-        lines = ["key,value"]
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(["key", "value"])
 
         def flatten(prefix, val):
             if isinstance(val, dict):
@@ -117,10 +121,10 @@ def _emit(doc: dict, args) -> None:
                 for i, v in enumerate(val):
                     flatten(f"{prefix}[{i}]", v)
             else:
-                lines.append(f"{prefix},{val}")
+                rows.writerow([prefix, str(val)])
 
         flatten("", _jsonable(doc))
-        text = "\n".join(lines) + "\n"
+        text = buf.getvalue()
     else:
         text = json_dumps(doc)
     if args.out:
@@ -161,13 +165,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sample(report, times, n: int) -> OperatorSemigroupSample:
-    """The report's semigroup sampled at ``times``, or NoConstruction."""
-    if report.semigroup is None:
-        raise NoConstruction(report.governing_result)
-    return report.semigroup.sample(times, n)
-
-
 def _law_pairs(times):
     tset = list(times)
     pairs = []
@@ -178,11 +175,14 @@ def _law_pairs(times):
     return pairs
 
 
-def _sample_records(sample, args):
-    records = []
+def _law_records(sample, tol: float) -> list:
+    """The law record of ``sample``, or none if no t + s is among its times."""
     pairs = _law_pairs(sample.times)
-    if pairs:
-        records.append(check_semigroup_law(sample, pairs, args.tol))
+    return [check_semigroup_law(sample, pairs, tol)] if pairs else []
+
+
+def _sample_records(sample, args):
+    records = _law_records(sample, args.tol)
     records.append(check_isometry(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
     records.append(check_noncompactness_proxy(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
     if len([t for t in sample.times if t > 0]) >= 2:
@@ -201,27 +201,33 @@ def _checked(records, times, field: str):
     return records
 
 
-def cmd_semigroup(args) -> int:
+def _run(args):
+    """The parsed ``--input``, its report, the semigroup sampled at ``--times``
+    and the sample's records, or NoConstruction."""
     parsed = load_symbol_file(args.input)
     report = _analyze(parsed, args)
     times = _parse_times(args.times)
-    sample = _sample(report, times, args.n)
-    records = _checked(_sample_records(sample, args), sample.times, "--times")
+    if report.semigroup is None:
+        raise NoConstruction(report.governing_result)
+    sample = report.semigroup.sample(times, args.n)
+    return parsed, report, sample, _checked(_sample_records(sample, args), sample.times, "--times")
+
+
+def cmd_semigroup(args) -> int:
+    parsed, report, sample, records = _run(args)
     outdir = Path(args.out or "h2embed-semigroup-out")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SymbolFileError(f"--out: {outdir}: {exc.strerror or exc}") from exc
-    matrix_files = []
-    for i, t in enumerate(sample.times):
-        name = f"matrix_{i:02d}.csv"
-        dump_matrix_csv(outdir / name, sample.operator_at(t))
-        matrix_files.append(name)
+    matrix_files = [f"matrix_{i:02d}.csv" for i in range(len(sample.operators))]
+    for name, op in zip(matrix_files, sample.operators):
+        dump_matrix_csv(outdir / name, op)
     trajectory_file = None
     if report.semigroup.descriptor is not None:
         grid = 0.6 * np.exp(2j * np.pi * np.arange(8) / 8)
         rows = ["t,re_z,im_z,re_val,im_val"]
-        for t in times:
+        for t in sample.times:
             sym = report.semigroup.at(t)
             vals = np.asarray(sym(grid))
             for z, v in zip(grid.tolist(), vals.tolist()):
@@ -367,20 +373,13 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
 def cmd_verify(args) -> int:
     if args.sample is not None:
         sample = _load_sample_dir(Path(args.sample))
-        records = []
-        pairs = _law_pairs(sample.times)
-        if pairs:
-            records.append(check_semigroup_law(sample, pairs, args.tol))
+        records = _law_records(sample, args.tol)
         if sample.isometric and sample.construction != "wold-shift":
             records.append(check_isometry(sample, max(args.tol, ISOMETRY_TOL_FLOOR)))
         records = _checked(records, sample.times, f"{Path(args.sample) / 'meta.json'}: times")
         config = {"sample": args.sample, "tol": args.tol}
     else:
-        parsed = load_symbol_file(args.input)
-        report = _analyze(parsed, args)
-        times = _parse_times(args.times)
-        sample = _sample(report, times, args.n)
-        records = _checked(_sample_records(sample, args), sample.times, "--times")
+        parsed, _, _, records = _run(args)
         config = _config(args, parsed)
     doc = {
         "records": [record_document(r) for r in records],

@@ -348,9 +348,10 @@ class OperatorSemigroupSample:
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of
-    H^2_N into the sample's own space; its columns are the images of the
-    columns of ``meta["wold"].basis``, the Wold decomposition the sample
-    was built from.  Flow samples act on H^2_N directly and carry neither.
+    H^2_N into the sample's own space, read only by :meth:`test_vectors` and
+    :func:`wold_comparison_defect`; its columns are the images of the columns
+    of ``meta["wold"].basis``, the Wold decomposition the sample was built
+    from.  Flow samples act on H^2_N directly and carry neither.
     """
 
     times: list
@@ -381,8 +382,9 @@ class OperatorSemigroupSample:
         raise MissingTime(f"no operator sampled at t = {t}")
 
     def test_vectors(self, count: int) -> np.ndarray:
-        cols = np.eye(self.dim, dtype=complex) if self.embedding is None else self.embedding
-        return cols[:, :count]
+        """The first ``count`` columns of ``embedding``, or of the identity."""
+        e = self.embedding
+        return np.eye(self.dim, min(count, self.dim), dtype=complex) if e is None else e[:, :count]
 
 
 def _flow_sample(flow, times, n: int, operator_at) -> OperatorSemigroupSample:

@@ -82,8 +82,9 @@ def check_semigroup_law(
     sample: OperatorSemigroupSample, pairs, tol: float
 ) -> VerificationRecord:
     """max over pairs (t, s) of the Frobenius norm, an upper bound of the
-    operator norm, of V(t+s) - V(t) V(s), restricted to the resolved
-    subspace for embedded samples.  The operator norm would take an SVD.
+    operator norm, of V(t+s) - V(t) V(s) on the sample's own space, at least
+    the gap on any subspace an isometry embeds.  The operator norm would
+    take an SVD.
 
     The gap of a pair costs what its operators' kinds allow (see
     :class:`OperatorSemigroupSample`):
@@ -94,9 +95,7 @@ def check_semigroup_law(
       src_{t+s}[i]: 0 where a_i = b_i, one unit entry where one of them is
       -1, two otherwise.  So the squared Frobenius norm is the integer
       #{a_i != b_i} + #{a_i != b_i, a_i >= 0, b_i >= 0}, and the gap is
-      exact and costs O(dim), with no matrix formed.  An embedded sample
-      whose indices do not compose takes the dense path below on its
-      resolved subspace;
+      exact and costs O(dim), with no matrix formed;
     * three :class:`LowerToeplitz` operators with columns c_t, c_s and
       c_{t+s} have the lower-triangular Toeplitz gap T(d) with
       d = c_{t+s} - (c_t * c_s)[:n], the truncated convolution, whose
@@ -104,15 +103,12 @@ def check_semigroup_law(
     * any other pair takes the dense product, in O(dim^3).
 
     A time the sample does not hold raises :class:`MissingTime`."""
-    e = sample.embedding
     witnesses = []
     for t, s in pairs:
         ops = op_t, op_s, op_ts = [sample.operator_at(x) for x in (t, s, t + s)]
-        index = op_t.ndim == op_s.ndim == op_ts.ndim == 1
-        if index:
+        if op_t.ndim == op_s.ndim == op_ts.ndim == 1:
             a = np.where(op_t >= 0, op_s[op_t], -1)
             miss = a != op_ts
-        if index and (e is None or not miss.any()):
             both = np.count_nonzero(miss & (a >= 0) & (op_ts >= 0))
             defect = math.sqrt(np.count_nonzero(miss) + both)
         else:
@@ -122,7 +118,7 @@ def check_semigroup_law(
                     d = op_ts.column - np.convolve(op_t.column, op_s.column)[:n]
                     defect = _worst(math.sqrt(np.dot(np.arange(n, 0, -1.0), d.real**2 + d.imag**2)))
                 else:
-                    gap = sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))
+                    gap = sample.apply(t + s) - sample.apply(t, sample.apply(s))
                     defect = _worst(np.linalg.norm(gap))
         witnesses.append(((t, s), defect))
     return _record("semigroup-law", witnesses, tol)

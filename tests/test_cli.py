@@ -1,7 +1,9 @@
 import cmath
+import csv
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -1369,6 +1371,54 @@ def test_same_argv_twice_prints_the_same_bytes(tmp_path, capsys):
     first = _run(argv, capsys)
     assert first[0] == 0 and first[1]
     assert _run(argv, capsys) == first
+
+
+def _flatten(prefix, val, rows):
+    if isinstance(val, dict):
+        for k in sorted(val):
+            _flatten(f"{prefix}.{k}" if prefix else k, val[k], rows)
+    elif isinstance(val, list):
+        for i, v in enumerate(val):
+            _flatten(f"{prefix}[{i}]", v, rows)
+    else:
+        rows.append([prefix, str(val)])
+    return rows
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["analyze"], _mobius_doc(1.0, 0.5, 0.5, 1.0)),  # (z + 1/2)/(1 + z/2), hyperbolic
+    (["verify", "--n", "16"], PSI_DOC),  # witness labels such as (0.25, 0.75)
+], ids=["analyze hyperbolic", "verify psi"])
+def test_csv_rows_parse_into_key_and_value(tmp_path, capsys, argv, doc):
+    """A value holding a comma is quoted: every row parses into two fields,
+    and the values are those of the JSON document."""
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    rc, text, _ = _run([*argv, "--input", str(path), "--format", "csv"], capsys)
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == 2 for row in rows)
+    assert "," in "".join(value for _, value in rows)
+    rc, text, _ = _run([*argv, "--input", str(path)], capsys)
+    assert rows == _flatten("", json.loads(text), [["key", "value"]])
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("outer", OUTER_DOC),
+    ("tau_0.4", _mobius_doc(-1.0, 0.4, -0.4, 1.0, kind="composition")),
+    ("psi", PSI_DOC),
+])
+def test_semigroup_writes_the_records_verify_prints(tmp_path, capsys, name, doc):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--input", str(path), "--n", "16", "--times", "0,0.25,0.5,1", "--tol", "1e-9"]
+    out = tmp_path / "sample"
+    assert _run(["semigroup", *flags, "--out", str(out)], capsys)[0] == 0
+    rc, text, _ = _run(["verify", *flags], capsys)
+    records = json.loads(text)["records"]
+    assert rc == (0 if all(r["passed"] for r in records) else 1)
+    assert json.loads((out / "verification.json").read_text()) == records
+    assert [r["check"] for r in records][:1] == ["semigroup-law"]
 
 
 @pytest.mark.parametrize("first", ["semigroup", "verify"])

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +138,46 @@ def test_corrupted_index_sample_fails_like_its_dense_rewrite(tmp_path, capsys):
     assert not rec.passed
     assert rec.witnesses == want.witnesses
     assert rec.max_defect == want.max_defect > 1e-8
+
+
+def test_corrupted_embedded_sample_fails_by_the_index_count():
+    """An embedded Wold/shift sample whose V(1) no longer composes is judged
+    by the index count on its own space, with no matrix formed.  The
+    embedding E has orthonormal columns, so the count is at least the gap
+    (V(t+s) - V(t) V(s)) E on the resolved subspace."""
+    sample = embed_isometric_composition(BlaschkeProduct(origin_order=2), (0.0, 0.5, 1.0), 16)
+    sample.operator_at(1.0)[-1] = 0  # the last row of V_1 now reads the constant
+    pairs = [(0.5, 0.5), (0.0, 1.0)]
+    e = sample.embedding
+    resolved = max(
+        float(np.linalg.norm(sample.apply(t + s, e) - sample.apply(t, sample.apply(s, e))))
+        for t, s in pairs
+    )
+
+    def no_dense(*args):
+        raise AssertionError("the law of three index operators needs no matrix")
+
+    sample.apply = no_dense
+    rec = check_semigroup_law(sample, pairs, 1e-8)
+    assert not rec.passed
+    assert rec.witnesses == [((0.5, 0.5), math.sqrt(2)), ((0.0, 1.0), 0.0)]
+    assert rec.max_defect >= resolved > 1e-8
+
+
+def test_isometry_check_of_an_index_sample_builds_no_identity():
+    """Without an embedding the test vectors are the first unit vectors
+    alone: a complex dim x dim identity at dim 4000 would take 256 MB."""
+    dim = 4000
+    shift = np.arange(dim) - 1  # row 0 reads nothing (-1), row i row i - 1
+    sample = OperatorSemigroupSample([0.0, 1.0], [np.arange(dim), shift], "loaded", dim, True)
+    tracemalloc.start()
+    try:
+        rec = check_isometry(sample, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.passed and rec.max_defect == 0.0
+    assert peak < 8e6
 
 
 @seed(27)
