@@ -49,7 +49,7 @@ from .fileio import (
     record_document,
     report_document,
 )
-from .operators import LowerToeplitz, wold_decompose
+from .operators import wold_decompose
 from .semigroups import TIME_TOL, OperatorSemigroupSample, WoldShiftFlow
 from .symbols import BlaschkeProduct, MobiusMap
 from .verify import (
@@ -72,13 +72,22 @@ class NoConstruction(Exception):
     pass
 
 
+def _number(text: str, flag: str) -> float:
+    """The finite number that the text ``text`` of ``flag`` spells."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise SymbolFileError(f"{flag}: {exc}") from exc
+    return _finite(x, flag)
+
+
 def _disk_point(text: str, flag: str) -> complex:
     """The point RE or RE,IM of the open unit disk that ``flag`` gives."""
     parts = text.split(",")
     if len(parts) > 2:
         raise SymbolFileError(f"{flag}: cannot parse complex value {text!r}; use RE or RE,IM")
-    im = _finite(parts[1], flag) if len(parts) == 2 else 0.0
-    value = complex(_finite(parts[0], flag), im)
+    im = _number(parts[1], flag) if len(parts) == 2 else 0.0
+    value = complex(_number(parts[0], flag), im)
     if abs(value) >= 1.0:
         raise SymbolFileError(f"{flag}: {value!r} is not in the open unit disk")
     return value
@@ -101,7 +110,8 @@ def _times(values, where) -> list:
 
 
 def _parse_times(text: str):
-    times = _times([t for t in text.split(",") if t.strip() != ""], lambda i: "--times")
+    times = _times([_number(t, "--times") for t in text.split(",") if t.strip() != ""],
+                   lambda i: "--times")
     if not times:
         raise SymbolFileError("--times: at least one time required")
     return times
@@ -327,9 +337,9 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     held to the rules of symbol files and flags: ``dim`` is a positive
     integer (a sample with no rows has nothing to check), ``times`` is a
     nonempty list of finite nonnegative, distinct times (as for --times),
-    and ``isometric``, when present, is true or false.  A dense operator
-    that is exactly lower-triangular Toeplitz is held by its first column,
-    as the sampler holds it, so the checks take the same path on it."""
+    numbers and not strings, ``matrices`` is a list of file names, and
+    ``construction`` and ``isometric``, when present, are a string and true
+    or false.  Each operator is held as :func:`load_matrix_csv` reads it."""
     meta_path = path / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -348,7 +358,12 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
     if not isinstance(times, list) or not times or not isinstance(names, list):
         raise SymbolFileError(f"{meta_path}: times and matrices are lists, times nonempty")
     times = _times(times, lambda i: f"{meta_path}: times[{i}]")
-    names = [str(name) for name in names]
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise SymbolFileError(f"{meta_path}: matrices[{i}]: {name!r} is not a string")
+    construction = meta.get("construction", "loaded")
+    if not isinstance(construction, str):
+        raise SymbolFileError(f"{meta_path}: construction: {construction!r} is not a string")
     isometric = meta.get("isometric", False)
     if not isinstance(isometric, bool):
         raise SymbolFileError(f"{meta_path}: isometric: {isometric!r} is not true or false")
@@ -359,12 +374,11 @@ def _load_sample_dir(path: Path) -> OperatorSemigroupSample:
         op = load_matrix_csv(path / name)
         if op.shape != (dim,) * op.ndim:
             raise SymbolFileError(f"{path / name}: shape {op.shape} does not match dim {dim}")
-        toeplitz = LowerToeplitz.from_dense(op)
-        ops.append(op if toeplitz is None else toeplitz)
+        ops.append(op)
     return OperatorSemigroupSample(
         times=times,
         operators=ops,
-        construction=meta.get("construction", "loaded"),
+        construction=construction,
         dim=dim,
         isometric=isometric,
     )

@@ -34,16 +34,29 @@ tolerance).  Lines end in ``\r\n``.
     ...
 
 A :class:`LowerToeplitz` operator (every multiplication-flow operator,
-and the identity at t = 0 of every flow) is constant along diagonals, so
-its dim**2 entries take at most dim + 1 distinct values.  Its dim
-coefficients and the zero above the diagonal are formatted once each and
-placed through the operator's own index map, and the file is byte for
-byte the dense file of its ``dense()``.  Any other matrix (a
-linear-fractional operator at t > 0, whose entries are nearly all
-distinct) is written entry by entry.  The reader checks and parses each
-distinct line once and scatters the values back.  Entries must be finite:
-a NaN or infinite part is refused, naming the first line that holds one,
-as a symbol file refuses a non-finite number.
+and the identity at t = 0 of every flow) is written from the text of its
+first column c_0, ..., c_{dim-1}: row i is the lines c_i, ..., c_0 and
+then dim - 1 - i lines ``0.0,0.0``, each row a slice of one string, and the
+file is byte for byte the dense file of its ``dense()``.  Any other matrix
+(a linear-fractional operator at t > 0, whose entries are nearly all
+distinct) is written entry by entry.
+
+The reader recognises that layout as text, on lines that all end in
+``\r\n`` or all in ``\n``: row 0 after its first line is ``0.0,0.0`` lines, and
+each later row is its first-column line followed by the previous row
+without its last line.  Such a file is read a row at a time, never whole,
+only its dim first-column lines are parsed, and it comes back as the
+:class:`LowerToeplitz` operator.  Since every part is written as the
+``repr`` of its float, equal text is equal bits there, and ``0.0,0.0`` is
++0.0; a file spelt otherwise (``0.50`` for ``0.5`` in one place, a line
+ending that differs from the others) comes back as the dense matrix it
+spells.  Of any other dense file the reader checks and parses each distinct
+line once and scatters the values back.  Entries must be finite: a NaN or
+infinite part is refused, naming the first line that holds one, as a
+symbol file refuses a non-finite number.
+
+A JSON number must be a number: true, false and strings such as ``"0.5"``
+are refused where a symbol file or ``meta.json`` gives a number.
 
 Report documents are, byte for byte, the text that ``json.dumps`` gives
 for ``_jsonable(doc)`` with ``sort_keys`` and an ``indent`` of 2, plus a
@@ -90,6 +103,7 @@ __all__ = [
 
 MATRIX_HEADER = "re_ij,im_ij"
 INDEX_HEADER = "src"
+ZERO = "0.0,0.0"  # the line of +0.0, above the diagonal of a Toeplitz file
 
 
 class SymbolFileError(ValueError):
@@ -98,13 +112,14 @@ class SymbolFileError(ValueError):
 
 def _finite(value, where: str) -> float:
     """The number at ``where``; refuses the NaN and Infinity literals that
-    Python's json module accepts, and true and false, which ``float`` would
-    read as 1 and 0."""
-    if isinstance(value, bool):
-        raise SymbolFileError(f"{where}: {json.dumps(value)} is not a number")
+    Python's json module accepts, true and false, which ``float`` would
+    read as 1 and 0, and strings, which ``float`` would parse."""
+    if isinstance(value, (bool, str)):
+        shown = repr(value) if isinstance(value, str) else json.dumps(value)
+        raise SymbolFileError(f"{where}: {shown} is not a number")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond any float overflows
         raise SymbolFileError(f"{where}: {exc}") from exc
     if not math.isfinite(x):
         raise SymbolFileError(f"{where}: {x!r} is not a finite number")
@@ -298,22 +313,35 @@ def _entry_text(values: np.ndarray) -> list:
     return [f"{re!r},{im!r}" for re, im in zip(values.real.tolist(), values.imag.tolist())]
 
 
+def _toeplitz_text(column: list) -> str:
+    """The body of the dense file of the lower-triangular Toeplitz matrix
+    whose first-column lines are ``column``: row i is c_i, ..., c_0 and
+    n - 1 - i zero lines, a slice of the one string c_{n-1}, ..., c_0
+    followed by n - 1 zero lines."""
+    n = len(column)
+    head = "".join(f"{c}\r\n" for c in reversed(column))
+    whole = head + f"{ZERO}\r\n" * (n - 1)
+    rows, start = [], len(head)
+    for i, c in enumerate(column):
+        start -= len(c) + 2  # where c_i starts
+        rows.append(whole[start : len(head) + (len(ZERO) + 2) * (n - 1 - i)])
+    return "".join(rows)
+
+
 def dump_matrix_csv(path, matrix):
-    """Write an operator file: an index file for a 1-D row-gather array,
-    a dense ``re_ij,im_ij`` file for a matrix or a :class:`LowerToeplitz`
-    operator."""
+    """Write an operator file: an index file for a 1-D row-gather array, a
+    dense ``re_ij,im_ij`` file for a matrix, written entry by entry, or for a
+    :class:`LowerToeplitz` operator, built from the text of its first column
+    (the bytes of the dense file of its ``dense()``)."""
     if isinstance(matrix, LowerToeplitz):
-        # the n coefficients and the zero above the diagonal, each formatted
-        # once and placed by the operator's own index map, whose negative
-        # entries (above the diagonal) count back into the n zeros
-        text = _entry_text(matrix.column) + ["0.0,0.0"] * matrix.column.size
-        lines = [MATRIX_HEADER, *map(text.__getitem__, matrix.index().ravel().tolist())]
+        text = f"{MATRIX_HEADER}\r\n" + _toeplitz_text(_entry_text(matrix.column))
     elif np.ndim(matrix) == 1:
-        lines = [INDEX_HEADER, *map(str, np.asarray(matrix).tolist())]
+        text = "\r\n".join([INDEX_HEADER, *map(str, np.asarray(matrix).tolist())]) + "\r\n"
     else:
-        lines = [MATRIX_HEADER, *_entry_text(np.asarray(matrix, dtype=complex).ravel(order="C"))]
+        entries = _entry_text(np.asarray(matrix, dtype=complex).ravel(order="C"))
+        text = "\r\n".join([MATRIX_HEADER, *entries]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(text)
 
 
 def _bad_line(path, body, parse) -> SymbolFileError:
@@ -335,10 +363,69 @@ def _two_finite_floats(line: str):
             raise ValueError(f"{x!r} is not a finite number")
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """Read an operator file: the complex ``dim x dim`` matrix of a dense
-    file, or the ``np.intp`` array ``src`` of an index file."""
+def _values(lines):
+    """The complex values of the ``re,im`` texts ``lines``, or None when
+    one of them is not two finite numbers."""
+    if any(line.count(",") != 1 for line in lines):
+        return None
     try:
+        values = np.array(",".join(lines).split(",") if lines else [], dtype=float)
+    except ValueError:
+        return None
+    return values.view(complex) if np.isfinite(values).all() else None
+
+
+def _toeplitz_file(path):
+    """The :class:`LowerToeplitz` operator whose dense file, with its lines
+    ending all in ``\r\n`` or all in ``\n``, is the file at ``path``; else
+    None.
+    The lines are counted a block at a time and then read a row at a time,
+    so the file is never held whole: row 0 after its first line must be
+    zero lines, and each later row its first-column line followed by the
+    previous row without its last line.  Only the n first-column lines are
+    parsed; when one of them is not two finite numbers, None leaves the
+    dense reader to name the first bad line."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        end = header.removeprefix(MATRIX_HEADER.encode())
+        if end not in (b"\r\n", b"\n"):
+            return None
+        start, lines, last = fh.tell(), 0, b"\n"
+        while block := fh.read(1 << 16):
+            lines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+            last = block[-1:]
+        lines += last != b"\n"  # a last line without its line end
+        n = math.isqrt(lines)
+        if n == 0 or n * n != lines:
+            return None
+        fh.seek(start)
+        zero = ZERO.encode() + end
+        column, rest = [], zero * (n - 1)
+        for _ in range(n):
+            column.append(fh.readline())
+            got = fh.read(len(rest))
+            if got != rest and got + end != rest:  # the last line may lack its end
+                return None
+            rest = (column[-1] + rest)[: -len(zero)]
+    try:
+        texts = b"".join(column).decode().splitlines()
+    except UnicodeDecodeError:  # the dense reader gives the error of the whole file
+        return None
+    # a line that str.splitlines splits further (at \r, \v, \f, \x1c-\x1e,
+    # \x85, \u2028 or \u2029) is more than one line to the dense reader
+    values = _values(texts) if len(texts) == n else None
+    return None if values is None else LowerToeplitz(values)
+
+
+def load_matrix_csv(path):
+    """Read an operator file: a :class:`LowerToeplitz` operator for a dense
+    file that spells one out as ``dump_matrix_csv`` writes it, the complex
+    ``dim x dim`` matrix of any other dense file, or the ``np.intp`` array
+    ``src`` of an index file."""
+    try:
+        toeplitz = _toeplitz_file(path)
+        if toeplitz is not None:
+            return toeplitz
         with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
@@ -364,15 +451,10 @@ def load_matrix_csv(path) -> np.ndarray:
     # first appearance; an error still names the first bad line of the body
     position = {}
     index = [position.setdefault(line, len(position)) for line in body]
-    if any(line.count(",") != 1 for line in position):
+    values = _values(position)
+    if values is None:
         raise _bad_line(path, body, _two_finite_floats)
-    try:
-        values = np.array(",".join(position).split(",") if position else [], dtype=float)
-    except ValueError:
-        raise _bad_line(path, body, _two_finite_floats) from None
-    if not np.isfinite(values).all():
-        raise _bad_line(path, body, _two_finite_floats)
-    flat = values.view(complex)[np.array(index, dtype=np.intp)]
+    flat = values[np.array(index, dtype=np.intp)]
     n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise SymbolFileError(f"{path}: {flat.size} entries do not form a square matrix")

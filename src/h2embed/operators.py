@@ -117,20 +117,6 @@ class LowerToeplitz:
         cols = self._padded()[np.arange(self.column.size)[:, None] - touched]
         return cols @ x[touched]
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray):
-        """The operator whose ``dense()`` is ``matrix`` bit for bit, or None
-        when ``matrix`` is not a complex lower-triangular Toeplitz matrix
-        (-0.0 and +0.0 told apart).  On the bit patterns, each entry must
-        equal the one up and to the left of it, and the first row must be
-        +0.0 after its first entry, which sets the whole upper triangle."""
-        if matrix.ndim != 2 or matrix.dtype != complex or matrix.shape[0] != matrix.shape[1]:
-            return None
-        bits = np.ascontiguousarray(matrix).view(np.uint64)  # (re, im) of each entry
-        if (bits[0, 2:] == 0).all() and (bits[1:, 2:] == bits[:-1, :-2]).all():
-            return cls(matrix[:, 0].copy())
-        return None
-
 
 def toeplitz_matrix(phi, n: int) -> np.ndarray:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with

@@ -339,12 +339,12 @@ class OperatorSemigroupSample:
     ``shape`` and ``nbytes``.  Every flow sample holds V_0 as the
     :class:`LowerToeplitz` identity, the operator of e_0.  Multiplication-flow
     samples hold every V_t as the :class:`LowerToeplitz` operator of its
-    first column, and so do dense operator files read back that are exactly
-    lower-triangular Toeplitz.  Linear-fractional samples at t > 0, and the
-    other dense files, hold the ``dim x dim`` matrix of V_t.  Wold/shift
-    samples, and index files read back, hold V_t as the partial permutation
-    it is: a 1-D integer array ``src`` of length ``dim`` with row i of V_t x
-    equal to row ``src[i]`` of x, and 0 where ``src[i] < 0``.
+    first column.  Linear-fractional samples at t > 0 hold the
+    ``dim x dim`` matrix of V_t.  Wold/shift samples hold V_t as the partial
+    permutation it is: a 1-D integer array ``src`` of length ``dim`` with
+    row i of V_t x equal to row ``src[i]`` of x, and 0 where ``src[i] < 0``.
+    A sample read back from its files holds each operator as
+    :func:`~h2embed.fileio.load_matrix_csv` reads it.
     Consumers go through :meth:`apply` and never see the difference.
 
     ``embedding`` (when present) is an isometry from the resolved part of

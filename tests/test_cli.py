@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -32,7 +33,7 @@ from h2embed.fileio import (
     load_matrix_csv,
     parse_symbol_document,
 )
-from h2embed.operators import wold_decompose
+from h2embed.operators import LowerToeplitz, wold_decompose
 from h2embed.semigroups import embed_isometric_composition
 from h2embed.symbols import BlaschkeProduct, ConjugatedSymbol, MobiusMap
 
@@ -213,6 +214,8 @@ def test_flow_sample_csv_bytes_unchanged(tmp_path, capsys):
     eps = np.finfo(float).eps
     for t, matrix_file in zip(meta["times"], meta["matrices"]):
         got = load_matrix_csv(out / matrix_file)
+        assert isinstance(got, LowerToeplitz)
+        got = got.dense()
         with mpmath.workdps(50):
             want = [mpmath.mpf(1.5) ** t * mpmath.binomial(t, k) * mpmath.mpf(-0.3) ** k
                     for k in range(16)]
@@ -366,6 +369,14 @@ SAMPLE_DEFECTS = {
     "dim true": ("psi", _meta_edit("dim", lambda meta: True), ["meta.json", "dim: true"]),
     "time true": ("z^2", _meta_edit("times", lambda meta: [0.0, True, 0.5]),
                   ["meta.json", "times[1]: true"]),
+    # float() parsed these times, str() made file names "0", "1" and "2" of
+    # these names, and this construction was held as the number 5.
+    "times as strings": ("z^2", _meta_edit("times", lambda meta: ["0", "0.5", "1"]),
+                         ["meta.json", "times[0]: '0' is not a number"]),
+    "matrix names not strings": ("psi", _meta_edit("matrices", lambda meta: [0, 1, 2]),
+                                 ["meta.json", "matrices[0]: 0 is not a string"]),
+    "construction not a string": ("outer", _meta_edit("construction", lambda meta: 5),
+                                  ["meta.json", "construction: 5 is not a string"]),
 }
 
 
@@ -421,7 +432,23 @@ def test_semigroup_n128_matches_the_binomial_series(tmp_path, capsys):
                                for k in range(128)])
         i, j = np.indices((128, 128))
         want = np.where(i >= j, column[i - j], 0)
-        assert np.max(np.abs(load_matrix_csv(out / matrix_file) - want)) <= 1e-12
+        assert np.max(np.abs(load_matrix_csv(out / matrix_file).dense() - want)) <= 1e-12
+
+
+def test_reading_a_flow_file_builds_no_matrix(tmp_path, capsys):
+    # the dense 128 x 128 complex matrix alone takes 16 n^2 bytes; the file
+    # is read a row at a time, and only its first column is parsed
+    n = 128
+    out, meta = _write_sample(tmp_path, capsys, Z_MINUS_105, n=n)
+    for matrix_file in meta["matrices"]:
+        tracemalloc.start()
+        try:
+            op = load_matrix_csv(out / matrix_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**2, (matrix_file, peak)
+        assert isinstance(op, LowerToeplitz) and op.shape == (n, n)
 
 
 # --------------------------------------------------------------------------
@@ -857,7 +884,7 @@ def test_exit_1_sample_whose_law_fails(tmp_path, capsys):
     out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
     assert meta["times"] == [0.0, 0.5, 1.0]
     last = out / meta["matrices"][2]
-    dump_matrix_csv(last, 2.0 * load_matrix_csv(last))
+    dump_matrix_csv(last, 2.0 * load_matrix_csv(last).dense())
     rc, stdout, stderr = _verify_sample(out, capsys)
     assert (rc, stderr) == (1, "")
     (law,) = [r for r in json.loads(stdout)["records"] if r["check"] == "semigroup-law"]
@@ -888,8 +915,10 @@ def test_exit_2_malformed_input(tmp_path, capsys, case):
         ({"kind": "toeplitz", "outer": {"constant": {"re": math.inf}}}, "outer.constant.re"),
         ({"kind": "composition", "singular": {"atoms": [{"angle": 0.0, "mass": math.nan}]}},
          "singular.atoms[0].mass"),
+        # float() of this int raised OverflowError out of main (a traceback, exit 1)
+        ({"kind": "toeplitz", "outer": {"constant": {"re": 10**400}}}, "outer.constant.re"),
     ],
-    ids=["polynomial NaN", "outer Infinity", "atom mass NaN"],
+    ids=["polynomial NaN", "outer Infinity", "atom mass NaN", "integer beyond any float"],
 )
 def test_exit_2_non_finite_symbol_number(tmp_path, capsys, doc, field):
     path = tmp_path / "sym.json"
@@ -936,11 +965,25 @@ def test_exit_2_blaschke_count_not_a_non_negative_integer(tmp_path, capsys, doc,
         ({"kind": "toeplitz", "outer": {"constant": {"re": True}}}, "outer.constant.re", "true"),
         ({"kind": "polynomial", "polynomial": {"coeffs": [{"re": 1.0, "im": False}]}},
          "polynomial.coeffs[0].im", "false"),
+        ({"kind": "mobius", "mobius": {"a": {"re": "0.5", "im": 0}, "b": {"re": 0},
+                                       "c": {"re": 0}, "d": {"re": 1}}},
+         "mobius.a.re", "'0.5'"),
+        (_composition_with_counts(origin_order="2"), "blaschke.origin_order", "'2'"),
+        ({"kind": "composition", "singular": {"atoms": [{"angle": "0", "mass": 1.0}]}},
+         "singular.atoms[0].angle", "'0'"),
+        ({"kind": "composition", "singular": {"atoms": [{"angle": 0.0, "mass": "1"}]}},
+         "singular.atoms[0].mass", "'1'"),
+        ({"kind": "polynomial", "polynomial": {"coeffs": [{"re": " 3 "}]}},
+         "polynomial.coeffs[0].re", "' 3 '"),
+        ({"kind": "polynomial", "polynomial": {"coeffs": [{"re": "1_000"}]}},
+         "polynomial.coeffs[0].re", "'1_000'"),
     ],
-    ids=["mass", "angle", "mult", "origin_order", "re", "im"],
+    ids=["mass", "angle", "mult", "origin_order", "re", "im", "re string", "origin_order string",
+         "angle string", "mass string", "spaced string", "underscored string"],
 )
 def test_exit_2_json_boolean_where_a_number_goes(tmp_path, capsys, doc, field, literal):
-    # float(True) is 1.0: each of these used to read as 1 or 0 and give a verdict
+    # float(True) is 1.0 and float("1_000") is 1000.0: each of these used to
+    # read as a number and give a verdict
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(doc))
     rc, out, err = _run(["analyze", "--input", str(path)], capsys)
@@ -1611,7 +1654,7 @@ def test_a_toeplitz_file_off_in_one_entry_reads_back_dense(tmp_path, capsys, whe
     out, meta = _write_sample(tmp_path, capsys, OUTER_DOC)
     i, j = (9, 3) if where == "below" else (3, 9)
     last = out / meta["matrices"][2]
-    matrix = load_matrix_csv(last)
+    matrix = load_matrix_csv(last).dense()
     matrix[i, j] += 1e-12 if where == "below" else 1e-300
     dump_matrix_csv(last, matrix)
     sample = _load_sample_dir(out)

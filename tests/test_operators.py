@@ -578,17 +578,3 @@ def test_lower_toeplitz_applies_as_its_dense_matrix(n):
     for j in range(n):
         assert np.array_equal(op @ eye[:, j], dense[:, j])
     assert np.array_equal(op @ np.zeros(n), np.zeros(n))
-
-
-def test_lower_toeplitz_from_dense_is_bit_exact():
-    c = _column(8)
-    c[3] = complex(-0.0, 5e-324)
-    dense = LowerToeplitz(c).dense()
-    op = LowerToeplitz.from_dense(dense)
-    assert op.column.tobytes() == c.tobytes() and op.dense().tobytes() == dense.tobytes()
-    below, above, signed = dense.copy(), dense.copy(), dense.copy()
-    below[6, 2] += 1e-15
-    above[2, 6] = 1e-300
-    signed[1, 5] = -0.0  # equal to 0.0, but not the zero dense() writes
-    for m in (below, above, signed, dense.real, dense[:, :7], dense.T):
-        assert LowerToeplitz.from_dense(m) is None
