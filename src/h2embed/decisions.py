@@ -445,8 +445,11 @@ def decide_lfm(m: MobiusMap, tol: float = DEFAULT_TOL) -> EmbeddabilityReport:
     }
     if lhs <= rhs + tol:
         # The Koenigs map (z - alpha)/(1 - z/beta) takes the flow to the
-        # spiral z -> exp(t Log lambda) z.
-        koenigs = MobiusMap(1.0, -alpha, 0.0 if beta is None else -1.0 / complex(beta), 1.0)
+        # spiral z -> exp(t Log lambda) z; for the scaling z -> lambda z
+        # (alpha = 0, beta at infinity) it is the identity, and none is passed.
+        koenigs = None
+        if alpha != 0 or beta is not None:
+            koenigs = MobiusMap(1.0, -alpha, 0.0 if beta is None else -1.0 / complex(beta), 1.0)
         return EmbeddabilityReport(
             Verdict.EMBEDDABLE,
             "attractive-elliptic-spiral-condition",

@@ -50,10 +50,10 @@ only its dim first-column lines are parsed, and it comes back as the
 ``repr`` of its float, equal text is equal bits there, and ``0.0,0.0`` is
 +0.0; a file spelt otherwise (``0.50`` for ``0.5`` in one place, a line
 ending that differs from the others) comes back as the dense matrix it
-spells.  Of any other dense file the reader checks and parses each distinct
-line once and scatters the values back.  Entries must be finite: a NaN or
-infinite part is refused, naming the first line that holds one, as a
-symbol file refuses a non-finite number.
+spells.  Any other dense file is checked and parsed whole, in one pass over
+its lines.  Entries must be finite: a NaN or infinite part is refused,
+naming the first line that holds one, as a symbol file refuses a non-finite
+number.
 
 A JSON number must be a number: true, false and strings such as ``"0.5"``
 are refused where a symbol file or ``meta.json`` gives a number.
@@ -447,14 +447,9 @@ def load_matrix_csv(path):
         raise SymbolFileError(
             f"{path}: missing the '{MATRIX_HEADER}' or '{INDEX_HEADER}' header"
         )
-    # each distinct line is checked and parsed once, numbered in order of
-    # first appearance; an error still names the first bad line of the body
-    position = {}
-    index = [position.setdefault(line, len(position)) for line in body]
-    values = _values(position)
-    if values is None:
+    flat = _values(body)
+    if flat is None:
         raise _bad_line(path, body, _two_finite_floats)
-    flat = values[np.array(index, dtype=np.intp)]
     n = math.isqrt(flat.size)
     if n * n != flat.size:
         raise SymbolFileError(f"{path}: {flat.size} entries do not form a square matrix")

@@ -88,13 +88,6 @@ class LowerToeplitz:
     def nbytes(self) -> int:
         return self.column.nbytes
 
-    def index(self) -> np.ndarray:
-        """The n x n map of entry (i, j) to i - j, its place in the column
-        followed by n zeros: a negative i - j, above the diagonal, wraps
-        around into the zeros."""
-        k = np.arange(self.column.size)
-        return k[:, None] - k
-
     def _padded(self) -> np.ndarray:
         n = self.column.size
         out = np.zeros(2 * n, dtype=complex)
@@ -103,14 +96,17 @@ class LowerToeplitz:
 
     def dense(self) -> np.ndarray:
         """The matrix: entry (i, j) is a copy of c[i - j] on and below the
-        diagonal, and +0.0 above it."""
-        return self._padded()[self.index()]
+        diagonal, and +0.0 above it, read through the map of (i, j) to
+        i - j into the column followed by n zeros, where a negative i - j
+        wraps around."""
+        k = np.arange(self.column.size)
+        return self._padded()[k[:, None] - k]
 
     def __matmul__(self, x):
         """The truncated convolution of the column with x, or with each
         column of a 2-D x: the columns of ``dense()`` at the rows where x is
-        not zero, gathered through the index map, times those rows.  A unit
-        vector e_j gets back copies of the coefficients, as from
+        not zero, gathered through the same i - j map, times those rows.  A
+        unit vector e_j gets back copies of the coefficients, as from
         ``dense() @ e_j``, at the cost of one gathered column."""
         x = np.asarray(x)
         touched = (x if x.ndim == 1 else x.any(axis=1)).nonzero()[0]

@@ -370,9 +370,8 @@ class OperatorSemigroupSample:
         if op.ndim == 2:
             return op if x is None else op @ x
         x = np.eye(self.dim, dtype=complex) if x is None else np.asarray(x)
-        out = np.zeros(x.shape, dtype=np.result_type(x, complex))
-        keep = op >= 0
-        out[keep] = x[op[keep]]
+        out = x.astype(np.result_type(x, complex), copy=False)[op]
+        out[op < 0] = 0
         return out
 
     def operator_at(self, t: float):

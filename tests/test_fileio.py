@@ -1,8 +1,9 @@
-"""Dense operator files: the writer and the reader convert each distinct
-entry once, and give the bytes and values of the per-entry code they
-replaced (kept below as references).  Lower-triangular Toeplitz files are
-written from, and read back as, their first column, and give what the dense
-reader followed by a bitwise Toeplitz test gave (kept below as the oracle).
+"""Dense operator files: the writer and the reader give the bytes and values
+of per-entry code (kept below as references).  Lower-triangular Toeplitz
+files are written from, and read back as, their first column, and give what
+``reference_load`` gives: an earlier reader, kept as the reference reader,
+that checks and parses each distinct line once, builds the dense matrix and
+then tests it for the Toeplitz layout bit for bit.
 Report documents: ``json_dumps`` gives the bytes of
 ``json.dumps(..., sort_keys=True, indent=2)``."""
 import json
@@ -120,8 +121,13 @@ def test_writer_gives_the_bytes_of_the_per_entry_writer(tmp_path_factory, matrix
     assert (where / "new.csv").read_bytes() == (where / "ref.csv").read_bytes()
 
 
+# every entry and every part distinct: no line of its file repeats
+ALL_DISTINCT = ((np.arange(1024) - 511.5) / 7 + 1j / (np.arange(1024) + 1.5)).reshape(32, 32)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(FINITE_PARTS))
+@example(ALL_DISTINCT)
 def test_reader_reads_back_bit_exactly(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     dump_matrix_csv(path, matrix)

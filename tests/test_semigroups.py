@@ -15,7 +15,7 @@ from h2embed.errors import (
     NonCommuting,
 )
 from h2embed.blaschke import conjugate_by_automorphism
-from h2embed.decisions import decide_composition
+from h2embed.decisions import decide_composition, decide_lfm
 from h2embed.semigroups import (
     ConstantFlow,
     OuterFlow,
@@ -54,6 +54,18 @@ def dense_shift(sample, k):
     return v
 
 
+def row_gather(src, x):
+    """Reference for a row-gather operator, a row at a time: row i of the
+    result is a complex copy of row ``src[i]`` of x (of the identity when x
+    is None), and +0.0 where ``src[i]`` is -1."""
+    x = np.eye(src.size, dtype=complex) if x is None else np.asarray(x)
+    out = np.zeros(x.shape, dtype=complex)
+    for i, s in enumerate(src.tolist()):
+        if s >= 0:
+            out[i] = x[s]
+    return out
+
+
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("name", sorted(SYMBOLS))
 def test_wold_operators_are_cell_shifts(name, n):
@@ -86,10 +98,17 @@ def test_wold_grid_is_the_coarsest_that_holds_the_times(times, cells):
 def test_apply_to_vectors_matches_the_matrix(sample):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((sample.dim, 3)) + 1j * rng.standard_normal((sample.dim, 3))
+    real = x[:, 0].real.copy()
+    real[::3] = -0.0
     for t in TIMES:
         m = sample.apply(t)
         np.testing.assert_allclose(sample.apply(t, x), m @ x, rtol=0, atol=1e-13)
         np.testing.assert_allclose(sample.apply(t, x[:, 0]), m @ x[:, 0], rtol=0, atol=1e-13)
+        op = sample.operator_at(t)
+        if op.ndim == 1:  # a row-gather operator gives the rows themselves
+            for v in (None, x, real):
+                got, want = sample.apply(t, v), row_gather(op, v)
+                assert got.dtype == want.dtype == complex and got.tobytes() == want.tobytes()
 
 
 def test_wold_sample_holds_no_square_matrix():
@@ -356,6 +375,20 @@ def test_spiral_sample_without_conjugator_is_the_exact_diagonal(theta):
     assert sample.construction == "elliptic-flow"
     for t in TIMES:
         assert np.array_equal(sample.apply(t), np.diag(np.exp(1j * theta * t * np.arange(8))))
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("lam", [0.5, 0.5 * np.exp(0.3j)], ids=["real", "spiral"])
+def test_scaling_map_samples_the_exact_diagonal(lam, n):
+    # z -> lam z fixes 0 and infinity, so its Koenigs map is the identity and
+    # the sample is the diagonal itself, not B diag B^-1 with B the truncated
+    # composition matrix of z, which is I only up to the FFT's rounding.
+    flow = decide_lfm(MobiusMap(lam, 0.0, 0.0, 1.0)).semigroup
+    sample = flow.sample(TIMES, n)
+    for t in TIMES:
+        want = np.diag(np.exp(flow.log_multiplier * t * np.arange(n)))
+        got = sample.apply(t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
