@@ -456,21 +456,25 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
     """Embed C_psi (psi inner, psi(0) = 0, not an automorphism) into a
     strongly continuous semigroup sampled at the given times.
 
-    The sample space is constants (+) (4 n cells) x (wandering fiber): the
-    unitary part of the Wold decomposition is the constants, where the
-    operator acts as the identity (the canonical phase, since C_psi fixes
-    1), and the k-th image of a wandering vector rides as the indicator of
-    the k-th unit block of cells.  The cell width is h = 1/m for the
-    smallest positive integer m <= 4 n that makes every t m an integer
-    (within 1e-9); the operators then are exact cell translations, stored
-    as row-gather indices (see :class:`OperatorSemigroupSample`), so the
-    semigroup law and isometry hold exactly, and the time-k operator
-    reproduces the k-th power of the composition matrix on the resolved
-    subspace.  No ``dim x dim`` array is built.  The levels take m cells
-    each and the largest shift adds t m more; both grow with m, so when no
-    such m exists or the smallest one does not fit in the 4 n cells,
+    The sample space is constants (+) cells x (wandering fiber), with the
+    cells the levels and the largest shift reach: the unitary part of the
+    Wold decomposition is the constants, where the operator acts as the
+    identity (the canonical phase, since C_psi fixes 1), and the k-th image
+    of a wandering vector rides as the indicator of the k-th unit block of
+    cells.  The cell width is h = 1/m for the smallest positive integer
+    m <= 4 n that makes every t m an integer (within 1e-9); the operators
+    then are exact cell translations, stored as row-gather indices (see
+    :class:`OperatorSemigroupSample`), so the semigroup law and isometry
+    hold exactly, and the time-k operator reproduces the k-th power of the
+    composition matrix on the resolved subspace.  No ``dim x dim`` array is
+    built.  The L levels take m cells each and the largest shift adds
+    k_max = max t m more, so the sample holds L m + k_max cells: on further
+    cells every embedded vector and every shift of one is zero.  Both
+    counts grow with m, so when no such m exists or the smallest one needs
+    more cells than the cap of 4 n, kept in ``meta["horizon"]``,
     :class:`HorizonOverflow` is raised.  The decomposition from
-    :func:`wold_decompose` travels in ``meta["wold"]``.
+    :func:`wold_decompose` travels in ``meta["wold"]``; the sample holds
+    ``(dim - 1) / meta["fiber_dim"]`` cells.
     """
     wold = wold_decompose(psi, n)
     d = wold.level_dims[0]
@@ -499,7 +503,7 @@ def embed_isometric_composition(psi, times, n: int) -> OperatorSemigroupSample:
 
     # Column j of the embedding is the image of column j of wold.basis: for
     # j >= 1, on level lv and chain i, sqrt(h) on the rows of level lv's cells.
-    dim = 1 + horizon * d
+    dim = 1 + (used + kmax) * d
     embedding = np.zeros((dim, wold.basis.shape[1]), dtype=complex)
     embedding[0, 0] = 1.0
     lv = np.repeat(np.arange(len(wold.level_dims)), wold.level_dims)[:, None]

@@ -238,6 +238,29 @@ def test_dense_wold_sample_still_verifies(tmp_path, capsys, name):
     assert index_result[0] == 0
 
 
+@pytest.mark.parametrize("name", ["z^2", "psi"])
+def test_wold_sample_on_all_4n_cells_still_verifies(tmp_path, capsys, name):
+    """A Wold sample directory that holds all 4 n cells of its cap, as
+    ``semigroup`` wrote them before samples held only the cells they use,
+    verifies to the same document."""
+    out, meta = _write_sample(tmp_path, capsys, SAMPLE_SYMBOLS[name])
+    result = _verify_sample(out, capsys)
+    symbol = parse_symbol_document(SAMPLE_SYMBOLS[name])["symbol"]  # fixes 0
+    sample = embed_isometric_composition(symbol, meta["times"], 16)
+    d, h = sample.meta["fiber_dim"], sample.meta["h"]
+    assert sample.dim == meta["dim"] < 1 + 4 * 16 * d
+    dim = 1 + 4 * 16 * d
+    for t, matrix_file in zip(meta["times"], meta["matrices"]):
+        k = round(t / h)
+        src = np.arange(dim) - k * d
+        src[1 : 1 + k * d] = -1
+        src[0] = 0
+        dump_matrix_csv(out / matrix_file, src)
+    (out / "meta.json").write_text(json.dumps(dict(meta, dim=dim)))
+    assert _verify_sample(out, capsys) == result
+    assert result[0] == 0
+
+
 def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
     third = 1.0 / 3.0
     matrix = np.array(

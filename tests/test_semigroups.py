@@ -46,11 +46,12 @@ SYMBOLS = {
 
 
 def dense_shift(sample, k):
-    """[[1, 0], [0, kron(S_k, I_d)]] with S_k the k-cell right translation."""
-    horizon, d = sample.meta["horizon"], sample.meta["fiber_dim"]
+    """[[1, 0], [0, kron(S_k, I_d)]] with S_k the k-cell right translation
+    on the sample's cells."""
+    d = sample.meta["fiber_dim"]
     v = np.zeros((sample.dim, sample.dim), dtype=complex)
     v[0, 0] = 1.0
-    v[1:, 1:] = np.kron(np.eye(horizon, k=-k), np.eye(d))
+    v[1:, 1:] = np.kron(np.eye((sample.dim - 1) // d, k=-k), np.eye(d))
     return v
 
 

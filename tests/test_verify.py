@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from h2embed import semigroups
 from h2embed.cli import _analyze, _law_pairs, _load_sample_dir, main
-from h2embed.errors import IllConditioned, MissingTime
+from h2embed.errors import HorizonOverflow, IllConditioned, MissingTime
 from h2embed.fileio import parse_symbol_document
 from h2embed.operators import DEFAULT_RANK_TOL, LowerToeplitz, wold_decompose
 from h2embed.semigroups import (
@@ -19,6 +19,7 @@ from h2embed.semigroups import (
     SpiralFlow,
     embed_isometric_composition,
     sample_spiral_flow,
+    wold_comparison_defect,
 )
 from h2embed.decisions import decide_composition
 from h2embed.symbols import BlaschkeProduct, SingularInner
@@ -162,6 +163,82 @@ def test_corrupted_embedded_sample_fails_by_the_index_count():
     assert not rec.passed
     assert rec.witnesses == [((0.5, 0.5), math.sqrt(2)), ((0.0, 1.0), 0.0)]
     assert rec.max_defect >= resolved > 1e-8
+
+
+PADDING_SYMBOLS = {
+    "z^2": BlaschkeProduct(origin_order=2),
+    "z^3": BlaschkeProduct(origin_order=3),
+    "psi": PSI,
+    "deg3": BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)]),
+}
+
+
+def _padded_to_the_cap(sample, n):
+    """``sample`` on all 4 n cells of its cap: the operators and embedding
+    as a sample sized to the cap builds them, zero on the added cells."""
+    d, h = sample.meta["fiber_dim"], sample.meta["h"]
+    dim = 1 + 4 * n * d
+    ops = []
+    for t, op in zip(sample.times, sample.operators):
+        k = round(t / h)
+        src = np.arange(dim) - k * d
+        src[1 : 1 + k * d] = -1
+        src[0] = 0
+        assert np.array_equal(src[: sample.dim], op)
+        ops.append(src)
+    embedding = np.zeros((dim, sample.embedding.shape[1]), dtype=complex)
+    embedding[: sample.dim] = sample.embedding
+    return OperatorSemigroupSample(
+        sample.times, ops, sample.construction, dim, sample.isometric, embedding, sample.meta
+    )
+
+
+def _records(sample):
+    """The records ``verify`` prints for a Wold/shift sample, at its thresholds."""
+    return [
+        check_semigroup_law(sample, _law_pairs(sample.times), 1e-8),
+        check_isometry(sample, 1e-6),
+        check_noncompactness_proxy(sample, 1e-6),
+        check_strong_continuity(sample, 1.0),
+    ]
+
+
+QUARTERS, EIGHTHS = (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.125, 1.0)
+PADDING_CASES = [
+    pytest.param(name, n, times, id=f"{name}-{n}-{label}")
+    for name in sorted(PADDING_SYMBOLS)
+    for n in (12, 16, 32)
+    for label, times in (("quarters", QUARTERS), ("eighths", EIGHTHS))
+    if (name, n, times) != ("psi", 12, EIGHTHS)  # overflows: see below
+]
+
+
+@pytest.mark.parametrize("name, n, times", PADDING_CASES)
+def test_wold_records_do_not_depend_on_the_padding(name, n, times):
+    """The sample holds the cells its L levels and largest shift reach, and
+    judges like the same sample padded with zero cells to its 4 n cap: the
+    records, witnesses bit for bit, and the time-1 comparison."""
+    sample = embed_isometric_composition(PADDING_SYMBOLS[name], times, n)
+    m, d = round(1 / sample.meta["h"]), sample.meta["fiber_dim"]
+    levels = len(sample.meta["wold"].level_dims)
+    assert sample.dim == 1 + (levels * m + round(max(times) * m)) * d
+    assert sample.meta["horizon"] == 4 * n
+    padded = _padded_to_the_cap(sample, n)
+    assert [repr(r) for r in _records(sample)] == [repr(r) for r in _records(padded)]
+    got, want = wold_comparison_defect(sample, 1), wold_comparison_defect(padded, 1)
+    assert repr(got) == repr(want)
+
+
+def test_the_cap_still_bounds_the_cells():
+    # Eighths take 8 cells per unit of time.  z^2 at n = 12 has 4 levels of
+    # 8 cells, and t = 1 shifts 8 more: 40 cells of its cap of 4 n = 48.
+    # psi at n = 12 has 7 levels, 64 cells with the shift, and overflows.
+    sample = embed_isometric_composition(PADDING_SYMBOLS["z^2"], EIGHTHS, 12)
+    assert (sample.dim - 1) // sample.meta["fiber_dim"] == 40
+    assert sample.meta["horizon"] == 48
+    assert len(wold_decompose(PSI, 12).level_dims) == 7
+    with pytest.raises(HorizonOverflow, match="levels occupy 56 cells and shifts add 8"):
+        embed_isometric_composition(PSI, EIGHTHS, 12)
 
 
 def test_isometry_check_of_an_index_sample_builds_no_identity():
