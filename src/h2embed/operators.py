@@ -41,26 +41,33 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-8
 
 
+_POWER_BLOCK = 32  # 32 x 512 complex entries is 256 KB, and one block covers every n <= 33
+
+
 def composition_matrix(phi, n: int) -> np.ndarray:
     """Compressed composition operator: column j holds the Taylor
     coefficients (below degree n) of phi**j.
 
-    The powers phi**j (j >= 1) are sampled on one circle grid, each as the
-    previous row times the samples of phi, and extracted by one batched
-    FFT; the amplification guard is scaled by max |phi| on that circle and
-    runs before the n x m table of powers is allocated.
+    The powers phi**j (j >= 1) are sampled on one circle grid of m points,
+    each as the previous power times the samples of phi, in blocks of
+    B = ``_POWER_BLOCK`` rows: one batched FFT extracts a block into its
+    columns, and the running power carries into the next block.  The FFT
+    transforms each row on its own, so the blocks change no bit of the
+    result, and the peak is O(n**2 + B m).  The amplification guard is
+    scaled by max |phi| on that circle and runs before any power is sampled.
     """
     r = DEFAULT_RADIUS
     vals = _sample(phi, _circle_points(n, r))
     _check_amplification(n, r, float(np.max(np.abs(vals))))
-    pw = np.empty((n, vals.size), dtype=complex)
-    pw[0] = 1.0
-    for j in range(1, n):
-        pw[j] = pw[j - 1] * vals
-    coeffs = _coefficients_from_samples(pw[1:], n, r)
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
-    out[:, 1:] = coeffs.T
+    block = np.empty((min(_POWER_BLOCK, n - 1), vals.size), dtype=complex)
+    power = np.ones_like(vals)
+    for start in range(1, n, _POWER_BLOCK):
+        rows = block[: n - start]
+        for row in rows:
+            power = np.multiply(power, vals, out=row)
+        out[:, start : start + len(rows)] = _coefficients_from_samples(rows, n, r).T
     return out
 
 
@@ -309,7 +316,9 @@ def wold_decompose(psi, n: int) -> WoldDecomposition:
         dims.append(len(idx))
 
     q = q[:, :k]
-    ortho_defect = float(np.max(np.abs(q.conj().T @ q - np.eye(k))))
+    gram = q.conj().T @ q
+    gram[np.diag_indices(k)] -= 1.0
+    ortho_defect = float(np.max(np.abs(gram)))
     return WoldDecomposition(
         comp=c,
         basis=q,

@@ -118,7 +118,8 @@ def check_semigroup_law(
                     d = op_ts.column - np.convolve(op_t.column, op_s.column)[:n]
                     defect = _worst(math.sqrt(np.dot(np.arange(n, 0, -1.0), d.real**2 + d.imag**2)))
                 else:
-                    gap = sample.apply(t + s) - sample.apply(t, sample.apply(s))
+                    gap = sample.apply(t, sample.apply(s))
+                    np.subtract(sample.apply(t + s), gap, out=gap)
                     defect = _worst(np.linalg.norm(gap))
         witnesses.append(((t, s), defect))
     return _record("semigroup-law", witnesses, tol)

@@ -12,6 +12,7 @@ from h2embed.decisions import decide_composition, decide_lfm
 from h2embed.errors import AutomorphismInput, DomainError, IllConditioned, NotInner
 from h2embed.operators import (
     LowerToeplitz,
+    _POWER_BLOCK,
     _RETENTION,
     _WANDERING_TAKE,
     DEFAULT_RANK_TOL,
@@ -172,9 +173,9 @@ class TestCompositionMatrix:
         assert np.max(np.abs(c - np.eye(6))) < 1e-12
 
     def test_refuses_before_allocating_the_powers(self):
-        # At n = 1000 the table of powers phi**j on the circle would be
-        # 1000 x 4096 complex entries (65.5 MB); the amplification guard
-        # refuses first.
+        # At n = 1000 the result alone is 1000 x 1000 complex entries
+        # (16 MB), allocated with the first block of powers phi**j on the
+        # 4096-point circle; the amplification guard refuses before either.
         tracemalloc.start()
         try:
             with pytest.raises(IllConditioned, match="amplification exceeds the error budget"):
@@ -183,6 +184,27 @@ class TestCompositionMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_transient_memory_at_n128(self):
+        # The blocks bound the peak: the n x n result, one block of B powers
+        # and its transform, the block's first n coefficients before and
+        # after rescaling, and four m-vectors (grid, samples, running power
+        # and one temporary), 16 bytes an entry.  wold_decompose stays below the whole
+        # (n - 1) x m table of powers and its transform together.
+        n, b = 128, _POWER_BLOCK
+        m = _grid_size(n, DEFAULT_RADIUS)
+        bound = 16 * (n * n + 2 * b * m + 2 * b * n + 4 * m)
+        peaks = []
+        for build in (composition_matrix, wold_decompose):
+            build(PSI, n)
+            tracemalloc.start()
+            try:
+                build(PSI, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < bound
+        assert peaks[1] < 2 * 16 * (n - 1) * m
 
     def test_involution_column_one(self):
         c = composition_matrix(MobiusMap.disk_involution(0.5), 6)
@@ -217,7 +239,7 @@ class TestCompositionMatrix:
         assert np.all(np.abs(c @ c - both + a @ b) <= bound)
         assert np.all(np.abs(c_big[:n, :n] - c) <= 2 * e_c)
 
-    @pytest.mark.parametrize("n", [4, 16, 17, 64, 128])
+    @pytest.mark.parametrize("n", [4, 16, 17, 31, 32, 33, 34, 64, 65, 96, 128])
     @pytest.mark.parametrize(
         "phi",
         [SQUARE, PSI, DEG3, MobiusMap.disk_involution(0.2087), ATOM, MobiusMap(0.5, 0.2, 0.0, 1.0)],
