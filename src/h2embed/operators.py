@@ -17,15 +17,12 @@ import numpy as np
 from .blaschke import _FIXED_POINT_RESIDUAL
 from .errors import AutomorphismInput, DomainError, IllConditioned, NotInner
 from .symbols import (
-    DEFAULT_RADIUS,
     BlaschkeProduct,
     ConjugatedSymbol,
     MobiusMap,
     SingularInner,
-    _check_amplification,
-    _circle_points,
     _coefficients_from_samples,
-    _sample,
+    _samples,
     taylor_coefficients,
 )
 
@@ -56,9 +53,7 @@ def composition_matrix(phi, n: int) -> np.ndarray:
     result, and the peak is O(n**2 + B m).  The amplification guard is
     scaled by max |phi| on that circle and runs before any power is sampled.
     """
-    r = DEFAULT_RADIUS
-    vals = _sample(phi, _circle_points(n, r))
-    _check_amplification(n, r, float(np.max(np.abs(vals))))
+    vals = _samples(phi, n)
     out = np.zeros((n, n), dtype=complex)
     out[0, 0] = 1.0
     block = np.empty((min(_POWER_BLOCK, n - 1), vals.size), dtype=complex)
@@ -67,7 +62,7 @@ def composition_matrix(phi, n: int) -> np.ndarray:
         rows = block[: n - start]
         for row in rows:
             power = np.multiply(power, vals, out=row)
-        out[:, start : start + len(rows)] = _coefficients_from_samples(rows, n, r).T
+        out[:, start : start + len(rows)] = _coefficients_from_samples(rows, n).T
     return out
 
 
@@ -124,7 +119,7 @@ class LowerToeplitz:
 def toeplitz_matrix(phi, n: int) -> np.ndarray:
     """Multiplication by an H^infinity symbol: lower-triangular Toeplitz with
     first column the Taylor coefficients of phi, extracted by
-    :func:`taylor_coefficients` at ``DEFAULT_RADIUS``."""
+    :func:`taylor_coefficients`."""
     return LowerToeplitz(taylor_coefficients(phi, n)).dense()
 
 

@@ -45,7 +45,9 @@ __all__ = [
 
 _POLE_TOL = 1e-14
 _OUTER_MODULUS_SLACK = 1e-8
-DEFAULT_RADIUS = 0.9  # FFT sampling radius: _ERROR_BUDGET allows n <= 168 at scale 1
+# FFT sampling radius: _ERROR_BUDGET allows n <= 168 at scale 1
+# (tests/test_symbols.py::TestTaylor::test_ill_conditioned_guard pins it)
+DEFAULT_RADIUS = 0.9
 _ERROR_BUDGET = 1e-8  # rounding amplification accepted: half the digits of a double
 # a point within this of the unit circle is on it: the band roots_in_disk puts
 # around the circle, here for atoms and for |phi| on the circle
@@ -375,103 +377,75 @@ class ConjugatedSymbol:
         return self._tau(self.core(self._tau(_as_points(z))))
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
+_MIN_GRID = 512  # 0.9**343 <= eps, so 512 >= log(eps)/log(DEFAULT_RADIUS) = 343 points
 
 
-def _grid_size(n: int, radius: float) -> int:
-    """Number of sample points on the circle of the given radius for
-    extracting n Taylor coefficients by FFT.
+def _samples(f, n: int) -> np.ndarray:
+    """``f`` at DEFAULT_RADIUS * exp(2 pi i j / m), j < m, for m the next power
+    of two >= max(4n, ``_MIN_GRID``); TypeError unless ``f`` is vectorised.
 
-    Sampling at m points folds coefficient k + l*m (l >= 1) onto k, scaled
-    by radius**(l*m); for a symbol bounded by B on the disk that aliasing
-    error is at most B * radius**m / (1 - radius**m).  Taking
-    m >= log(eps)/log(radius) keeps it below the eps * B rounding floor of
-    the transform, so both errors are amplified alike by radius**(-k).
-    The count is the next power of two >= max(4n, 64, log(eps)/log(radius)).
+    Sampling at m points folds coefficient k + l*m (l >= 1) onto k, scaled by
+    r**(l*m); for a symbol bounded by B on the disk that aliasing error is at
+    most B * r**m / (1 - r**m), below the eps * B rounding floor of the FFT
+    once m >= log(eps)/log(r), so both errors are amplified alike by r**(-k).
+    Raises :class:`IllConditioned` when that amplification, r**(-(n-1)) * eps
+    * max(1, max |f| on the grid), exceeds ``_ERROR_BUDGET``: before any power
+    of f is formed from the samples.
     """
-    if not 0.0 < radius < 1.0:
-        raise DomainError("sampling radius must lie in (0, 1)")
-    eps = float(np.finfo(float).eps)
-    return _next_pow2(max(4 * n, 64, math.ceil(math.log(eps) / math.log(radius))))
-
-
-def _sample(f, pts: np.ndarray) -> np.ndarray:
-    """``f`` at the points ``pts``; TypeError unless ``f`` is vectorised."""
+    m = _MIN_GRID
+    while m < 4 * n:
+        m *= 2
+    pts = DEFAULT_RADIUS * np.exp(2j * np.pi * np.arange(m) / m)
     vals = np.asarray(f(pts), dtype=complex)
     if vals.shape != pts.shape:
         raise TypeError(
             f"symbols map an array of points to one of its shape {pts.shape}, not {vals.shape}"
         )
+    eps = float(np.finfo(float).eps)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if DEFAULT_RADIUS ** (-(n - 1)) * eps * scale > _ERROR_BUDGET:
+        largest = 1 + math.floor(math.log(_ERROR_BUDGET / (eps * scale)) / -math.log(DEFAULT_RADIUS))
+        raise IllConditioned(
+            f"radius**-(n-1) amplification exceeds the error budget {_ERROR_BUDGET} at n = {n}; "
+            + (f"n <= {largest} stays within it for this symbol" if largest >= 1
+               else f"no n does for a symbol of size {scale:.3g} on the circle")
+        )
     return vals
 
 
-def _circle_points(n: int, radius: float) -> np.ndarray:
-    """The :func:`_grid_size` points radius * exp(2 pi i j / m), j < m."""
-    m = _grid_size(n, radius)
-    return radius * np.exp(2j * np.pi * np.arange(m) / m)
-
-
-def _check_amplification(n: int, radius: float, scale: float) -> None:
-    """Raise :class:`IllConditioned` when radius**(-(n-1)) * eps * max(1, scale),
-    the rounding amplification of :func:`_coefficients_from_samples`, exceeds
-    ``_ERROR_BUDGET``; ``scale`` bounds the sampled function (max |phi| on the
-    circle for powers phi**j).  Callers check before they allocate samples."""
-    eps = float(np.finfo(float).eps)
-    if radius ** (-(n - 1)) * eps * max(1.0, scale) > _ERROR_BUDGET:
-        raise IllConditioned(
-            f"radius**-(n-1) amplification exceeds the error budget {_ERROR_BUDGET}; "
-            "raise the radius or lower n"
-        )
-
-
-def _coefficients_from_samples(samples: np.ndarray, n: int, radius: float) -> np.ndarray:
+def _coefficients_from_samples(samples: np.ndarray, n: int) -> np.ndarray:
     """First ``n`` Taylor coefficients of each function sampled along the
-    last axis of ``samples`` at the points of :func:`_circle_points`.
-
-    Grid rule: the m samples come from :func:`_grid_size`, so aliasing
-    stays below the eps-relative rounding of the FFT.  Coefficient k is
-    the k-th FFT term over m, rescaled by radius**(-k), which amplifies
-    that rounding as well; :func:`_check_amplification` bounds it.
+    last axis of ``samples`` at the points of :func:`_samples`: the k-th FFT
+    term over m, rescaled by DEFAULT_RADIUS**(-k), which amplifies the
+    transform's rounding as well; :func:`_samples` bounds it.
     """
-    powers = radius ** (-np.arange(n, dtype=float))
+    powers = DEFAULT_RADIUS ** (-np.arange(n, dtype=float))
     return (np.fft.fft(samples)[..., :n] / samples.shape[-1]) * powers
 
 
-def taylor_coefficients(
-    f,
-    n: int,
-    radius: float = DEFAULT_RADIUS,
-    *,
-    return_errors: bool = False,
-):
+def taylor_coefficients(f, n: int, *, return_errors: bool = False):
     """First ``n`` Taylor coefficients of a disk-analytic symbol.
 
-    Samples ``f`` on the circle of the given radius and extracts the
-    coefficients with :func:`_coefficients_from_samples`;
-    :func:`_check_amplification` raises :class:`IllConditioned` first when
-    the radius**(-(n-1)) amplification alone exceeds the budget.
+    Samples ``f`` with :func:`_samples`, which raises :class:`IllConditioned`
+    when the DEFAULT_RADIUS**(-(n-1)) amplification exceeds the budget, and
+    extracts the coefficients with :func:`_coefficients_from_samples`.
     With ``return_errors`` a per-coefficient error estimate is returned:
     an aliasing bound from Cauchy estimates on a slightly larger sampling
     circle plus an FFT roundoff term.
     """
     if n < 1:
         raise ValueError("need at least one coefficient")
-    vals = _sample(f, _circle_points(n, radius))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    _check_amplification(n, radius, scale)
-    coeffs = _coefficients_from_samples(vals, n, radius)
+    vals = _samples(f, n)
+    coeffs = _coefficients_from_samples(vals, n)
     if not return_errors:
         return coeffs
+    scale = max(1.0, float(np.max(np.abs(vals))))
     m = vals.size
     eps = float(np.finfo(float).eps)
-    r1 = 0.5 * (1.0 + radius)
-    vals1 = _sample(f, r1 * np.exp(2j * np.pi * np.arange(m) / m))
+    r1 = 0.5 * (1.0 + DEFAULT_RADIUS)
+    vals1 = np.asarray(f(r1 * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
     m1 = float(np.max(np.abs(vals1)))
-    q = (radius / r1) ** m
+    q = (DEFAULT_RADIUS / r1) ** m
     alias = m1 * (q / (1.0 - q)) * r1 ** (-np.arange(n, dtype=float))
-    rounding = m * eps * scale * radius ** (-np.arange(n, dtype=float))
+    rounding = m * eps * scale * DEFAULT_RADIUS ** (-np.arange(n, dtype=float))
     return coeffs, alias + rounding

@@ -1149,6 +1149,19 @@ def test_exit_4_times_that_no_grid_holds(tmp_path, capsys):
     assert err.startswith("error: HorizonOverflow: ")
 
 
+def test_exit_4_names_the_largest_n_the_guard_passes(tmp_path, capsys):
+    # |z^2| <= 1 on the sampling circle, so 0.9**-(n-1) eps <= 1e-8 holds up to n = 168
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Z2_DOC))
+    rc, out, err = _run(["verify", "--input", str(path), "--n", "169"], capsys)
+    assert (rc, out) == (4, "")
+    assert err == (
+        "error: IllConditioned: radius**-(n-1) amplification exceeds the error budget 1e-08"
+        " at n = 169; n <= 168 stays within it for this symbol\n"
+    )
+    assert _run(["verify", "--input", str(path), "--n", "168"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [["semigroup", "--h", "0.5"], ["verify", "--h", "0.25"]])
 def test_grid_step_is_no_flag(tmp_path, capsys, argv):
     path = tmp_path / "sym.json"

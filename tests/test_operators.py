@@ -30,7 +30,6 @@ from h2embed.symbols import (
     MobiusMap,
     RationalOuter,
     SingularInner,
-    _grid_size,
     taylor_coefficients,
 )
 
@@ -40,10 +39,16 @@ DEG3 = BlaschkeProduct(origin_order=1, zeros=[(0.2 + 0.3j, 1), (-0.4 + 0.1j, 1)]
 ATOM = SingularInner.from_angles([(0.0, 1.0)])
 
 
-def column_loop(phi, n, radius=0.9):
+def grid_size(n):
+    """The FFT grid for n coefficients: the next power of two >= 4n, and at
+    least 512 >= log(eps)/log(0.9), so aliasing stays below rounding."""
+    return max(512, 1 << (4 * n - 1).bit_length())
+
+
+def column_loop(phi, n):
     """Reference composition matrix: one FFT per power phi**j, column by
     column, each power the previous one times the samples of phi."""
-    m = _grid_size(n, radius)
+    m, radius = grid_size(n), 0.9
     vals = np.asarray(phi(radius * np.exp(2j * np.pi * np.arange(m) / m)), dtype=complex)
     powers = radius ** (-np.arange(n, dtype=float))
     out = np.zeros((n, n), dtype=complex)
@@ -192,7 +197,7 @@ class TestCompositionMatrix:
         # and one temporary), 16 bytes an entry.  wold_decompose stays below the whole
         # (n - 1) x m table of powers and its transform together.
         n, b = 128, _POWER_BLOCK
-        m = _grid_size(n, DEFAULT_RADIUS)
+        m = grid_size(n)
         bound = 16 * (n * n + 2 * b * m + 2 * b * n + 4 * m)
         peaks = []
         for build in (composition_matrix, wold_decompose):
@@ -253,6 +258,21 @@ class TestCompositionMatrix:
         # 1e-8 budget; scaled by the powers, which reach (8/7)**127, it is 3e-3.
         phi = koenigs_conjugator()
         assert np.array_equal(composition_matrix(phi, 128), column_loop(phi, 128))
+
+    def test_guard_boundary_at_the_symbol_scale(self):
+        # n passes while 0.9**-(n-1) eps max(1, s) <= 1e-8, s = max |phi| on
+        # the grid: 8/7 for this conjugator (at z = 0.9), which moves the
+        # boundary from n = 168 at s = 1 to n = 166.
+        phi = koenigs_conjugator()
+        eps = float(np.finfo(float).eps)
+        n = 166
+        m = grid_size(n)
+        s = np.max(np.abs(phi(DEFAULT_RADIUS * np.exp(2j * np.pi * np.arange(m) / m))))
+        assert s == pytest.approx(8 / 7, rel=1e-14) and grid_size(n + 1) == m
+        assert DEFAULT_RADIUS ** -(n - 1) * eps * s <= 1e-8 < DEFAULT_RADIUS ** -n * eps * s
+        assert np.all(np.isfinite(composition_matrix(phi, n)))
+        with pytest.raises(IllConditioned, match=f"n <= {n} stays within it"):
+            composition_matrix(phi, n + 1)
 
     @pytest.mark.parametrize("phi", [SQUARE, PSI, ATOM], ids=["z^2", "psi", "atom"])
     def test_column_one_is_the_taylor_series(self, phi):

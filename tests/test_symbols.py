@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_laguerre
 
 from h2embed.errors import (
     DegenerateMap,
@@ -10,8 +11,10 @@ from h2embed.errors import (
     IllConditioned,
     PoleHit,
 )
+from h2embed.operators import composition_matrix
 from h2embed.symbols import (
     _AT_ATOM,
+    DEFAULT_RADIUS,
     BlaschkeProduct,
     FactoredSymbol,
     MobiusMap,
@@ -271,6 +274,25 @@ class TestRationalOuter:
         assert np.all(np.abs(f(z)) > 0)
 
 
+def _blaschke_series():
+    """A degree-2 Blaschke product and its first 32 coefficients from mpmath at 40 digits."""
+    b = BlaschkeProduct(rotation=0.2, zeros=[(0.5, 1), (-0.2 + 0.3j, 1)])
+    with mpmath.workdps(40):
+        def exact(z):
+            out = mpmath.exp(mpmath.mpc(0, b.rotation))
+            for alpha, _ in b.zeros:
+                out *= (alpha - z) / (1 - mpmath.conj(alpha) * z)
+            return out
+        return b, np.array([complex(c) for c in mpmath.taylor(exact, 0, 31)])
+
+
+def _atom_series():
+    """S = exp(-(1+z)/(1-z)) = e^-1 sum L_k^(-1)(2) z^k with L_k^(-1) = L_k - L_(k-1),
+    to 24 coefficients."""
+    lag = eval_laguerre(np.arange(24), 2.0)
+    return SingularInner.from_angles([(0.0, 1.0)]), np.exp(-1.0) * np.diff(lag, prepend=0.0)
+
+
 class TestTaylor:
     def test_monomial(self):
         c = taylor_coefficients(BlaschkeProduct(origin_order=2), 6)
@@ -282,22 +304,28 @@ class TestTaylor:
         c = taylor_coefficients(lambda z: 2.0 + 0 * z, 4)
         assert np.max(np.abs(c - [2, 0, 0, 0])) < 1e-13
 
-    def test_singular_inner_two_radius_consistency(self):
-        s = SingularInner.from_angles([(0.0, 1.0)])
-        c1, e1 = taylor_coefficients(s, 24, radius=0.8, return_errors=True)
-        c2, e2 = taylor_coefficients(s, 24, radius=0.9, return_errors=True)
-        assert abs(c1[0] - np.exp(-1)) < 1e-12
-        assert np.all(np.abs(c1 - c2) <= e1 + e2)
-
-    def test_two_radius_consistency_blaschke(self):
-        b = BlaschkeProduct(rotation=0.2, zeros=[(0.5, 1), (-0.2 + 0.3j, 1)])
-        c1, e1 = taylor_coefficients(b, 32, radius=0.8, return_errors=True)
-        c2, e2 = taylor_coefficients(b, 32, radius=0.9, return_errors=True)
-        assert np.all(np.abs(c1 - c2) <= e1 + e2)
+    @pytest.mark.parametrize("case", [_blaschke_series, _atom_series], ids=["blaschke", "atom"])
+    def test_error_estimate_bounds_the_true_error(self, case):
+        phi, exact = case()
+        got, err = taylor_coefficients(phi, exact.size, return_errors=True)
+        assert np.all(np.abs(got - exact) <= err)
 
     def test_ill_conditioned_guard(self):
-        with pytest.raises(IllConditioned):
-            taylor_coefficients(BlaschkeProduct(origin_order=1), 400, radius=0.8)
+        # n passes while DEFAULT_RADIUS**-(n-1) eps max(1, s) <= 1e-8, s = max |phi|
+        # on the grid; |z| and |z^2| stay below 1 there, so n = 168 is the last
+        eps = float(np.finfo(float).eps)
+        n = 168
+        assert DEFAULT_RADIUS ** -(n - 1) * eps <= 1e-8 < DEFAULT_RADIUS ** -n * eps
+        for build, origin_order in ((taylor_coefficients, 1), (composition_matrix, 2)):
+            phi = BlaschkeProduct(origin_order=origin_order)
+            assert np.all(np.isfinite(build(phi, n)))
+            with pytest.raises(IllConditioned, match=f"at n = {n + 1}; n <= {n} stays within it"):
+                build(phi, n + 1)
+
+    def test_ill_conditioned_guard_at_every_n(self):
+        # eps * 1e8 > 1e-8 already at n = 1, where no power of 0.9 amplifies it
+        with pytest.raises(IllConditioned, match="at n = 1; no n does for a symbol of size 1e"):
+            taylor_coefficients(lambda z: 1e8 + 0 * z, 1)
 
 
 def test_factored_symbol_is_product_of_parts():
