@@ -58,6 +58,16 @@ number.
 A JSON number must be a number: true, false and strings such as ``"0.5"``
 are refused where a symbol file or ``meta.json`` gives a number.
 
+A report's ``input_hash`` (``symbol_hash`` in ``meta.json``) is the first 16
+hex digits of the SHA-256 of the symbol file's UTF-8 text as read, that is
+with universal newlines (``\r\n`` and ``\r`` read as ``\n``).  It is
+computed with the interpreter's built-in SHA-256 module (``_sha2``, or
+``_sha256`` before Python 3.12), as ``random`` does for SHA-512:
+``hashlib`` loads and initialises OpenSSL's libcrypto, which adds about
+3.5 MB to the resident memory of every command for one short digest
+(CPython 3.11 on x86-64 Linux).
+``hashlib`` is used only where neither built-in module exists.
+
 Report documents are, byte for byte, the text that ``json.dumps`` gives
 for ``_jsonable(doc)`` with ``sort_keys`` and an ``indent`` of 2, plus a
 final newline: keys sorted, two-space indentation, ASCII-only strings,
@@ -71,7 +81,6 @@ json module's C escaper.  Anything else raises ``TypeError``, as
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -89,6 +98,14 @@ from .symbols import (
     RationalOuter,
     SingularInner,
 )
+
+try:  # the interpreter's own SHA-256; hashlib would load OpenSSL
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "SymbolFileError",
@@ -299,7 +316,7 @@ def load_symbol_file(path) -> dict:
 
 
 def symbol_hash(raw_text: str) -> str:
-    return hashlib.sha256(raw_text.encode()).hexdigest()[:16]
+    return _sha256(raw_text.encode()).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------

@@ -1564,6 +1564,32 @@ def test_cli_runs_with_scipy_blocked(tmp_path, capsys, doc, argv):
     assert (done.returncode, done.stdout, done.stderr) == in_process
 
 
+# Each command once, in one fresh interpreter (the pytest process has
+# already imported hashlib and SciPy): none of them may load OpenSSL through
+# hashlib (the symbol hash uses the interpreter's own SHA-256), SciPy, or
+# numpy.polynomial.
+_LEAN_RUN = """
+import contextlib, io, os, sys
+from h2embed.cli import main
+symbol, sample = sys.argv[1], sys.argv[2]
+runs = [["analyze", "--input", symbol], ["verify", "--input", symbol, "--n", "16"],
+        ["semigroup", "--input", symbol, "--n", "16", "--out", sample],
+        ["verify", "--sample", sample], ["wold", "--input", symbol, "--n", "16"],
+        ["solve", "--input", symbol, "--beta", "0.2"], ["frostman", "--input", symbol, "--lam", "0.2"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+heavy = ("_hashlib", "scipy", "numpy.polynomial")
+print(codes, sorted(m for m in sys.modules if m in heavy or m.startswith(("scipy.", "numpy.polynomial."))))
+"""
+
+
+def test_commands_leave_hashlib_scipy_and_numpy_polynomial_out(tmp_path):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(PSI_DOC))
+    done = _python(_LEAN_RUN, str(path), str(tmp_path / "sample"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0, 0, 0, 0, 0] []\n", "")
+
+
 def _mpmath_singular_fixed_point(atoms):
     """The attracting fixed point of S = exp(-sum m (zeta + z)/(zeta - z)),
     by iterating S from 0 in 30-digit arithmetic (Denjoy-Wolff)."""

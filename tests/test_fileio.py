@@ -5,7 +5,10 @@ files are written from, and read back as, their first column, and give what
 that checks and parses each distinct line once, builds the dense matrix and
 then tests it for the Toeplitz layout bit for bit.
 Report documents: ``json_dumps`` gives the bytes of
-``json.dumps(..., sort_keys=True, indent=2)``."""
+``json.dumps(..., sort_keys=True, indent=2)``.
+Symbol hashes: ``symbol_hash`` gives the first 16 hex digits of hashlib's
+SHA-256 of the UTF-8 text."""
+import hashlib
 import json
 import math
 
@@ -21,6 +24,8 @@ from h2embed.fileio import (
     dump_matrix_csv,
     json_dumps,
     load_matrix_csv,
+    load_symbol_file,
+    symbol_hash,
 )
 from h2embed.operators import LowerToeplitz
 
@@ -353,3 +358,27 @@ def test_report_writer_refuses_what_json_dumps_refuses(value):
         json.dumps(_jsonable(value), sort_keys=True, indent=2)
     with pytest.raises(TypeError, match="is not JSON serializable"):
         json_dumps(value)
+
+
+def hashlib_hash(text):
+    """Reference symbol hash: hashlib's SHA-256 of the UTF-8 text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"kind": "polynomial"}', '{"note": "Toeplitz \u2013 \u03c8 \u00e9 \U0001d4d7"}', "",
+     "0123456789abcdef" * 65536],
+    ids=["ascii", "non-ascii", "empty", "1-MB"],
+)
+def test_symbol_hash_is_hashlib_sha256(text):
+    assert symbol_hash(text) == hashlib_hash(text)
+
+
+def test_symbol_hash_is_of_the_text_as_read(tmp_path):
+    # universal newlines: a file with \r\n line ends hashes as its \n text
+    text = '{"kind": "polynomial",\n "polynomial": {"coeffs": [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}}\n'
+    path = tmp_path / "sym.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert load_symbol_file(path)["hash"] == hashlib_hash(text)
+    assert hashlib_hash(text) != hashlib_hash(text.replace("\n", "\r\n"))
